@@ -622,7 +622,6 @@ def main(argv=None):
         p.add_argument("--out", default=None,
                        help="output directory (default: $RING_DESING_OUT "
                             "or ./out)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0,
                        help="sampling seed for validation suites")
 
@@ -632,6 +631,7 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run an epsilon sweep")
     p_sweep.add_argument("--config", required=True)
+    p_sweep.add_argument("--threads", type=int, default=1)
     add_common(p_sweep)
 
     p_val = sub.add_parser("validate", help="run module validation suites")

@@ -14,7 +14,7 @@ from scipy import ndimage
 
 from .errors import ConfigurationError, NumericalError
 from .greens import default_extended_box, fd_solve
-from .grid import GridSpec, ScalarField, integrate_planar
+from .grid import GridSpec, ScalarField, bilinear_sample, integrate_planar
 from .profiles import eval_H
 from .solver import background_field
 
@@ -149,37 +149,11 @@ def scaled_profile(zeta, center, epsilon, n_cells=96,
     xs = win.r_centers
     sample_r = cr + epsilon * xs[:, None] + 0.0 * xs[None, :]
     sample_z = cz + 0.0 * xs[:, None] + epsilon * xs[None, :]
-    phi = epsilon ** 2 * _bilinear_sample(zeta, sample_r, sample_z)
+    phi = epsilon ** 2 * bilinear_sample(zeta, sample_r, sample_z)
     fld = ScalarField(win, phi)
     pmass = float(np.sum(phi)) * win.cell_area
     return ScaledProfile(field=fld, planar_mass=pmass,
                          window_halfwidth=halfwidth, center=(cr, cz))
-
-
-def _bilinear_sample(field, rq, zq):
-    """Bilinear interpolation of a cell-centered field, zero outside."""
-    spec = field.spec
-    fr = (rq - spec.r_centers[0]) / spec.dr
-    fz = (zq - spec.z_centers[0]) / spec.dz
-    i0 = np.floor(fr).astype(int)
-    j0 = np.floor(fz).astype(int)
-    tr = fr - i0
-    tz = fz - j0
-    out = np.zeros(np.shape(rq))
-    padded = np.zeros((spec.n_r + 2, spec.n_z + 2))
-    padded[1:-1, 1:-1] = field.values
-    ii = np.clip(i0 + 1, 0, spec.n_r)
-    jj = np.clip(j0 + 1, 0, spec.n_z)
-    inside = (i0 >= -1) & (i0 <= spec.n_r - 1) & (j0 >= -1) & (j0 <= spec.n_z - 1)
-    v00 = padded[ii, jj]
-    v10 = padded[np.clip(ii + 1, 0, spec.n_r + 1), jj]
-    v01 = padded[ii, np.clip(jj + 1, 0, spec.n_z + 1)]
-    v11 = padded[np.clip(ii + 1, 0, spec.n_r + 1),
-                 np.clip(jj + 1, 0, spec.n_z + 1)]
-    val = (v00 * (1 - tr) * (1 - tz) + v10 * tr * (1 - tz)
-           + v01 * (1 - tr) * tz + v11 * tr * tz)
-    out = np.where(inside, val, 0.0)
-    return out
 
 
 def radial_shell_profile(profile, n_shells=24):
@@ -302,7 +276,7 @@ def far_field_check(result, n_angles=48, min_radius=None):
     if not np.any(keep):
         raise NumericalError("no usable far-field sample points")
     vz_field = ScalarField(box, vz_induced + target)
-    samples = _bilinear_sample(vz_field, pr[keep], pz[keep])
+    samples = bilinear_sample(vz_field, pr[keep], pz[keep])
     rel = np.abs(samples - target) / abs(target)
     return {
         "far_vz": float(np.mean(samples)),

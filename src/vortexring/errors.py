@@ -23,5 +23,5 @@ class ConsistencyError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A linear solve or bisection failed in a way that indicates a bug
-    or an ill-posed configuration, not a user error."""
+    """A linear solve or multiplier search failed in a way that indicates
+    a bug or an ill-posed configuration, not a user error."""

@@ -34,7 +34,7 @@ from .errors import (
     QuadratureToleranceError,
     SingularEvaluationError,
 )
-from .grid import ScalarField, build_grid, integrate_nu
+from .grid import ScalarField, bilinear_sample, build_grid, integrate_nu
 
 TWO_PI = 2.0 * np.pi
 
@@ -480,22 +480,5 @@ def fd_solve(zeta, box=None, margin_factor=3.0, cells_per_unit=42.0):
 def restrict_to_grid(fext, spec):
     """Sample a field on the extended grid at the cell centers of the
     solve grid (bilinear interpolation)."""
-    return ScalarField(spec, _bilinear(fext, spec.r_centers[:, None],
-                                       spec.z_centers[None, :]))
-
-
-def _bilinear(fld, r, z):
-    """Bilinear interpolation of a ScalarField at points (r, z)."""
-    sp = fld.spec
-    gi = (np.asarray(r) - sp.r_min) / sp.dr - 0.5
-    gj = (np.asarray(z) - sp.z_min) / sp.dz - 0.5
-    i0 = np.clip(np.floor(gi).astype(int), 0, sp.n_r - 2)
-    j0 = np.clip(np.floor(gj).astype(int), 0, sp.n_z - 2)
-    fr = np.clip(gi - i0, 0.0, 1.0)
-    fz = np.clip(gj - j0, 0.0, 1.0)
-    v = fld.values
-    out = ((1 - fr) * (1 - fz) * v[i0, j0]
-           + fr * (1 - fz) * v[i0 + 1, j0]
-           + (1 - fr) * fz * v[i0, j0 + 1]
-           + fr * fz * v[i0 + 1, j0 + 1])
-    return out
+    return ScalarField(spec, bilinear_sample(fext, spec.r_centers[:, None],
+                                             spec.z_centers[None, :]))

@@ -131,6 +131,29 @@ def field_from_function(spec, fn):
                        * np.ones((spec.n_r, spec.n_z)))
 
 
+def bilinear_sample(f, r, z):
+    """Bilinear interpolation of a cell-centered field at points (r, z).
+
+    The field counts as zero outside its cells: samples within one cell
+    width beyond the outermost centers interpolate towards zero, and
+    samples further out are zero.
+    """
+    spec = f.spec
+    gi = (np.asarray(r) - spec.r_centers[0]) / spec.dr + 1.0
+    gj = (np.asarray(z) - spec.z_centers[0]) / spec.dz + 1.0
+    i0 = np.floor(gi).astype(int)
+    j0 = np.floor(gj).astype(int)
+    tr = gi - i0
+    tz = gj - j0
+    inside = (i0 >= 0) & (i0 <= spec.n_r) & (j0 >= 0) & (j0 <= spec.n_z)
+    i0 = np.clip(i0, 0, spec.n_r)
+    j0 = np.clip(j0, 0, spec.n_z)
+    v = np.pad(f.values, 1)
+    val = ((1 - tr) * (1 - tz) * v[i0, j0] + tr * (1 - tz) * v[i0 + 1, j0]
+           + (1 - tr) * tz * v[i0, j0 + 1] + tr * tz * v[i0 + 1, j0 + 1])
+    return np.where(inside, val, 0.0)
+
+
 def _check_same_grid(a, b):
     if not a.spec.same_as(b.spec):
         raise GridMismatchError("fields live on different grids")

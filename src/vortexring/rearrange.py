@@ -1,20 +1,24 @@
-"""Discrete rearrangement tools: a capped bathtub maximizer and Steiner
-symmetrization in z.
+"""Discrete rearrangement tools: one exact threshold fill, the capped
+bathtub maximizer built on it, and Steiner symmetrization in z.
 
-Both are used inside the solver and exposed as standalone, property-tested
-operations. The bathtub problem here is
+threshold_fill finds the multiplier mu of a mass-constrained threshold
+update: each cell i holds fill(h_i - mu) for a nondecreasing fill that
+vanishes for t <= 0, and mu is the smallest value >= 0 whose total weight
+fits the budget. The solver's multiplier search is the case
+fill(t) = min(Lambda, i(r, t)); the bathtub problem
 
-    maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap,
+    maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap
 
-whose solution fills super-level sets of h down to a level, with freedom
-only on the level set itself; the symmetrization redistributes each
-r-column of a field so it is even in z and nonincreasing in |z|, exactly
-preserving the column's value multiset.
+is the case fill = 1 on t > 0, whose solution fills super-level sets of h
+down to a level, with freedom only on the level set itself. The
+symmetrization redistributes each r-column of a field so it is even in z
+and nonincreasing in |z|, exactly preserving the column's value multiset.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .grid import ScalarField
@@ -50,36 +54,70 @@ class BathtubSolution:
     value: float
 
 
-def bathtub_maximize(space):
-    """Exact solution of the capped, mass-constrained linear maximization.
+def threshold_fill(h, w, budget, fill):
+    """Smallest mu >= 0 with sum_i w_i fill(h_i - mu) <= budget, and the
+    fills at it, with the budget met exactly whenever mu > 0.
 
-    The level is the smallest t at which the super-level weight drops to
-    the capacity; atoms strictly above max(0, level) fill completely,
-    atoms on the level set share the residual capacity proportionally to
-    weight, and nothing below 0 ever fills.
+    h and w are matching float arrays of heads and weights. fill maps an
+    array of arguments t shaped like h to per-cell fills; it must be
+    nondecreasing in t and zero for t <= 0, so mass(mu) is nonincreasing,
+    continuous between the distinct positive heads, and drops only at
+    them. mu = 0 when the unconstrained fill fits. Otherwise a binary
+    search over the sorted distinct positive heads finds lo < hi with
+    mass(lo) > budget >= mass(hi). If the left limit mass(hi-) still
+    exceeds the budget, mu = hi and the cells with h == hi share the rest
+    of the budget in proportion to their left-limit fill (the level set
+    of the bathtub); otherwise brentq closes the crossing inside (lo, hi).
     """
-    h = space.values
-    w = space.weights
-    cap = space.capacity
-    order = np.argsort(-h, kind="stable")
-    cum = np.cumsum(w[order])
-    j = int(np.searchsorted(cum, cap, side="right"))
-    # cap < total weight so j is a valid index; the level is the value at
-    # which cumulative weight first exceeds the capacity
-    level = float(h[order[j]])
+    u = fill(h)
+    # mass by multiplier; brentq starts by evaluating its bracket ends,
+    # which the search below has already evaluated
+    masses = {0.0: float(np.sum(w * u))}
+    if masses[0.0] <= budget:
+        return 0.0, u
 
-    omega = np.zeros_like(h)
-    eff = max(level, 0.0)
-    above = h > eff
-    omega[above] = 1.0
-    used = float(np.sum(w[above]))
-    if level > 0.0:
-        on_level = h == level
-        level_weight = float(np.sum(w[on_level]))
-        residual = max(cap - used, 0.0)
-        if level_weight > 0.0:
-            omega[on_level] = min(residual / level_weight, 1.0)
-    value = float(np.sum(w * h * omega))
+    def excess(mu):
+        if mu not in masses:
+            masses[mu] = float(np.sum(w * fill(h - mu)))
+        return masses[mu] - budget
+
+    levels = np.unique(h[h > 0.0])
+    masses[float(levels[-1])] = 0.0  # no cell lies above the top head
+    a, b = -1, levels.size - 1  # index -1 stands for mu = 0
+    while b - a > 1:
+        mid = (a + b) // 2
+        if excess(float(levels[mid])) > 0.0:
+            a = mid
+        else:
+            b = mid
+    lo = float(levels[a]) if a >= 0 else 0.0
+    hi = float(levels[b])
+
+    ledge = h == hi
+    t = h - hi
+    t[ledge] = np.finfo(float).tiny  # the left limit t -> 0+
+    u = fill(t)
+    on_ledge = float(np.sum(w[ledge] * u[ledge]))
+    if masses[hi] + on_ledge > budget:
+        u[ledge] *= (budget - masses[hi]) / on_ledge
+        return hi, u
+    mu = brentq(excess, lo, hi, xtol=np.finfo(float).tiny)
+    return float(mu), fill(h - mu)
+
+
+def bathtub_maximize(space):
+    """Exact solution of the capped, mass-constrained linear maximization:
+    the fill = 1 case of threshold_fill.
+
+    The level is zero when the positive atoms fit the capacity, and
+    otherwise the head at which the super-level weight crosses it; atoms
+    strictly above the level fill completely, atoms on the level set share
+    the residual capacity in proportion to weight, and nothing at or below
+    0 ever fills.
+    """
+    level, omega = threshold_fill(space.values, space.weights, space.capacity,
+                                  lambda t: (t > 0.0).astype(float))
+    value = float(np.sum(space.weights * space.values * omega))
     return BathtubSolution(omega=omega, level=level, value=value)
 
 

@@ -10,9 +10,11 @@ over 0 <= zeta <= Lambda/eps^2 supported in the box D, with circulation
 int zeta dnu <= kappa. Each outer step linearizes the quadratic kernel
 term at the current iterate and solves the resulting separable concave
 subproblem exactly: pointwise thresholding through the inverse graph of
-the conjugate plus a bisection on the mass multiplier mu. Because the
-kernel term is convex, every step is an ascent step on E, which the loop
-asserts.
+the conjugate, with the mass multiplier mu found exactly by the threshold
+routine the bathtub shares (rearrange.threshold_fill). This is the
+linearize-then-bathtub iteration of Eydeland & Turkington (J. Comput.
+Phys. 1988). Because the kernel term is convex, every step is an ascent
+step on E, which the loop asserts.
 
 The optimality profile of the converged state is
 
@@ -34,7 +36,7 @@ from .errors import ConfigurationError, NumericalError
 from .grid import ScalarField, build_grid, integrate_nu, inner_nu
 from .greens import get_stream_operator
 from .profiles import check_assumptions, eval_dJds, eval_i, eval_J
-from .rearrange import steiner_symmetrize_z
+from .rearrange import steiner_symmetrize_z, threshold_fill
 
 
 @dataclass
@@ -158,93 +160,35 @@ def pointwise_update(config, gen, psi):
     return ScalarField(spec, u / config.epsilon ** 2)
 
 
-def _mass_of_update(config, gen, lam, rc, wc, head):
-    """Mass of the pointwise update on the candidate cells.
-
-    head = psi0 - background; the update at multiplier mu only sees
-    head - mu. Returns (mass, u-values)."""
-    u = np.minimum(lam, eval_i(gen, rc, head))
-    mass = float(np.sum(u * wc)) / config.epsilon ** 2
-    return mass, u
-
-
 def solve_mu(config, gen, psi0):
     """Multiplier and updated vorticity for one outer step.
 
-    mass(mu) is nonincreasing (asserted); if the unconstrained update
-    already fits the mass budget the multiplier is zero, otherwise mu is
-    bisected on [0, max psi0]. Generators with a jump at the origin make
-    mass(mu) a step function; once the bracket collapses, the cells
-    sitting on the ledge psi = 0 are filled fractionally (proportional
-    fill on the level set) so the mass constraint closes exactly.
+    The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
+    with head = psi0 - background, and its mass is nonincreasing in mu.
+    rearrange.threshold_fill returns the smallest mu >= 0 whose update fits
+    the mass budget, exactly: zero when the unconstrained update fits; a
+    head value when the mass jumps across the budget there, as it does for
+    generators with a jump at the origin, in which case the cells on that
+    level set (the ledge psi = 0) are filled fractionally; and a bracketed
+    root between two heads otherwise.
     """
     spec = psi0.spec
     lam = config.resolved_lambda(gen)
     eps2 = config.epsilon ** 2
-    bg = background_field(config, spec)
-    head0 = psi0.values - bg
-    w = spec.nu_weights()
-
+    head0 = psi0.values - background_field(config, spec)
     cand = head0 > 0.0
     rc = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)[cand]
-    wc = w[cand]
-    hc = head0[cand]
-
-    def assemble(uc):
-        vals = np.zeros(head0.shape)
-        vals[cand] = uc / eps2
-        return ScalarField(spec, vals)
-
-    if hc.size == 0:
-        return 0.0, assemble(np.zeros(0))
-
-    mass0, u0 = _mass_of_update(config, gen, lam, rc, wc, hc)
-    if mass0 <= config.kappa:
-        return 0.0, assemble(u0)
-
-    lo, lo_mass = 0.0, mass0
-    hi = float(np.max(psi0.values))
-    hi_mass, _ = _mass_of_update(config, gen, lam, rc, wc, hc - hi)
-    if hi_mass > config.kappa:
-        raise NumericalError(
-            "mu bracket failure: mass at the upper bound is %.3e > kappa" % hi_mass)
-
-    tol = config.tol_mu * config.kappa
-    mu = hi
-    for _ in range(300):
-        mu = 0.5 * (lo + hi)
-        m, u = _mass_of_update(config, gen, lam, rc, wc, hc - mu)
-        if m > lo_mass + 1e-9 * (1.0 + lo_mass) or m < hi_mass - 1e-9 * (1.0 + hi_mass):
-            raise NumericalError("mass(mu) failed to decrease monotonically")
-        if abs(m - config.kappa) <= tol:
-            return float(mu), _capped(assemble(u), config, lam)
-        if m > config.kappa:
-            lo, lo_mass = mu, m
-        else:
-            hi, hi_mass = mu, m
-        if hi - lo <= 1e-17 * (1.0 + hi):
-            break
-
-    # step-function regime: fill the ledge cells at the lower bracket end
-    mu = lo
-    m, u = _mass_of_update(config, gen, lam, rc, wc, hc - mu)
-    excess = m - config.kappa
-    if excess < -tol:
-        raise NumericalError("bisection left a mass deficit of %.3e" % (-excess))
-    ledge = (hc - mu > 0.0) & (hc - hi <= 0.0)
-    available = float(np.sum(u[ledge] * wc[ledge])) / eps2
-    if available < excess - tol:
-        raise NumericalError("ledge capacity %.3e cannot absorb excess %.3e"
-                             % (available, excess))
-    if available > 0.0 and excess > 0.0:
-        u = u.copy()
-        u[ledge] *= max(1.0 - excess / available, 0.0)
-    m_final = float(np.sum(u * wc)) / eps2
-    if abs(m_final - config.kappa) > config.tol_mu * config.kappa:
-        raise NumericalError(
-            "ledge fill missed the mass budget: %.3e vs %.3e"
-            % (m_final, config.kappa))
-    return float(mu), _capped(assemble(u), config, lam)
+    mu, uc = threshold_fill(head0[cand], spec.nu_weights()[cand],
+                            config.kappa * eps2,
+                            lambda t: np.minimum(lam, eval_i(gen, rc, t)))
+    vals = np.zeros(head0.shape)
+    vals[cand] = uc / eps2
+    zeta = ScalarField(spec, vals)
+    mass = integrate_nu(zeta)
+    if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
+        raise NumericalError("multiplier search missed the mass budget: "
+                             "%.3e vs %.3e" % (mass, config.kappa))
+    return mu, _capped(zeta, config, lam)
 
 
 def _capped(zeta, config, lam):

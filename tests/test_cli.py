@@ -124,7 +124,8 @@ def test_sweep_rows_and_dedup(tmp_path, capsys):
 def test_sweep_requires_epsilons(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"epsilon": 0.1}))
-    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
+               "--threads", "2"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "epsilons" in err
@@ -213,3 +214,13 @@ def test_report_needs_three_converged_rows(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "missing.json"],
+    ["report"],
+    ["validate", "bathtub"],
+], ids=["solve", "report", "validate"])
+def test_threads_is_a_sweep_only_option(argv, tmp_path):
+    with pytest.raises(SystemExit):
+        main(argv + ["--threads", "2", "--out", str(tmp_path)])

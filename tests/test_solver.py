@@ -2,14 +2,16 @@
 ascent loop, and the optimality residual."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from vortexring import solver
 from vortexring.errors import ConfigurationError
 from vortexring.grid import ScalarField, integrate_nu
 from vortexring.greens import apply_stream_operator
-from vortexring.profiles import make_generator
+from vortexring.profiles import eval_i, make_generator
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
                                patch_measure, pointwise_update, run, solve_mu)
@@ -127,9 +129,22 @@ def test_solve_mu_zero_stream():
     assert np.all(zeta.values == 0.0)
 
 
-def test_solve_mu_active_mass_constraint():
+_TABLE_T = np.linspace(0.0, 60.0, 13)
+
+
+@pytest.mark.parametrize("family, params", [
+    pytest.param("turkington", {"alpha": 1.0}, id="turkington"),
+    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
+    pytest.param("power_law", {"p": 2.0}, id="power_law-p2"),
+    pytest.param("mixed", {"p": 1.5}, id="mixed-p1.5"),
+    pytest.param("beltrami", {"p": 1.0}, id="beltrami-p1"),
+    # the table twin of power_law p=1
+    pytest.param("table", {"table": (_TABLE_T, np.zeros(13), _TABLE_T)},
+                 id="table-power_law-p1"),
+])
+def test_solve_mu_active_mass_constraint(family, params, monkeypatch):
     cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32)
-    gen = make_generator("power_law", p=1.0)
+    gen = make_generator(family, **params)
     spec = cfg.domain_grid()
     bg = background_field(cfg, spec)
     # a broad quadratic hump over the background so the raw update holds
@@ -137,34 +152,56 @@ def test_solve_mu_active_mass_constraint():
     rr = spec.r_centers[:, None]
     zz = spec.z_centers[None, :]
     hump = 3.0 * np.maximum(0.25 - (rr - 1.0) ** 2 - zz ** 2, 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return eval_i(*args)
+
+    monkeypatch.setattr(solver, "eval_i", counted)
     mu, zeta = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
     assert mu > 0.0
     mass = integrate_nu(zeta)
     assert mass <= cfg.kappa
-    np.testing.assert_allclose(mass, cfg.kappa, rtol=1e-9)
-    assert np.max(cfg.epsilon ** 2 * zeta.values) <= 40.0
+    np.testing.assert_allclose(mass, cfg.kappa, rtol=1e-12)
+    lam = cfg.resolved_lambda(gen)
+    assert np.max(cfg.epsilon ** 2 * zeta.values) <= lam
+    # the multiplier search is a binary search over the candidate heads
+    # plus a bounded bracketed root-find, not a fixed-count bisection
+    n_cand = int(np.count_nonzero(hump > 0.0))
+    assert len(calls) <= math.ceil(math.log2(n_cand)) + 10
 
 
 def test_solve_mu_ledge_fill_for_jump_generator():
     cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32)
     gen = make_generator("turkington", alpha=1.0)
+    lam = cfg.resolved_lambda(gen)
+    eps2 = cfg.epsilon ** 2
     spec = cfg.domain_grid()
     bg = background_field(cfg, spec)
     # a flat plateau of height one: the update mass is a step function of
-    # mu and never equals kappa on the continuous part, forcing the
-    # bracket to collapse onto the jump and the ledge cells to fill
-    # fractionally
+    # mu across the plateau heads and never equals kappa on the continuous
+    # part, so mu lands on a head and that level set fills fractionally
     rr = spec.r_centers[:, None]
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
-    mu, zeta = solve_mu(cfg, gen, ScalarField(spec, bg + plateau))
-    assert 0.9 < mu < 1.0
-    np.testing.assert_allclose(integrate_nu(zeta), cfg.kappa, rtol=1e-9)
-    u = cfg.epsilon ** 2 * zeta.values
-    supp = u > 0
-    # every filled cell sits strictly inside the jump: 0 < u < alpha
-    assert np.all(u[supp] < 1.0)
-    assert np.all(plateau[supp] == 1.0)
+    psi0 = bg + plateau
+    mu, zeta = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    # (bg + 1) - bg leaves the plateau heads a few ulp apart
+    head = psi0 - bg
+    assert mu in set(head[plateau == 1.0])
+    r = np.broadcast_to(rr, head.shape)
+    above, ledge, below = head > mu, head == mu, head < mu
+    assert np.any(ledge)
+    np.testing.assert_array_equal(
+        zeta.values[above],
+        np.minimum(lam, eval_i(gen, r[above], head[above] - mu)) / eps2)
+    # the level set shares one fraction theta of the jump alpha
+    u_ledge = eps2 * zeta.values[ledge]
+    assert np.all(u_ledge == u_ledge[0])
+    assert 0.0 <= u_ledge[0] < gen.alpha
+    assert np.all(zeta.values[below] == 0.0)
+    np.testing.assert_allclose(integrate_nu(zeta), cfg.kappa, rtol=1e-12)
     # an even stream field yields an even update
     np.testing.assert_array_equal(zeta.values, zeta.values[:, ::-1])
 
