@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
-from .grid import dump_field_csv
+from .grid import build_grid, dump_field_csv
 from .profiles import (check_assumptions, eval_I, eval_J, eval_J_numeric,
                        eval_dJds, eval_i, make_generator)
 from .solver import ProblemConfig, run
@@ -439,7 +439,7 @@ def cmd_report(args):
 
 
 def _validate_greens(seed, n_pairs=200):
-    from .greens import (kernel_bound, kernel_closed_form,
+    from .greens import (StreamOperator, kernel_bound, kernel_closed_form,
                          kernel_quadrature, expansion_remainder, sigma)
     rng = np.random.default_rng(seed)
     rows = []
@@ -475,6 +475,16 @@ def _validate_greens(seed, n_pairs=200):
         return float(np.max(np.abs(vals)))
 
     coarse, fine = rem_sup(100), rem_sup(400)
+
+    # the FFT operator against its explicit-summation oracle on a
+    # non-square grid, with the field on a band of source rows
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20),
+                        keep_block=True)
+    field = np.zeros((16, 20))
+    field[3:11] = rng.uniform(0.0, 1.0, (8, 20))
+    direct = op.apply_direct(field)
+    op_diff = float(np.max(np.abs(op.apply(field) - direct))
+                    / np.max(np.abs(direct)))
     summary = {
         "pairs": n_pairs,
         "max_rel_diff": worst,
@@ -484,9 +494,12 @@ def _validate_greens(seed, n_pairs=200):
         "remainder_sup_coarse": coarse,
         "remainder_sup_fine": fine,
         "remainder_bounded": bool(fine <= 1.05 * max(coarse, 1e-12)),
+        "operator_max_rel_diff": op_diff,
+        "operator_vs_direct_ok": bool(op_diff <= 1e-12),
     }
     summary["pass"] = bool(summary["closed_vs_quadrature_ok"]
-                           and bound_ok and summary["remainder_bounded"])
+                           and bound_ok and summary["remainder_bounded"]
+                           and summary["operator_vs_direct_ok"])
     csv_lines = ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound"]
     for row in rows:
         csv_lines.append(",".join("%.17g" % v for v in row))
@@ -622,8 +635,6 @@ def main(argv=None):
         p.add_argument("--out", default=None,
                        help="output directory (default: $RING_DESING_OUT "
                             "or ./out)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed for validation suites")
 
     p_solve = sub.add_parser("solve", help="run one solve from a JSON config")
     p_solve.add_argument("--config", required=True)
@@ -636,6 +647,8 @@ def main(argv=None):
 
     p_val = sub.add_parser("validate", help="run module validation suites")
     p_val.add_argument("suite", nargs="?", default="all")
+    p_val.add_argument("--seed", type=int, default=0,
+                       help="sampling seed for validation suites")
     add_common(p_val)
 
     p_rep = sub.add_parser("report", help="fit asymptotics on a sweep.csv")

@@ -13,10 +13,15 @@ function of a unit circular vortex filament,
 
 which reduces to complete elliptic integrals. Both forms are provided: the
 quadrature form is the slow reference, the elliptic form the production
-path. `apply_stream_operator` evaluates psi0 = K zeta on a grid with a
-block-Toeplitz kernel table and FFT convolution in z; `fd_solve` solves
-L psi0 = zeta by finite differences on a much larger box and serves as an
-independent check on the kernel path.
+path. `StreamOperator` evaluates psi0 = K zeta on a grid by FFT
+convolution in z: the z-translation invariance makes the cell-to-cell
+table block-Toeplitz, and its offset transform, built once per grid as a
+DCT-I, is stored frequency-major (frequency, source row, target row) so
+that one application is a single batched real matmul restricted to the
+source rows that hold vorticity. `apply_direct` sums over source cells
+explicitly and is the oracle for it. `fd_solve` solves L psi0 = zeta by
+finite differences on a much larger box and serves as an independent
+check on the kernel path.
 """
 
 import warnings
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, sparse
+from scipy.fft import dct
 from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipkm1
 
@@ -286,11 +292,21 @@ def build_kernel_block(spec, ncorr=2):
 class StreamOperator:
     """psi0 = K zeta on a fixed grid, applied by FFT convolution in z.
 
-    The weighted kernel table A[a, b, dj] = K[a, b, dj] * nu(cell b) is
-    zero-padded to length 2 n_z in the offset index and transformed once;
-    each application is then a batch of length-2 n_z circular convolutions,
-    exact for the linear convolution because of the padding. The transform
-    of an even table is real, so only the real part is stored.
+    The weighted kernel table A[a, b, dj] = K[a, b, dj] * nu(cell b)
+    (target row a, source row b, z-offset dj) is transformed once in the
+    offset index. Its even extension to length 2 n_z, zero at offset n_z,
+    makes each application a batch of circular convolutions that equal
+    the linear ones; the transform of an even sequence is real and is the
+    DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0], which is how the table
+    is built. It is stored frequency-major as one C-contiguous float64
+    array T[f, b, a] of shape (n_z + 1, n_r, n_r), n_r^2 (n_z + 1) * 8
+    bytes.
+
+    `apply` transforms only the source rows [b0, b1) between the first and
+    the last row holding a nonzero cell, stacks the real and imaginary
+    parts of their transform as (f, 2, b1 - b0), and contracts them with
+    T[:, b0:b1, :] in one batched real matmul; a dense field is the range
+    [0, n_r).
     """
 
     def __init__(self, spec, ncorr=2, keep_block=False):
@@ -299,24 +315,28 @@ class StreamOperator:
         block = build_kernel_block(spec, ncorr=ncorr)
         self.block = block if keep_block else None
         w = spec.r_centers * spec.cell_area
-        nfft = 2 * spec.n_z
-        weighted = block * w[None, :, None]
-        ker = np.zeros((spec.n_r, spec.n_r, nfft))
-        ker[:, :, : spec.n_z] = weighted
-        ker[:, :, nfft - spec.n_z + 1:] = weighted[:, :, 1:][:, :, ::-1]
-        del weighted
-        self._kf = np.fft.rfft(ker, axis=2).real
-        self._nfft = nfft
+        table = np.empty((spec.n_z + 1, spec.n_r, spec.n_r))
+        np.multiply(block.transpose(2, 1, 0), w[None, :, None],
+                    out=table[: spec.n_z])
+        table[spec.n_z] = 0.0
+        del block
+        # in place: the build never holds more than the block and one table
+        self._table = dct(table, type=1, axis=0, overwrite_x=True)
+        self._nfft = 2 * spec.n_z
 
     def apply(self, values):
         """Apply to an (n_r, n_z) array of cell values, returning psi0."""
-        n_z = self.spec.n_z
-        pad = np.zeros((self.spec.n_r, self._nfft))
-        pad[:, :n_z] = values
-        vhat = np.fft.rfft(pad, axis=1)
-        phat = np.einsum("abf,bf->af", self._kf, vhat)
-        out = np.fft.irfft(phat, n=self._nfft, axis=1)[:, :n_z]
-        return out
+        n_r, n_z = self.spec.n_r, self.spec.n_z
+        rows = np.flatnonzero(np.any(values, axis=1))
+        if rows.size == 0:
+            return np.zeros((n_r, n_z))
+        b0, b1 = rows[0], rows[-1] + 1
+        vhat = np.fft.rfft(values[b0:b1], n=self._nfft, axis=1)
+        parts = np.stack((vhat.real.T, vhat.imag.T), axis=1)
+        phat = np.matmul(parts, self._table[:, b0:b1, :])
+        out = np.fft.irfft(phat[:, 0, :].T + 1j * phat[:, 1, :].T,
+                           n=self._nfft, axis=1)
+        return out[:, :n_z]
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells. Only

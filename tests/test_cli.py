@@ -161,6 +161,8 @@ def test_validate_greens_writes_pair_table(tmp_path):
     assert len(lines) > 100
     summary = json.loads(open(os.path.join(out, "validation.json")).read())
     assert summary["greens"]["closed_vs_quadrature_ok"] is True
+    assert summary["greens"]["operator_vs_direct_ok"] is True
+    assert 0.0 <= summary["greens"]["operator_max_rel_diff"] <= 1e-12
 
 
 def test_validate_unknown_suite(tmp_path, capsys):
@@ -224,3 +226,13 @@ def test_missing_subcommand_is_usage_error():
 def test_threads_is_a_sweep_only_option(argv, tmp_path):
     with pytest.raises(SystemExit):
         main(argv + ["--threads", "2", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "missing.json"],
+    ["sweep", "--config", "missing.json"],
+    ["report"],
+], ids=["solve", "sweep", "report"])
+def test_seed_is_a_validate_only_option(argv, tmp_path):
+    with pytest.raises(SystemExit):
+        main(argv + ["--seed", "5", "--out", str(tmp_path)])

@@ -6,6 +6,8 @@ independent scratch script before this module was built, and is frozen
 here as an oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from vortexring.errors import (ConfigurationError, ConsistencyError,
                                SingularEvaluationError)
 from vortexring.greens import (apply_stream_operator, default_extended_box,
                                expansion_remainder, fd_solve,
-                               get_stream_operator, kernel_bound,
+                               StreamOperator, get_stream_operator,
+                               kernel_bound,
                                kernel_closed_form, kernel_quadrature,
                                restrict_to_grid, sigma)
 from vortexring.grid import ScalarField, build_grid, integrate_nu
@@ -161,6 +164,44 @@ def test_stream_operator_deterministic(rng):
     one = op.apply(z)
     two = op.apply(z.copy())
     assert np.array_equal(one, two)
+
+
+def _row_fields(n_r, n_z, rng):
+    band = np.zeros((n_r, n_z))
+    band[2:n_r - 3] = rng.uniform(0.0, 1.0, (n_r - 5, n_z))
+    first = np.zeros((n_r, n_z))
+    first[0] = rng.uniform(0.0, 1.0, n_z)
+    last = np.zeros((n_r, n_z))
+    last[-1] = rng.uniform(0.0, 1.0, n_z)
+    dense = rng.uniform(0.0, 1.0, (n_r, n_z))
+    return {"band": band, "first row": first, "last row": last,
+            "dense": dense}
+
+
+@pytest.mark.parametrize("n_r,n_z", [(13, 17), (20, 9)])
+def test_apply_matches_direct_summation(n_r, n_z, rng):
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z),
+                        keep_block=True)
+    for name, vals in _row_fields(n_r, n_z, rng).items():
+        direct = op.apply_direct(vals)
+        got = op.apply(vals)
+        assert got.shape == (n_r, n_z)
+        err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+        assert err <= 1e-13, (name, err)
+
+
+def test_operator_build_holds_one_table():
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, 48, 40)
+    table_bytes = spec.n_r ** 2 * (spec.n_z + 1) * 8
+    tracemalloc.start()
+    try:
+        op = StreamOperator(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert op.block is None
+    assert held <= 1.05 * table_bytes
+    assert peak <= 2.5 * table_bytes
 
 
 def test_single_cell_matches_pointwise_kernel():
