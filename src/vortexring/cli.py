@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -365,18 +364,7 @@ def cmd_sweep(args):
                     **{c: "nan" for c in SWEEP_COLUMNS
                        if c not in ("epsilon", "log_inv_eps", "status")}}
 
-    # the kernel table is shared across the sweep; build it once up front
-    try:
-        problem0, _ = build_problem(cfg, epsilon=eps_list[0])
-        from .greens import get_stream_operator
-        get_stream_operator(problem0.domain_grid())
-    except Exception:
-        pass
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, eps_list))
-    else:
-        rows = [one(e) for e in eps_list]
+    rows = [one(e) for e in eps_list]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
@@ -642,7 +630,6 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run an epsilon sweep")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--threads", type=int, default=1)
     add_common(p_sweep)
 
     p_val = sub.add_parser("validate", help="run module validation suites")

@@ -19,11 +19,13 @@ table block-Toeplitz, and its offset transform, built once per grid as a
 DCT-I, is stored frequency-major (frequency, source row, target row) so
 that one application is a single batched real matmul restricted to the
 source rows that hold vorticity. `apply_direct` sums over source cells
-explicitly and is the oracle for it. `fd_solve` solves L psi0 = zeta by
-finite differences on a much larger box and serves as an independent
-check on the kernel path.
+explicitly and is the oracle for it. `ring_velocity_z` is (1/r) dK/dr
+in closed form, for the far field. `fd_solve` solves L psi0 = zeta by
+finite differences on a much larger box; it is only an independent
+check on the kernel path, in the tests and demos.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -112,6 +114,28 @@ def _elliptic_kernel(r, z, rp, zp):
         k = np.sqrt(m)
         val = (np.sqrt(r * rp) / TWO_PI) * ((2.0 / k - k) * kk - (2.0 / k) * ee)
     return val, m1
+
+
+def ring_velocity_z(r, z, rp, zp):
+    """Axial velocity (1/r) dK/dr at (r, z) of the unit filament at (r', z').
+
+    The classical form (Lamb, Hydrodynamics, section 161), with
+    m = 4 r r' / ((r+r')^2 + dz^2):
+
+        v_z = (K(m) + (r'^2 - r^2 - dz^2) / ((r-r')^2 + dz^2) * E(m))
+              / (2 pi sqrt((r+r')^2 + dz^2)).
+
+    For well-separated points only: it is singular at the filament, and
+    near a cell it is not the velocity of the cell. Vectorized.
+    """
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    dz2 = (np.asarray(z, dtype=float) - np.asarray(zp, dtype=float)) ** 2
+    den = (r + rp) ** 2 + dz2
+    near2 = (r - rp) ** 2 + dz2
+    ratio = (rp * rp - r * r - dz2) / near2
+    return ((ellipkm1(near2 / den) + ratio * ellipe(4.0 * r * rp / den))
+            / (TWO_PI * np.sqrt(den)))
 
 
 def kernel_closed_form(r, z, rp, zp):
@@ -356,19 +380,12 @@ class StreamOperator:
         return out
 
 
-_OPERATOR_CACHE = {}
-
-
+@functools.lru_cache(maxsize=1)
 def get_stream_operator(spec, ncorr=2):
-    """Shared per-grid operator instance (the kernel table is the
-    expensive part; one table serves every solve on the grid)."""
-    key = (spec.r_min, spec.r_max, spec.z_min, spec.z_max,
-           spec.n_r, spec.n_z, ncorr)
-    op = _OPERATOR_CACHE.get(key)
-    if op is None:
-        op = StreamOperator(spec, ncorr=ncorr)
-        _OPERATOR_CACHE[key] = op
-    return op
+    """Shared operator of the last grid used, keyed by the frozen GridSpec:
+    one kernel table serves every solve on a grid, and a new grid replaces
+    it rather than adding a second."""
+    return StreamOperator(spec, ncorr=ncorr)
 
 
 def apply_stream_operator(zeta, support=None):

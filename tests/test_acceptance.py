@@ -18,8 +18,8 @@ from vortexring.diagnostics import (angular_variation, asymptotic_fit,
                                     center_of_vorticity, core_radius,
                                     far_field_check, kelvin_hicks_check,
                                     predicted_slopes, scaled_profile,
-                                    support_stats, topology_check,
-                                    velocity_field)
+                                    support_on_edge, support_stats,
+                                    topology_check, velocity_field)
 from vortexring.greens import (apply_stream_operator, default_extended_box,
                                fd_solve, kernel_bound, kernel_closed_form,
                                kernel_quadrature, expansion_remainder,
@@ -253,6 +253,9 @@ def _criterion_05(sweep, label):
                  ["%.1e" % k for k in kkts], patches, inside, even,
                  monotone, elapsed))
     line = _report("criterion 5 (%s solver invariants)" % label, ok, detail)
+    print("criterion 5 (%s) support_on_edge per eps: %s" % (label, ", ".join(
+        "%g %s" % (r["eps"], support_on_edge(r["result"].state.zeta))
+        for r in rows)))
     assert ok, line
 
 

@@ -124,8 +124,7 @@ def test_sweep_rows_and_dedup(tmp_path, capsys):
 def test_sweep_requires_epsilons(tmp_path, capsys):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"epsilon": 0.1}))
-    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"),
-               "--threads", "2"])
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "epsilons" in err
@@ -220,10 +219,11 @@ def test_missing_subcommand_is_usage_error():
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--config", "missing.json"],
+    ["sweep", "--config", "missing.json"],
     ["report"],
     ["validate", "bathtub"],
-], ids=["solve", "report", "validate"])
-def test_threads_is_a_sweep_only_option(argv, tmp_path):
+], ids=["solve", "sweep", "report", "validate"])
+def test_threads_is_not_an_option(argv, tmp_path):
     with pytest.raises(SystemExit):
         main(argv + ["--threads", "2", "--out", str(tmp_path)])
 

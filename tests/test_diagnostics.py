@@ -10,10 +10,11 @@ from vortexring.diagnostics import (DiagnosticsRecord, angular_variation,
                                     far_field_check, kelvin_hicks_check,
                                     predicted_slopes, radial_shell_profile,
                                     scaled_profile, support_mask,
-                                    support_stats, topology_check,
-                                    velocity_field)
+                                    support_on_edge, support_stats,
+                                    topology_check, velocity_field)
 from vortexring.errors import ConfigurationError, NumericalError
-from vortexring.grid import ScalarField, build_grid
+from vortexring.greens import default_extended_box, fd_solve
+from vortexring.grid import ScalarField, bilinear_sample, build_grid
 from vortexring.profiles import make_generator
 from vortexring.solver import ProblemConfig, initialize
 
@@ -38,6 +39,17 @@ def test_support_stats_single_cell():
     assert spec.z_centers[2] == 0.0
     tm, tp, diam, dist = support_stats(ScalarField(spec, vals), r_star=c)
     assert (tm, tp, diam, dist) == (c, c, 0.0, 0.0)
+
+
+def test_support_diameter_matches_all_pairs(rng):
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, 30, 26)
+    vals = np.where(rng.uniform(size=(30, 26)) < 0.3, 1.0, 0.0)
+    vals[8:20, 5:15] = 1.0
+    rr, zz = np.meshgrid(spec.r_centers, spec.z_centers, indexing="ij")
+    r, z = rr[vals > 0], zz[vals > 0]
+    brute = np.sqrt(np.max((r[:, None] - r[None, :]) ** 2
+                           + (z[:, None] - z[None, :]) ** 2))
+    assert support_stats(ScalarField(spec, vals))[2] == brute
 
 
 def test_support_stats_on_initial_ball():
@@ -198,6 +210,48 @@ def test_far_field_check_on_solved_ring(coarse_turkington):
     np.testing.assert_allclose(out["far_vz"], out["target"], rtol=0.15)
 
 
+def test_far_field_matches_fd_on_a_wide_box(coarse_turkington):
+    # the induced velocity from an independent finite-difference solve
+    # whose zero wall sits 18 units beyond the sample circle
+    out = far_field_check(coarse_turkington)
+    zeta = coarse_turkington.state.zeta
+    spec = zeta.spec
+    diag = float(np.hypot(spec.r_max - spec.r_min, spec.z_max - spec.z_min))
+    box = default_extended_box(spec, margin_factor=(out["radius"] + 18.0)
+                               / diag, cells_per_unit=10.0)
+    psi = fd_solve(zeta, box=box)
+    vz = ScalarField(box, np.gradient(psi.values, box.dr, axis=0)
+                     / box.r_centers[:, None])
+    center_r, center_z = center_of_vorticity(zeta)
+    angles = (np.arange(48) + 0.5) * 2.0 * np.pi / 48
+    pr = center_r + out["radius"] * np.cos(angles)
+    pz = center_z + out["radius"] * np.sin(angles)
+    keep = pr >= 0.25
+    assert np.count_nonzero(keep) == out["n_samples"]
+    induced_fd = float(np.mean(bilinear_sample(vz, pr[keep], pz[keep])))
+    induced = out["far_vz"] - out["target"]
+    assert induced > 0.0
+    np.testing.assert_allclose(induced, induced_fd, rtol=0.1)
+
+
+def _edge_field(i, j):
+    vals = np.zeros((8, 8))
+    vals[3:5, 3:5] = 1.0
+    if i is not None:
+        vals[i, j] = 0.5
+    return ScalarField(build_grid(0.5, 2.0, -1.0, 1.0, 8, 8), vals)
+
+
+@pytest.mark.parametrize("i, j", [(0, 4), (-1, 3), (4, 0), (3, -1)],
+                         ids=["r_min", "r_max", "z_min", "z_max"])
+def test_support_on_edge_flags_each_edge(i, j):
+    assert support_on_edge(_edge_field(i, j)) is True
+
+
+def test_support_off_edge_is_not_flagged():
+    assert support_on_edge(_edge_field(None, None)) is False
+
+
 def test_diagnostics_record_assembly(coarse_turkington):
     rec = diagnostics_record(coarse_turkington)
     assert rec.converged
@@ -217,6 +271,6 @@ def test_record_invariant_guard():
         dist_to_ring=0.5, center_r=1.0, center_z=0.0, mu=1.0, energy=1.0,
         simply_connected=True, far_field_vz=-2.3, far_field_rel_dev=0.05,
         swirl_max=0.0, core_radius=0.1, mass=1.0, kkt_residual=0.0,
-        patch_measure=0.0, converged=True)
+        patch_measure=0.0, converged=True, support_on_edge=False)
     with pytest.raises(NumericalError):
         rec.check_invariants()

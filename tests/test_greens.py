@@ -18,7 +18,7 @@ from vortexring.greens import (apply_stream_operator, default_extended_box,
                                StreamOperator, get_stream_operator,
                                kernel_bound,
                                kernel_closed_form, kernel_quadrature,
-                               restrict_to_grid, sigma)
+                               restrict_to_grid, ring_velocity_z, sigma)
 from vortexring.grid import ScalarField, build_grid, integrate_nu
 
 K_REFERENCE_1_0_1_01 = 0.38031872677820611
@@ -265,6 +265,31 @@ def test_fd_matches_kernel_summation_on_patch():
 def test_operator_cache_reuses_tables():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 12, 12)
     assert get_stream_operator(spec) is get_stream_operator(spec)
+
+
+def test_operator_cache_holds_one_grid():
+    get_stream_operator(build_grid(0.5, 2.0, -1.0, 1.0, 12, 12))
+    get_stream_operator(build_grid(0.5, 2.0, -1.0, 1.0, 10, 14))
+    assert get_stream_operator.cache_info().currsize == 1
+
+
+def test_ring_velocity_matches_quadrature_derivative():
+    # (1/r) dK/dr by a centred difference of the quadrature kernel, which
+    # shares none of the elliptic-integral identities
+    rng = np.random.default_rng(7)
+    made = 0
+    while made < 20:
+        r, rp = rng.uniform(0.5, 2.0, 2)
+        z, zp = rng.uniform(-1.0, 1.0, 2)
+        if np.hypot(r - rp, z - zp) < 0.5:
+            continue
+        made += 1
+        h = 1e-4 * r
+        k_plus = kernel_quadrature(r + h, z, rp, zp, tol=1e-12).value
+        k_minus = kernel_quadrature(r - h, z, rp, zp, tol=1e-12).value
+        expect = (k_plus - k_minus) / (2.0 * h * r)
+        np.testing.assert_allclose(ring_velocity_z(r, z, rp, zp), expect,
+                                   rtol=1e-5)
 
 
 def test_mass_conservation_in_fd_resampling():
