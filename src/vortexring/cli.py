@@ -25,13 +25,11 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .grid import build_grid, dump_field_csv
-from .profiles import (check_assumptions, eval_I, eval_J, eval_J_numeric,
-                       eval_dJds, eval_i, make_generator)
+from .profiles import (FAMILIES, check_assumptions, eval_I, eval_J,
+                       eval_J_numeric, eval_dJds, eval_i, make_generator)
 from .solver import ProblemConfig, run
 from . import diagnostics as dg
 
-
-PROFILE_FAMILIES = ("power_law", "turkington", "beltrami", "mixed", "table")
 
 _SOLVE_KEYS = {
     "epsilon", "kappa", "W", "Lambda", "grid", "profile", "tol",
@@ -126,9 +124,9 @@ def validate_config(cfg, allowed, require):
     prof = _check_section(cfg, "profile", _PROFILE_KEYS, errors)
     if isinstance(prof, dict):
         fam = prof.get("family", "power_law")
-        if fam not in PROFILE_FAMILIES:
+        if fam not in FAMILIES:
             errors.append("profile.family: must be one of %s, got %r"
-                          % ("/".join(PROFILE_FAMILIES), fam))
+                          % ("/".join(FAMILIES), fam))
         for key in ("p", "alpha"):
             _check_number(prof, key, errors, lo=0.0, label="profile." + key)
         if fam == "table" and "table_path" not in prof:

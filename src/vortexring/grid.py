@@ -119,10 +119,6 @@ class ScalarField:
         return ScalarField(self.spec, self.values.copy())
 
 
-def zeros_like_grid(spec):
-    return ScalarField(spec, np.zeros((spec.n_r, spec.n_z)))
-
-
 def field_from_function(spec, fn):
     """Sample fn(r, z) at cell centers (fn must broadcast over arrays)."""
     rr = spec.r_centers[:, None]

@@ -11,11 +11,27 @@ part. The energy penalty uses the modified conjugate
     J(r, s) = sup_t [s t - I(r, t)]  for s >= 0,  J = 0 for s < 0,
 
 where I is the t-primitive of i. The maps i(r, .) and dJds(r, .) are
-inverse graphs of each other, which is what the pointwise solver update
-relies on.
+inverse graphs of each other, which is what the solver's update relies on.
 
-Four closed-form families are built in; a table-backed generator covers
-everything else through the numeric conjugate path.
+The four built-in families are one law with different coefficients. For
+t > 0, g(t) = jump + a t^q and f(t) = b t^q, so i(r, t) = jump + c(r) t^q
+with c(r) = a + b / r^2:
+
+    family       jump   a   b   q
+    power_law    0      1   0   p
+    turkington   alpha  0   1   1
+    beltrami     0      0   1   p
+    mixed        0      1   1   p
+
+and in closed form
+
+    I = jump t + c t^(q+1) / (q+1),
+    J = q/(q+1) c^(-1/q) (s - jump)_+^(1+1/q),
+    dJds = ((s - jump)_+ / c)^(1/q),
+    H = sqrt(2b / (q+1)) t^((q+1)/2).
+
+A table-backed generator covers everything else through the numeric
+conjugate path.
 """
 
 import math
@@ -25,7 +41,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_FAMILIES = ("power_law", "turkington", "beltrami", "mixed", "table")
+# family -> (jump, a, b, q) of the shared law g = jump + a t^q, f = b t^q
+_LAWS = {
+    "power_law": lambda p, alpha: (0.0, 1.0, 0.0, p),
+    "turkington": lambda p, alpha: (alpha, 0.0, 1.0, 1.0),
+    "beltrami": lambda p, alpha: (0.0, 0.0, 1.0, p),
+    "mixed": lambda p, alpha: (0.0, 1.0, 1.0, p),
+}
+FAMILIES = (*_LAWS, "table")
 
 
 @dataclass
@@ -33,7 +56,8 @@ class GeneratorPair:
     """A profile family with vectorized evaluators.
 
     family is one of power_law(p), turkington(alpha), beltrami(p),
-    mixed(p), or table (piecewise-linear f, g given on a t-grid).
+    mixed(p), which share one closed-form law (see the module docstring),
+    or table (piecewise-linear f, g given on a t-grid).
     g0plus is the jump of g at 0+, nonzero only for turkington-type
     generators; it sets the lower edge of the admissible cap parameter.
     """
@@ -46,76 +70,68 @@ class GeneratorPair:
     table_g: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ConfigurationError("unknown generator family %r" % self.family)
         if self.family in ("power_law", "beltrami", "mixed") and self.p <= 0:
             raise ConfigurationError("power p must be positive")
         if self.family == "turkington" and self.alpha <= 0:
             raise ConfigurationError("turkington alpha must be positive")
-        if self.family == "table":
-            t = np.asarray(self.table_t, dtype=float)
-            f = np.asarray(self.table_f, dtype=float)
-            g = np.asarray(self.table_g, dtype=float)
-            if t.ndim != 1 or t.size < 2 or f.shape != t.shape or g.shape != t.shape:
-                raise ConfigurationError("table generator needs matching 1-d t,f,g")
-            if np.any(np.diff(t) <= 0) or t[0] < 0:
-                raise ConfigurationError("table t-grid must be increasing and >= 0")
-            object.__setattr__(self, "table_t", t)
-            object.__setattr__(self, "table_f", f)
-            object.__setattr__(self, "table_g", g)
-            # cumulative primitives for I and H on the table grid
-            df = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
-            dg = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
-            self._f_prim = df
-            self._g_prim = dg
+        if self.family != "table":
+            self._law = _LAWS[self.family](self.p, self.alpha)
+            return
+        t = np.asarray(self.table_t, dtype=float)
+        f = np.asarray(self.table_f, dtype=float)
+        g = np.asarray(self.table_g, dtype=float)
+        if t.ndim != 1 or t.size < 2 or f.shape != t.shape or g.shape != t.shape:
+            raise ConfigurationError("table generator needs matching 1-d t,f,g")
+        if np.any(np.diff(t) <= 0) or t[0] < 0:
+            raise ConfigurationError("table t-grid must be increasing and >= 0")
+        object.__setattr__(self, "table_t", t)
+        object.__setattr__(self, "table_f", f)
+        object.__setattr__(self, "table_g", g)
+        # cumulative primitives for I and H on the table grid
+        df = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
+        dg = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        self._f_prim = df
+        self._g_prim = dg
 
     @property
     def g0plus(self):
         """Jump of g at 0+ (right limit; g(0) itself is irrelevant)."""
-        if self.family == "turkington":
-            return self.alpha
-        if self.family == "table":
-            return float(self.table_g[0]) if self.table_t[0] == 0.0 else float(
-                np.interp(0.0, self.table_t, self.table_g))
-        return 0.0
-
-    @property
-    def has_swirl(self):
-        if self.family == "power_law":
-            return False
-        if self.family == "table":
-            return bool(np.any(self.table_f > 0))
-        return True
+        if self.family != "table":
+            return self._law[0]
+        # g holds table_g[0] below the first grid point, as np.interp does
+        return float(self.table_g[0])
 
     # -- raw pair ----------------------------------------------------------
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
         tp = np.maximum(t, 0.0)
-        if self.family == "power_law":
-            out = np.zeros_like(tp)
-        elif self.family == "turkington":
-            out = tp
-        elif self.family in ("beltrami", "mixed"):
-            out = tp ** self.p
-        else:
+        if self.family == "table":
             out = np.where(t > 0, np.interp(tp, self.table_t, self.table_f), 0.0)
+        else:
+            jump, a, b, q = self._law
+            out = np.where(t > 0, b * tp ** q, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def g(self, t):
         t = np.asarray(t, dtype=float)
         tp = np.maximum(t, 0.0)
-        if self.family == "power_law":
-            out = tp ** self.p
-        elif self.family == "turkington":
-            out = np.where(t > 0, self.alpha, 0.0)
-        elif self.family == "beltrami":
-            out = np.zeros_like(tp)
-        elif self.family == "mixed":
-            out = tp ** self.p
-        else:
+        if self.family == "table":
             out = np.where(t > 0, np.interp(tp, self.table_t, self.table_g), 0.0)
+        else:
+            jump, a, b, q = self._law
+            out = np.where(t > 0, jump + a * tp ** q, 0.0)
         return float(out) if out.ndim == 0 else out
+
+
+def _shaped(out, r, x):
+    """out at the broadcast shape of (r, x), as a float when 0-d."""
+    shape = np.broadcast(r, x).shape
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).copy()
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_i(gen, r, t):
@@ -125,9 +141,13 @@ def eval_i(gen, r, t):
     if np.any(r <= 0):
         raise ConfigurationError("i(r, t) needs r > 0")
     t = np.asarray(t, dtype=float)
-    out = np.where(t > 0, gen.g(t) + gen.f(t) / (r * r), 0.0)
-    out = out * np.ones(np.broadcast(r, t).shape)
-    return float(out) if out.ndim == 0 else out
+    if gen.family == "table":
+        out = np.where(t > 0, gen.g(t) + gen.f(t) / (r * r), 0.0)
+    else:
+        jump, a, b, q = gen._law
+        out = np.where(t > 0, jump + (a + b / (r * r)) * np.maximum(t, 0.0) ** q,
+                       0.0)
+    return _shaped(out, r, t)
 
 
 def eval_I(gen, r, t):
@@ -137,16 +157,7 @@ def eval_I(gen, r, t):
         raise ConfigurationError("I(r, t) needs r > 0")
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    p = gen.p
-    if gen.family == "power_law":
-        out = tp ** (p + 1.0) / (p + 1.0)
-    elif gen.family == "turkington":
-        out = gen.alpha * tp + tp * tp / (2.0 * r * r)
-    elif gen.family == "beltrami":
-        out = tp ** (p + 1.0) / ((p + 1.0) * r * r)
-    elif gen.family == "mixed":
-        out = tp ** (p + 1.0) / (p + 1.0) * (1.0 + 1.0 / (r * r))
-    else:
+    if gen.family == "table":
         gp = np.interp(tp, gen.table_t, gen._g_prim)
         fp = np.interp(tp, gen.table_t, gen._f_prim)
         # linear extension beyond the table end
@@ -155,33 +166,27 @@ def eval_I(gen, r, t):
         gp = gp + over * gen.table_g[-1]
         fp = fp + over * gen.table_f[-1]
         out = gp + fp / (r * r)
-    out = out * np.ones(np.broadcast(r, t).shape)
-    return float(out) if out.ndim == 0 else out
+    else:
+        jump, a, b, q = gen._law
+        out = jump * tp + (a + b / (r * r)) * tp ** (q + 1.0) / (q + 1.0)
+    return _shaped(out, r, t)
 
 
 def eval_J(gen, r, s):
-    """Closed-form conjugate per family; table generators fall through to
-    the numeric path (scalar golden-section per evaluation)."""
+    """Closed-form conjugate of the shared law; table generators fall
+    through to the numeric path (scalar golden-section per evaluation)."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigurationError("J(r, s) needs r > 0")
     s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 0.0)
-    p = gen.p
-    if gen.family == "power_law":
-        out = p / (p + 1.0) * sp ** (1.0 + 1.0 / p)
-    elif gen.family == "turkington":
-        out = 0.5 * np.maximum(s - gen.alpha, 0.0) ** 2 * r * r
-    elif gen.family == "beltrami":
-        out = p / (p + 1.0) * r ** (2.0 / p) * sp ** (1.0 + 1.0 / p)
-    elif gen.family == "mixed":
-        out = p / (p + 1.0) * (r * r / (r * r + 1.0)) ** (1.0 / p) \
-            * sp ** (1.0 + 1.0 / p)
-    else:
+    if gen.family == "table":
         fn = np.vectorize(lambda rr, ss: eval_J_numeric(gen, rr, ss))
-        out = np.asarray(fn(r, sp), dtype=float)
-    out = out * np.ones(np.broadcast(r, s).shape)
-    return float(out) if out.ndim == 0 else out
+        out = np.asarray(fn(r, np.maximum(s, 0.0)), dtype=float)
+    else:
+        jump, a, b, q = gen._law
+        out = q / (q + 1.0) * (a + b / (r * r)) ** (-1.0 / q) \
+            * np.maximum(s - jump, 0.0) ** (1.0 + 1.0 / q)
+    return _shaped(out, r, s)
 
 
 def eval_J_numeric(gen, r, s, t_max=None, n=64):
@@ -239,28 +244,21 @@ def eval_J_numeric(gen, r, s, t_max=None, n=64):
 def eval_dJds(gen, r, s):
     """Derivative of the conjugate in s, the inverse graph of i(r, .).
 
-    Closed forms per family; the generic fallback inverts the monotone
-    i(r, .) by bisection, so it is single-valued even across a jump of g.
+    Closed form for the shared law; the table fallback inverts the
+    monotone i(r, .) by bisection, so it is single-valued even across a
+    jump of g.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigurationError("dJds(r, s) needs r > 0")
     s = np.asarray(s, dtype=float)
-    sp = np.maximum(s, 0.0)
-    p = gen.p
-    if gen.family == "power_law":
-        out = sp ** (1.0 / p)
-    elif gen.family == "turkington":
-        out = np.maximum(s - gen.alpha, 0.0) * r * r
-    elif gen.family == "beltrami":
-        out = (r * r * sp) ** (1.0 / p)
-    elif gen.family == "mixed":
-        out = (r * r * sp / (r * r + 1.0)) ** (1.0 / p)
-    else:
+    if gen.family == "table":
         fn = np.vectorize(lambda rr, ss: _invert_i(gen, rr, ss))
-        out = np.asarray(fn(r, sp), dtype=float)
-    out = out * np.ones(np.broadcast(r, s).shape)
-    return float(out) if out.ndim == 0 else out
+        out = np.asarray(fn(r, np.maximum(s, 0.0)), dtype=float)
+    else:
+        jump, a, b, q = gen._law
+        out = (np.maximum(s - jump, 0.0) / (a + b / (r * r))) ** (1.0 / q)
+    return _shaped(out, r, s)
 
 
 def _invert_i(gen, r, s):
@@ -289,18 +287,14 @@ def eval_H(gen, t):
     solution of H H' = f with H(0) = 0."""
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    p = gen.p
-    if gen.family == "power_law":
-        out = np.zeros_like(tp)
-    elif gen.family == "turkington":
-        out = tp
-    elif gen.family in ("beltrami", "mixed"):
-        out = math.sqrt(2.0 / (p + 1.0)) * tp ** ((p + 1.0) / 2.0)
-    else:
+    if gen.family == "table":
         fp = np.interp(tp, gen.table_t, gen._f_prim)
         over = np.maximum(tp - gen.table_t[-1], 0.0)
         fp = fp + over * gen.table_f[-1]
         out = np.sqrt(2.0 * fp)
+    else:
+        jump, a, b, q = gen._law
+        out = math.sqrt(2.0 * b / (q + 1.0)) * tp ** ((q + 1.0) / 2.0)
     return float(out) if out.ndim == 0 else out
 
 

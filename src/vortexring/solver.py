@@ -150,16 +150,6 @@ def energy(config, gen, zeta, psi0):
     return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
 
 
-def pointwise_update(config, gen, psi):
-    """Exact maximizer of the linearized separable subproblem:
-    eps^2 zeta = min(Lambda, i(r, psi_+)) cell by cell."""
-    lam = config.resolved_lambda(gen)
-    spec = psi.spec
-    rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    u = np.minimum(lam, eval_i(gen, rr, psi.values))
-    return ScalarField(spec, u / config.epsilon ** 2)
-
-
 def solve_mu(config, gen, psi0):
     """Multiplier and updated vorticity for one outer step.
 
@@ -268,20 +258,27 @@ def run(config, gen):
         zeta = steiner_symmetrize_z(zeta)
 
     trace = []
+
+    def ascend(zeta, it):
+        """psi0 = K zeta averaged in z; its energy joins the trace after the
+        ascent check. it is None for the final state."""
+        vals = op.apply(zeta.values)
+        psi0 = ScalarField(spec, 0.5 * (vals + vals[:, ::-1]))
+        e = energy(config, gen, zeta, psi0)
+        if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
+            if it is None:
+                raise NumericalError("final energy fell below the trace")
+            raise NumericalError(
+                "energy decreased at iteration %d: %.15g -> %.15g"
+                % (it, trace[-1], e))
+        trace.append(e)
+        return psi0
+
     mu = 0.0
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
-        psi0_vals = op.apply(zeta.values)
-        psi0_vals = 0.5 * (psi0_vals + psi0_vals[:, ::-1])
-        psi0 = ScalarField(spec, psi0_vals)
-        e_now = energy(config, gen, zeta, psi0)
-        if trace and e_now < trace[-1] - 1e-9 * abs(trace[-1]):
-            raise NumericalError(
-                "energy decreased at iteration %d: %.15g -> %.15g"
-                % (it, trace[-1], e_now))
-        trace.append(e_now)
-
+        psi0 = ascend(zeta, it)
         mu, zeta_next = solve_mu(config, gen, psi0)
         if config.symmetrize:
             zeta_next = steiner_symmetrize_z(zeta_next)
@@ -292,18 +289,11 @@ def run(config, gen):
             converged = True
             break
 
-    psi0_vals = op.apply(zeta.values)
-    psi0_vals = 0.5 * (psi0_vals + psi0_vals[:, ::-1])
-    psi0 = ScalarField(spec, psi0_vals)
-    e_final = energy(config, gen, zeta, psi0)
-    if trace and e_final < trace[-1] - 1e-9 * abs(trace[-1]):
-        raise NumericalError("final energy fell below the trace")
-    trace.append(e_final)
-
+    psi0 = ascend(zeta, None)
     bg = background_field(config, spec)
     psi = ScalarField(spec, psi0.values - bg - mu)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
-                       energy=e_final, iteration=iterations)
+                       energy=trace[-1], iteration=iterations)
     result = SolveResult(
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),

@@ -12,10 +12,51 @@ from vortexring.profiles import (GeneratorPair, check_assumptions, eval_H,
 ALL_FAMILIES = [
     make_generator("power_law", p=1.0),
     make_generator("power_law", p=2.0),
+    make_generator("power_law", p=0.5),
     make_generator("turkington", alpha=1.0),
+    make_generator("turkington", alpha=0.5),
     make_generator("beltrami", p=1.0),
+    make_generator("beltrami", p=2.0),
     make_generator("mixed", p=1.0),
+    make_generator("mixed", p=0.5),
+    make_generator("mixed", p=2.0),
 ]
+
+# per-family conjugate, its derivative and the swirl generator, written
+# out family by family: (J(r, s), dJds(r, s), H(t)) with sp = max(s, 0)
+_TEXTBOOK = {
+    "power_law": lambda g, r, s, sp, t: (
+        g.p / (g.p + 1.0) * sp ** (1.0 + 1.0 / g.p),
+        sp ** (1.0 / g.p),
+        np.zeros_like(t)),
+    "turkington": lambda g, r, s, sp, t: (
+        0.5 * np.maximum(s - g.alpha, 0.0) ** 2 * r * r,
+        np.maximum(s - g.alpha, 0.0) * r * r,
+        t),
+    "beltrami": lambda g, r, s, sp, t: (
+        g.p / (g.p + 1.0) * r ** (2.0 / g.p) * sp ** (1.0 + 1.0 / g.p),
+        (r * r * sp) ** (1.0 / g.p),
+        np.sqrt(2.0 / (g.p + 1.0)) * t ** ((g.p + 1.0) / 2.0)),
+    "mixed": lambda g, r, s, sp, t: (
+        g.p / (g.p + 1.0) * (r * r / (r * r + 1.0)) ** (1.0 / g.p)
+        * sp ** (1.0 + 1.0 / g.p),
+        (r * r * sp / (r * r + 1.0)) ** (1.0 / g.p),
+        np.sqrt(2.0 / (g.p + 1.0)) * t ** ((g.p + 1.0) / 2.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "gen", ALL_FAMILIES,
+    ids=lambda g: "%s-p%g-alpha%g" % (g.family, g.p, g.alpha))
+def test_shared_law_matches_textbook_forms(gen, rng):
+    rs = rng.uniform(0.3, 3.0, 200)
+    ss = rng.uniform(-1.0, 40.0, 200)
+    ts = rng.uniform(0.0, 20.0, 200)
+    J, dJds, H = _TEXTBOOK[gen.family](gen, rs, ss, np.maximum(ss, 0.0), ts)
+    np.testing.assert_allclose(eval_J(gen, rs, ss), J, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(eval_dJds(gen, rs, ss), dJds, rtol=1e-14,
+                               atol=0.0)
+    np.testing.assert_allclose(eval_H(gen, ts), H, rtol=1e-14, atol=0.0)
 
 
 def test_eval_i_examples():

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from vortexring import solver
-from vortexring.errors import ConfigurationError
+from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.grid import ScalarField, integrate_nu
 from vortexring.greens import apply_stream_operator
 from vortexring.profiles import eval_i, make_generator
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
-                               patch_measure, pointwise_update, run, solve_mu)
+                               patch_measure, run, solve_mu)
 
 
 def test_problem_config_validation():
@@ -105,19 +105,28 @@ def test_energy_zero_field_and_scaling():
                                rtol=1e-10, atol=1e-12)
 
 
-def test_pointwise_update_cases():
-    cfg = ProblemConfig(epsilon=0.1, n_r=4, n_z=4)
+def test_solve_mu_pointwise_cases():
+    # W grows with kappa, so the domain stays (0.5, 2) x (-1, 1) while the
+    # mass budget sits far above the update's mass: mu = 0 and each cell
+    # gets min(Lambda, i(r, head)) on its own
+    cfg = ProblemConfig(epsilon=0.1, kappa=4e3 * np.pi, W=1e3, n_r=4, n_z=4)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
-    vals = np.zeros((4, 4))
-    vals[0, 0] = -1.0
-    vals[1, 1] = 0.5
-    vals[2, 2] = 100.0
-    out = pointwise_update(cfg, gen, ScalarField(spec, vals))
+    bg = background_field(cfg, spec)
+    head = np.zeros((4, 4))
+    head[0, 0] = -1.0
+    head[1, 1] = 0.5
+    head[2, 2] = 100.0
+    psi0 = bg + head
+    mu, out = solve_mu(cfg, gen, ScalarField(spec, psi0))
     eps2 = cfg.epsilon ** 2
+    assert mu == 0.0
     assert out.values[0, 0] == 0.0
-    np.testing.assert_allclose(out.values[1, 1], 0.5 / eps2, rtol=1e-15)
+    # i(r, t) = t for power_law p=1, at the head solve_mu sees
+    np.testing.assert_allclose(out.values[1, 1], (psi0 - bg)[1, 1] / eps2,
+                               rtol=1e-15)
     np.testing.assert_allclose(out.values[2, 2], 40.0 / eps2, rtol=1e-15)
+    assert np.count_nonzero(out.values) == 2
 
 
 def test_solve_mu_zero_stream():
@@ -314,6 +323,21 @@ def test_run_rejects_odd_grid_with_symmetrization():
     gen = make_generator("power_law", p=1.0)
     with pytest.raises(ConfigurationError):
         run(cfg, gen)
+
+
+@pytest.mark.parametrize("max_iterations, message", [
+    (3, "energy decreased at iteration 2: 1 -> 0"),
+    (1, "final energy fell below the trace"),
+])
+def test_run_rejects_energy_descent(max_iterations, message, monkeypatch):
+    # the second energy evaluation drops: inside the loop, or for the final
+    # state after a one-iteration loop
+    values = iter([1.0, 0.0])
+    monkeypatch.setattr(solver, "energy", lambda *args: next(values))
+    cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16,
+                        max_iterations=max_iterations)
+    with pytest.raises(NumericalError, match="^%s$" % message):
+        run(cfg, make_generator("power_law", p=1.0))
 
 
 def test_energy_gain_over_initial_ball(coarse_turkington):
