@@ -129,8 +129,9 @@ def validate_config(cfg, allowed, require):
                           % ("/".join(FAMILIES), fam))
         for key in ("p", "alpha"):
             _check_number(prof, key, errors, lo=0.0, label="profile." + key)
-        if fam == "table" and "table_path" not in prof:
-            errors.append("profile.table_path: required for table family")
+        if (fam == "table") != ("table_path" in prof):
+            errors.append("profile.table_path: required for the table "
+                          "family and only for it, got family %r" % (fam,))
         if "table_path" in prof and not isinstance(prof["table_path"], str):
             errors.append("profile.table_path: must be a string")
     if errors:
@@ -464,8 +465,7 @@ def _validate_greens(seed, n_pairs=200):
 
     # the FFT operator against its explicit-summation oracle on a
     # non-square grid, with the field on a band of source rows
-    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20),
-                        keep_block=True)
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20))
     field = np.zeros((16, 20))
     field[3:11] = rng.uniform(0.0, 1.0, (8, 20))
     direct = op.apply_direct(field)
@@ -494,13 +494,19 @@ def _validate_greens(seed, n_pairs=200):
 
 def _validate_profiles(seed):
     rng = np.random.default_rng(seed)
-    families = [("power_law", dict(p=1.0)), ("power_law", dict(p=2.0)),
-                ("turkington", dict(alpha=1.0)), ("beltrami", dict(p=1.0)),
-                ("mixed", dict(p=1.0))]
+    t13 = np.linspace(0.0, 60.0, 13)
+    families = [
+        ("power_law(p=1)", make_generator("power_law", p=1.0)),
+        ("power_law(p=2)", make_generator("power_law", p=2.0)),
+        ("turkington(alpha=1)", make_generator("turkington", alpha=1.0)),
+        ("beltrami(p=1)", make_generator("beltrami", p=1.0)),
+        ("mixed(p=1)", make_generator("mixed", p=1.0)),
+        # last, so the seeded draws of the families above stay put
+        ("table(13-node power_law p=1)",
+         make_generator("table", table=(t13, np.zeros(13), t13)))]
     out = {}
     all_ok = True
-    for fam, kw in families:
-        gen = make_generator(fam, **kw)
+    for name, gen in families:
         rs = rng.uniform(0.5, 2.0, 24)
         ts = rng.uniform(1e-3, 8.0, 24)
         svals = eval_i(gen, rs, ts)
@@ -525,8 +531,7 @@ def _validate_profiles(seed):
             "pass": bool(j_err <= 1e-6 and round_err <= 1e-8
                          and fy_err <= 1e-8 and checks["all_pass"]),
         }
-        out["%s(%s)" % (fam, ",".join("%s=%g" % kv for kv in kw.items()))] \
-            = entry
+        out[name] = entry
         all_ok = all_ok and entry["pass"]
     return out, all_ok
 

@@ -22,18 +22,16 @@ from .profiles import eval_H
 DEFAULT_SUPPORT_FRACTION = 1e-6
 
 
-def support_mask(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
-    """Boolean cell mask of the numerical support."""
-    if not (0.0 < threshold_fraction < 1.0):
-        raise ConfigurationError("threshold fraction must lie in (0, 1)")
+def support_mask(zeta):
+    """Boolean cell mask of the numerical support: the cells above
+    DEFAULT_SUPPORT_FRACTION of the peak."""
     peak = float(np.max(zeta.values))
     if peak <= 0.0:
         raise NumericalError("field has empty support")
-    return zeta.values > threshold_fraction * peak
+    return zeta.values > DEFAULT_SUPPORT_FRACTION * peak
 
 
-def support_stats(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION,
-                  r_star=1.0):
+def support_stats(zeta, r_star=1.0):
     """Support geometry: (theta_minus, theta_plus, diam, dist_to_ring).
 
     theta_minus / theta_plus are the smallest and largest radii of support
@@ -42,7 +40,7 @@ def support_stats(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION,
     support cell sits from the ring circle (r_star, 0) in the meridional
     plane.
     """
-    mask = support_mask(zeta, threshold_fraction)
+    mask = support_mask(zeta)
     spec = zeta.spec
     rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
     zz = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
@@ -105,8 +103,7 @@ class ScaledProfile:
     center: tuple
 
 
-def scaled_profile(zeta, center, epsilon, n_cells=96,
-                   threshold_fraction=DEFAULT_SUPPORT_FRACTION):
+def scaled_profile(zeta, center, epsilon, n_cells=96):
     """Resample eps^2 zeta around the center in core units.
 
     The window is the square |x_i| <= 2 * (diam / eps), which always
@@ -116,16 +113,13 @@ def scaled_profile(zeta, center, epsilon, n_cells=96,
     integrals of the profile are meaningful.
     """
     spec = zeta.spec
-    mask = support_mask(zeta, threshold_fraction)
+    mask = support_mask(zeta)
     rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
     zz = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
     cr, cz = center
     sup_r = rr[mask]
     sup_z = zz[mask]
-    if sup_r.size > 1:
-        diam = support_stats(zeta, threshold_fraction)[2]
-    else:
-        diam = 0.0
+    diam = support_stats(zeta)[2]
     halfwidth = 2.0 * max(diam, 4.0 * max(spec.dr, spec.dz)) / epsilon
     far = np.max(np.maximum(np.abs(sup_r - cr), np.abs(sup_z - cz))) / epsilon
     if far > halfwidth:
@@ -193,14 +187,14 @@ def angular_variation(profile, n_sectors=8, core_fraction=0.5):
     return float((np.max(means) - np.min(means)) / mean_all)
 
 
-def topology_check(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
+def topology_check(zeta):
     """True when the support is one 4-connected piece with no holes.
 
     The complement is examined inside a one-cell-padded bounding box, so a
     support region touching the grid edge still counts as hole-free as
     long as its complement stays connected.
     """
-    mask = support_mask(zeta, threshold_fraction)
+    mask = support_mask(zeta)
     cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     _, n_comp = ndimage.label(mask, structure=cross)
     if n_comp != 1:
@@ -270,16 +264,16 @@ def far_field_check(result, n_angles=48, min_radius=None):
     }
 
 
-def support_on_edge(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
+def support_on_edge(zeta):
     """True when the numerical support has a cell in the first or last
     row or column of the grid, so the box may be clipping the solution."""
-    mask = support_mask(zeta, threshold_fraction)
+    mask = support_mask(zeta)
     return bool(mask[[0, -1], :].any() or mask[:, [0, -1]].any())
 
 
-def core_radius(zeta, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
+def core_radius(zeta):
     """Radius of the circle with the same planar support area."""
-    mask = support_mask(zeta, threshold_fraction)
+    mask = support_mask(zeta)
     area = float(np.count_nonzero(mask)) * zeta.spec.cell_area
     return float(np.sqrt(area / np.pi))
 
@@ -315,12 +309,11 @@ class DiagnosticsRecord:
             raise NumericalError("center right of theta_plus")
 
 
-def diagnostics_record(result, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
+def diagnostics_record(result):
     """Assemble the full record for one solve result."""
     config = result.config
     zeta = result.state.zeta
-    tm, tp, diam, dist = support_stats(zeta, threshold_fraction,
-                                       r_star=config.r_star)
+    tm, tp, diam, dist = support_stats(zeta, r_star=config.r_star)
     cr, cz = center_of_vorticity(zeta)
     far = far_field_check(result)
     _, v_theta, _ = velocity_field(result.state.psi, result.gen,
@@ -335,16 +328,16 @@ def diagnostics_record(result, threshold_fraction=DEFAULT_SUPPORT_FRACTION):
         center_z=cz,
         mu=result.state.mu,
         energy=result.state.energy,
-        simply_connected=topology_check(zeta, threshold_fraction),
+        simply_connected=topology_check(zeta),
         far_field_vz=far["far_vz"],
         far_field_rel_dev=far["worst_rel_dev"],
         swirl_max=float(np.max(np.abs(v_theta.values))),
-        core_radius=core_radius(zeta, threshold_fraction),
+        core_radius=core_radius(zeta),
         mass=result.mass,
         kkt_residual=result.kkt,
         patch_measure=result.patch_measure,
         converged=result.converged,
-        support_on_edge=support_on_edge(zeta, threshold_fraction),
+        support_on_edge=support_on_edge(zeta),
     )
     rec.check_invariants()
     return rec

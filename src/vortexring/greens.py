@@ -45,6 +45,8 @@ from .errors import (
 from .grid import ScalarField, bilinear_sample, build_grid, integrate_nu
 
 TWO_PI = 2.0 * np.pi
+# cells around the diagonal whose log part is averaged over the source cell
+NCORR = 2
 
 
 @dataclass
@@ -261,11 +263,11 @@ def _log_mean_rect(x0, x1, y0, y1):
     return float(out) if out.ndim == 0 else out
 
 
-def build_kernel_block(spec, ncorr=2):
+def build_kernel_block(spec):
     """Tabulate cell-to-cell kernel values K[i_target, i_source, |dj|].
 
     The z-translation invariance of the kernel collapses the table to the
-    z-offset magnitude. Entries with source and target within ncorr cells
+    z-offset magnitude. Entries with source and target within NCORR cells
     of each other (and the self entry) replace the midpoint value of the
     logarithmic part by its exact average over the source cell, which is
     what keeps the near-diagonal of the discretized operator second-order
@@ -287,8 +289,8 @@ def build_kernel_block(spec, ncorr=2):
     # near-diagonal correction: average the log(1/distance) part over the
     # offset source cell instead of evaluating it at the cell center
     root = np.sqrt(rt * rs)
-    for dj in range(min(ncorr, n_z - 1) + 1):
-        for di in range(-ncorr, ncorr + 1):
+    for dj in range(min(NCORR, n_z - 1) + 1):
+        for di in range(-NCORR, NCORR + 1):
             if abs(di) > n_r - 1:
                 continue
             x0 = di * dr - 0.5 * dr
@@ -333,11 +335,9 @@ class StreamOperator:
     [0, n_r).
     """
 
-    def __init__(self, spec, ncorr=2, keep_block=False):
+    def __init__(self, spec):
         self.spec = spec
-        self.ncorr = ncorr
-        block = build_kernel_block(spec, ncorr=ncorr)
-        self.block = block if keep_block else None
+        block = build_kernel_block(spec)
         w = spec.r_centers * spec.cell_area
         table = np.empty((spec.n_z + 1, spec.n_r, spec.n_r))
         np.multiply(block.transpose(2, 1, 0), w[None, :, None],
@@ -363,29 +363,24 @@ class StreamOperator:
         return out[:, :n_z]
 
     def apply_direct(self, values):
-        """Slow reference: explicit summation over source cells. Only
-        available when constructed with keep_block=True."""
-        if self.block is None:
-            raise ConsistencyError("operator was built without keep_block")
+        """Slow reference: explicit summation over source cells, on a
+        kernel block built for this call."""
         spec = self.spec
+        block = build_kernel_block(spec)
         w = spec.r_centers * spec.cell_area
         out = np.zeros((spec.n_r, spec.n_z))
         jj = np.arange(spec.n_z)
-        for i_s in range(spec.n_r):
-            for j_s in range(spec.n_z):
-                zv = values[i_s, j_s]
-                if zv == 0.0:
-                    continue
-                out += self.block[:, i_s, np.abs(jj - j_s)] * (zv * w[i_s])
+        for i_s, j_s in zip(*np.nonzero(values)):
+            out += block[:, i_s, np.abs(jj - j_s)] * (values[i_s, j_s] * w[i_s])
         return out
 
 
 @functools.lru_cache(maxsize=1)
-def get_stream_operator(spec, ncorr=2):
+def get_stream_operator(spec):
     """Shared operator of the last grid used, keyed by the frozen GridSpec:
     one kernel table serves every solve on a grid, and a new grid replaces
     it rather than adding a second."""
-    return StreamOperator(spec, ncorr=ncorr)
+    return StreamOperator(spec)
 
 
 def apply_stream_operator(zeta, support=None):

@@ -30,8 +30,11 @@ and in closed form
     dJds = ((s - jump)_+ / c)^(1/q),
     H = sqrt(2b / (q+1)) t^((q+1)/2).
 
-A table-backed generator covers everything else through the numeric
-conjugate path.
+A table generator covers everything else: f and g are linear between
+nodes t_0 < ... < t_n, constant on (0, t_0] and past t_n. So I and H^2 are
+piecewise quadratic, dJds inverts the piecewise-linear i(r, .) segment by
+segment, and J = s t - I(r, t) at t = dJds(r, s): exact closed forms too.
+eval_J_numeric, direct maximization, is the reference for every family.
 """
 
 import math
@@ -57,7 +60,8 @@ class GeneratorPair:
 
     family is one of power_law(p), turkington(alpha), beltrami(p),
     mixed(p), which share one closed-form law (see the module docstring),
-    or table (piecewise-linear f, g given on a t-grid).
+    or table (piecewise-linear f, g given on a t-grid, held constant
+    past its last node).
     g0plus is the jump of g at 0+, nonzero only for turkington-type
     generators; it sets the lower edge of the admissible cap parameter.
     """
@@ -79,21 +83,32 @@ class GeneratorPair:
         if self.family != "table":
             self._law = _LAWS[self.family](self.p, self.alpha)
             return
-        t = np.asarray(self.table_t, dtype=float)
-        f = np.asarray(self.table_f, dtype=float)
-        g = np.asarray(self.table_g, dtype=float)
+        t, f, g = (np.asarray(v, dtype=float)
+                   for v in (self.table_t, self.table_f, self.table_g))
         if t.ndim != 1 or t.size < 2 or f.shape != t.shape or g.shape != t.shape:
             raise ConfigurationError("table generator needs matching 1-d t,f,g")
         if np.any(np.diff(t) <= 0) or t[0] < 0:
             raise ConfigurationError("table t-grid must be increasing and >= 0")
-        object.__setattr__(self, "table_t", t)
-        object.__setattr__(self, "table_f", f)
-        object.__setattr__(self, "table_g", g)
-        # cumulative primitives for I and H on the table grid
-        df = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
-        dg = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
-        self._f_prim = df
-        self._g_prim = dg
+        self.table_t, self.table_f, self.table_g = t, f, g
+        if t[0] > 0:
+            # f and g hold their first values on (0, t[0]], as np.interp does
+            t, f, g = np.r_[0.0, t], np.r_[f[0], f], np.r_[g[0], g]
+        # rows g, f: node values, slopes on [t_k, t_k+1) (0 past the last
+        # node) and the exact primitives at the nodes
+        y, h = np.stack([g, f]), np.diff(t)
+        self._knots, self._y = t, y
+        self._slope = np.c_[np.diff(y) / h, np.zeros(2)]
+        self._prim = np.c_[np.zeros(2),
+                           np.cumsum(0.5 * (y[:, 1:] + y[:, :-1]) * h, axis=1)]
+
+    def _primitives(self, tp):
+        """Exact primitives of the table's g and f at tp >= 0 (rows 0, 1):
+        prim_k + y_k tau + slope_k tau^2 / 2 on the segment [t_k, t_k+1)
+        holding tp, with tau = tp - t_k."""
+        k = np.searchsorted(self._knots, tp, side="right") - 1
+        tau = tp - self._knots[k]
+        return self._prim[:, k] + (self._y[:, k]
+                                   + 0.5 * self._slope[:, k] * tau) * tau
 
     @property
     def g0plus(self):
@@ -142,7 +157,8 @@ def eval_i(gen, r, t):
         raise ConfigurationError("i(r, t) needs r > 0")
     t = np.asarray(t, dtype=float)
     if gen.family == "table":
-        out = np.where(t > 0, gen.g(t) + gen.f(t) / (r * r), 0.0)
+        out = np.where(t > 0, np.interp(t, gen._knots, gen._y[0])
+                       + np.interp(t, gen._knots, gen._y[1]) / (r * r), 0.0)
     else:
         jump, a, b, q = gen._law
         out = np.where(t > 0, jump + (a + b / (r * r)) * np.maximum(t, 0.0) ** q,
@@ -158,13 +174,7 @@ def eval_I(gen, r, t):
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     if gen.family == "table":
-        gp = np.interp(tp, gen.table_t, gen._g_prim)
-        fp = np.interp(tp, gen.table_t, gen._f_prim)
-        # linear extension beyond the table end
-        t_end = gen.table_t[-1]
-        over = np.maximum(tp - t_end, 0.0)
-        gp = gp + over * gen.table_g[-1]
-        fp = fp + over * gen.table_f[-1]
+        gp, fp = gen._primitives(tp)
         out = gp + fp / (r * r)
     else:
         jump, a, b, q = gen._law
@@ -173,15 +183,17 @@ def eval_I(gen, r, t):
 
 
 def eval_J(gen, r, s):
-    """Closed-form conjugate of the shared law; table generators fall
-    through to the numeric path (scalar golden-section per evaluation)."""
+    """The conjugate J(r, s): the closed form of the shared law, and for a
+    table the Fenchel-Young line J = s t - I(r, t) at t = dJds(r, s),
+    exact because the table's I is piecewise quadratic."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigurationError("J(r, s) needs r > 0")
     s = np.asarray(s, dtype=float)
     if gen.family == "table":
-        fn = np.vectorize(lambda rr, ss: eval_J_numeric(gen, rr, ss))
-        out = np.asarray(fn(r, np.maximum(s, 0.0)), dtype=float)
+        sp = np.maximum(s, 0.0)
+        t = eval_dJds(gen, r, sp)
+        out = np.asarray(sp * t - eval_I(gen, r, t))
     else:
         jump, a, b, q = gen._law
         out = q / (q + 1.0) * (a + b / (r * r)) ** (-1.0 / q) \
@@ -189,41 +201,33 @@ def eval_J(gen, r, s):
     return _shaped(out, r, s)
 
 
-def eval_J_numeric(gen, r, s, t_max=None, n=64):
-    """Conjugate by direct maximization of s t - I(r, t) over t >= 0.
+def eval_J_numeric(gen, r, s, n=64):
+    """Conjugate by direct maximization of s t - I(r, t) over t >= 0, the
+    slow reference for eval_J.
 
     The objective is concave in t (its derivative s - i(r, t) is
     nonincreasing), so a coarse scan plus golden-section refinement is
-    exact to the requested precision. When t_max is not given it doubles
-    until the derivative is negative there; a given t_max that fails to
-    bracket the sup raises ConfigurationError.
+    exact to the requested precision. The scan range doubles until the
+    derivative is negative at its end.
     """
-    if s < 0:
+    if s <= 0:
         return 0.0
-    if s == 0.0:
-        return 0.0
-    if t_max is None:
-        t_max = 1.0
-        for _ in range(200):
-            if s - eval_i(gen, r, t_max) < 0:
-                break
-            t_max *= 2.0
-        else:
-            raise ConfigurationError("conjugate sup not bracketed (i too flat)")
+    t_end = 1.0
+    for _ in range(200):
+        if s - eval_i(gen, r, t_end) < 0:
+            break
+        t_end *= 2.0
     else:
-        if s - eval_i(gen, r, t_max) >= 0:
-            raise ConfigurationError("given t_max does not bracket the sup")
+        raise ConfigurationError("conjugate sup not bracketed (i too flat)")
 
     def obj(t):
         return s * t - eval_I(gen, r, t)
 
-    ts = np.linspace(0.0, t_max, n)
+    ts = np.linspace(0.0, t_end, n)
     vals = np.array([obj(t) for t in ts])
     k = int(np.argmax(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, n - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = ts[max(k - 1, 0)], ts[min(k + 1, n - 1)]
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = obj(c), obj(d)
@@ -242,44 +246,48 @@ def eval_J_numeric(gen, r, s, t_max=None, n=64):
 
 
 def eval_dJds(gen, r, s):
-    """Derivative of the conjugate in s, the inverse graph of i(r, .).
-
-    Closed form for the shared law; the table fallback inverts the
-    monotone i(r, .) by bisection, so it is single-valued even across a
-    jump of g.
-    """
+    """Derivative of the conjugate in s, the inverse graph of i(r, .): the
+    largest t with i(r, t) <= s, so 0 for s <= 0 and below the jump of i at
+    0+. Closed form for the shared law, piecewise linear for a table."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigurationError("dJds(r, s) needs r > 0")
     s = np.asarray(s, dtype=float)
     if gen.family == "table":
-        fn = np.vectorize(lambda rr, ss: _invert_i(gen, rr, ss))
-        out = np.asarray(fn(r, np.maximum(s, 0.0)), dtype=float)
+        out = _invert_table(gen, r, s)
     else:
         jump, a, b, q = gen._law
         out = (np.maximum(s - jump, 0.0) / (a + b / (r * r))) ** (1.0 / q)
     return _shaped(out, r, s)
 
 
-def _invert_i(gen, r, s):
-    """Largest t with i(r, t) <= s, by doubling plus bisection."""
-    if s <= 0:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if eval_i(gen, r, hi) > s:
-            break
-        hi *= 2.0
-    else:
-        raise ConfigurationError("could not bracket the inverse of i")
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if eval_i(gen, r, mid) <= s:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _invert_table(gen, r, s):
+    """Invert the piecewise-linear i(r, .) of a table per cell: a binary
+    search finds the count of nodes with i_k = g_k + f_k / r^2 <= s, and t
+    is interpolated on the segment after the last of them. i is flat past
+    the last node, so s above i(r, t_end) raises ConfigurationError."""
+    w, s = np.broadcast_arrays(1.0 / (r * r), s)
+    gk, fk = gen._y
+    m = gk.size
+    if np.any(s > gk[-1] + fk[-1] * w):
+        raise ConfigurationError("s above i(r, t_end): the table is too short")
+    # the count lies in [lo, hi]; s <= 0 searches the empty range
+    lo = np.zeros(s.shape, dtype=np.intp)
+    hi = np.where(s > 0, m, 0)
+    for _ in range(m.bit_length()):
+        mid = (lo + hi) // 2
+        k = np.minimum(mid, m - 1)
+        le = (mid < hi) & (gk[k] + fk[k] * w <= s)
+        lo = np.where(le, mid + 1, lo)
+        hi = np.where(le, hi, mid)
+    t = gen._knots
+    out = np.where(lo == m, t[-1], 0.0)
+    inner = (lo > 0) & (lo < m)
+    k, wi = lo[inner] - 1, w[inner]
+    ik = gk[k] + fk[k] * wi
+    out[inner] = t[k] + (s[inner] - ik) * (t[k + 1] - t[k]) \
+        / (gk[k + 1] + fk[k + 1] * wi - ik)
+    return out
 
 
 def eval_H(gen, t):
@@ -288,10 +296,7 @@ def eval_H(gen, t):
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     if gen.family == "table":
-        fp = np.interp(tp, gen.table_t, gen._f_prim)
-        over = np.maximum(tp - gen.table_t[-1], 0.0)
-        fp = fp + over * gen.table_f[-1]
-        out = np.sqrt(2.0 * fp)
+        out = np.sqrt(2.0 * gen._primitives(tp)[1])
     else:
         jump, a, b, q = gen._law
         out = math.sqrt(2.0 * b / (q + 1.0)) * tp ** ((q + 1.0) / 2.0)

@@ -87,6 +87,16 @@ def test_invalid_config_lists_every_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_table_path_needs_the_table_family(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilon": 0.1,
+                                "profile": {"table_path": "tab.csv"}}))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "profile.table_path" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_unreadable_or_malformed_config(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])

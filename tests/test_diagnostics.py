@@ -24,11 +24,6 @@ def test_support_mask_validation():
     zero = ScalarField(spec, np.zeros((4, 4)))
     with pytest.raises(NumericalError):
         support_mask(zero)
-    one = ScalarField(spec, np.ones((4, 4)))
-    with pytest.raises(ConfigurationError):
-        support_mask(one, threshold_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        support_mask(one, threshold_fraction=1.0)
 
 
 def test_support_stats_single_cell():

@@ -180,8 +180,7 @@ def _row_fields(n_r, n_z, rng):
 
 @pytest.mark.parametrize("n_r,n_z", [(13, 17), (20, 9)])
 def test_apply_matches_direct_summation(n_r, n_z, rng):
-    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z),
-                        keep_block=True)
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z))
     for name, vals in _row_fields(n_r, n_z, rng).items():
         direct = op.apply_direct(vals)
         got = op.apply(vals)
@@ -199,7 +198,7 @@ def test_operator_build_holds_one_table():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert op.block is None
+    assert not hasattr(op, "block")
     assert held <= 1.05 * table_bytes
     assert peak <= 2.5 * table_bytes
 

@@ -175,17 +175,54 @@ def test_check_assumptions_rejects_decreasing_g():
 
 
 def test_table_family_tracks_closed_form(rng):
-    ts = np.linspace(0.0, 60.0, 4001)
-    tab = GeneratorPair(family="table", table_t=ts, table_f=np.zeros_like(ts),
-                        table_g=ts.copy())
-    pl = make_generator("power_law", p=1.0)
-    rs = rng.uniform(0.5, 2.0, 6)
-    ss = rng.uniform(0.1, 10.0, 6)
-    jt = np.array([eval_J_numeric(tab, r, s) for r, s in zip(rs, ss)])
-    jc = eval_J(pl, rs, ss)
-    np.testing.assert_allclose(jt, jc, rtol=1e-4, atol=1e-6)
-    np.testing.assert_allclose(eval_dJds(tab, rs, ss),
-                               eval_dJds(pl, rs, ss), rtol=1e-4, atol=1e-6)
+    # tables (t, 0, t) and (t, t, t) are power_law p=1 and mixed p=1 on
+    # their range, exactly: I is piecewise quadratic, dJds piecewise linear
+    rs = rng.uniform(0.3, 3.0, 300)
+    ss = rng.uniform(-1.0, 50.0, 300)
+    ts = rng.uniform(-1.0, 70.0, 300)
+    for n in (13, 4001):
+        t = np.linspace(0.0, 60.0, n)
+        for f, closed in ((np.zeros(n), make_generator("power_law", p=1.0)),
+                          (t, make_generator("mixed", p=1.0))):
+            tab = make_generator("table", table=(t, f, t))
+            tin = np.minimum(ts, 60.0)
+            np.testing.assert_allclose(eval_I(tab, rs, tin),
+                                       eval_I(closed, rs, tin), rtol=1e-12)
+            np.testing.assert_allclose(eval_H(tab, tin), eval_H(closed, tin),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(eval_J(tab, rs, ss),
+                                       eval_J(closed, rs, ss), rtol=1e-12)
+            np.testing.assert_allclose(eval_dJds(tab, rs, ss),
+                                       eval_dJds(closed, rs, ss), rtol=1e-12)
+    # past the last node f and g hold their last values: I grows linearly
+    tab = make_generator("table", table=(t, t, t))
+    np.testing.assert_allclose(
+        eval_I(tab, 1.0, 70.0), eval_I(tab, 1.0, 60.0) + 10.0 * 120.0,
+        rtol=1e-14)
+    with pytest.raises(ConfigurationError):
+        eval_dJds(tab, 1.0, 121.0)
+
+
+def test_table_primitive_and_conjugate_are_exact(rng):
+    from scipy.integrate import quad
+    # nonuniform nodes from t = 0.5, a jump of g at 0+, and swirl
+    t = np.concatenate([[0.5], np.sort(rng.uniform(0.6, 40.0, 20)), [60.0]])
+    tab = make_generator("table", table=(t, 0.5 * t ** 0.7, 1.0 + t ** 1.3))
+    rs = rng.uniform(0.5, 2.0, 8)
+    ts = rng.uniform(0.01, 59.0, 8)
+    for r, tt in zip(rs, ts):
+        ref, _ = quad(lambda x: eval_i(tab, r, x), 0.0, tt,
+                      points=t[t < tt], limit=200)
+        np.testing.assert_allclose(eval_I(tab, r, tt), ref, rtol=1e-10)
+    ss = eval_i(tab, rs, ts)
+    jt = eval_J(tab, rs, ss)
+    np.testing.assert_allclose(eval_I(tab, rs, ts) + jt, ts * ss, rtol=1e-12)
+    np.testing.assert_allclose(eval_dJds(tab, rs, ss), ts, rtol=1e-12)
+    jn = np.array([eval_J_numeric(tab, r, s) for r, s in zip(rs, ss)])
+    np.testing.assert_allclose(jt, jn, rtol=1e-9)
+    # below the jump i(r, 0+) = 1 + 0.5 * 0.5^0.7 / r^2 nothing is taken
+    assert np.all(eval_dJds(tab, rs, rng.uniform(0.0, 1.0, 8)) == 0.0)
+    assert np.all(eval_J(tab, rs, rng.uniform(-1.0, 1.0, 8)) == 0.0)
 
 
 def test_make_generator_validation(tmp_path):

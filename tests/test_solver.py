@@ -282,6 +282,29 @@ def test_run_invariants_power_law(coarse_power_law):
     assert result.patch_measure == 0.0
 
 
+def test_run_table_with_jump_and_swirl_converges():
+    # f = t / 2, g = 1 + t on 13 nodes: g jumps at 0 and f feeds swirl
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=400)
+    t = np.linspace(0.0, 60.0, 13)
+    result = run(cfg, make_generator("table", table=(t, 0.5 * t, 1.0 + t)))
+    assert result.converged
+    _admissibility_checks(result)
+    _trace_checks(result)
+    assert result.kkt <= 1e-6
+
+
+def test_run_table_twin_matches_power_law():
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=400)
+    t = np.linspace(0.0, 60.0, 13)
+    closed = run(cfg, make_generator("power_law", p=1.0))
+    twin = run(cfg, make_generator("table", table=(t, np.zeros(13), t)))
+    assert closed.converged and twin.converged
+    assert twin.iterations == closed.iterations
+    np.testing.assert_allclose(twin.state.mu, closed.state.mu, rtol=1e-12)
+    np.testing.assert_allclose(twin.energy_trace, closed.energy_trace,
+                               rtol=1e-12)
+
+
 def test_kkt_residual_detects_perturbation(coarse_turkington):
     base = coarse_turkington
     assert base.kkt <= 1e-6
