@@ -1,8 +1,9 @@
 # rearrangement_tools.py
 # The two rearrangement primitives behind the solver: the capped bathtub
 # fill that solves the linearized maximization in closed form, and the
-# Steiner symmetrization in z that keeps iterates even with columns
-# decreasing away from the midplane.
+# Steiner symmetrization in z. Its fixed points are the fields with
+# columns even and decreasing away from the midplane; the solver's
+# iterates stay such fixed points, and it checks that the final one is.
 #
 # Run from the repository root:  python3 demos/rearrangement_tools.py
 

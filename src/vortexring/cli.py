@@ -33,7 +33,7 @@ from . import diagnostics as dg
 
 _SOLVE_KEYS = {
     "epsilon", "kappa", "W", "Lambda", "grid", "profile", "tol",
-    "max_iterations", "symmetrize",
+    "max_iterations",
 }
 _SWEEP_KEYS = (_SOLVE_KEYS - {"epsilon"}) | {"epsilons"}
 _GRID_KEYS = {"n_r", "n_z"}
@@ -110,9 +110,6 @@ def validate_config(cfg, allowed, require):
         _check_number(cfg, "Lambda", errors, lo=0.0)
     _check_number(cfg, "max_iterations", errors, lo=1, integer=True,
                   lo_strict=False)
-    if "symmetrize" in cfg and not isinstance(cfg["symmetrize"], bool):
-        errors.append("symmetrize: must be a boolean, got %r"
-                      % (cfg["symmetrize"],))
 
     grid = _check_section(cfg, "grid", _GRID_KEYS, errors)
     for key in ("n_r", "n_z"):
@@ -122,18 +119,17 @@ def validate_config(cfg, allowed, require):
     for key in ("zeta", "mu"):
         _check_number(tol, key, errors, lo=0.0, label="tol." + key)
     prof = _check_section(cfg, "profile", _PROFILE_KEYS, errors)
-    if isinstance(prof, dict):
-        fam = prof.get("family", "power_law")
-        if fam not in FAMILIES:
-            errors.append("profile.family: must be one of %s, got %r"
-                          % ("/".join(FAMILIES), fam))
-        for key in ("p", "alpha"):
-            _check_number(prof, key, errors, lo=0.0, label="profile." + key)
-        if (fam == "table") != ("table_path" in prof):
-            errors.append("profile.table_path: required for the table "
-                          "family and only for it, got family %r" % (fam,))
-        if "table_path" in prof and not isinstance(prof["table_path"], str):
-            errors.append("profile.table_path: must be a string")
+    fam = prof.get("family", "power_law")
+    if fam not in FAMILIES:
+        errors.append("profile.family: must be one of %s, got %r"
+                      % ("/".join(FAMILIES), fam))
+    for key in ("p", "alpha"):
+        _check_number(prof, key, errors, lo=0.0, label="profile." + key)
+    if (fam == "table") != ("table_path" in prof):
+        errors.append("profile.table_path: required for the table "
+                      "family and only for it, got family %r" % (fam,))
+    if "table_path" in prof and not isinstance(prof["table_path"], str):
+        errors.append("profile.table_path: must be a string")
     if errors:
         raise CliError(errors)
 
@@ -143,7 +139,7 @@ def build_problem(cfg, epsilon=None):
     grid = cfg.get("grid", {})
     tol = cfg.get("tol", {})
     kwargs = {}
-    for key in ("kappa", "W", "max_iterations", "symmetrize"):
+    for key in ("kappa", "W", "max_iterations"):
         if key in cfg:
             kwargs[key] = cfg[key]
     if "Lambda" in cfg:
@@ -173,7 +169,6 @@ def _problem_snapshot(problem, profile_cfg):
         "grid": {"n_r": problem.n_r, "n_z": problem.n_z},
         "tol": {"zeta": problem.tol_zeta, "mu": problem.tol_mu},
         "max_iterations": problem.max_iterations,
-        "symmetrize": problem.symmetrize,
         "profile": {"family": "power_law", **profile_cfg},
     }
     return snap
@@ -200,12 +195,14 @@ def _json_dumps(obj):
 
 def solve_to_dir(problem, gen, gen_cfg, out_dir):
     """Run one solve, write result.json / zeta.csv / psi.csv /
-    manifest.json into out_dir, and return (result, record)."""
-    os.makedirs(out_dir, exist_ok=True)
+    manifest.json into out_dir, and return (result, record). out_dir is
+    created only once the solve has returned, so a rejected config
+    leaves nothing behind."""
     stages = {}
     t0 = time.perf_counter()
     result = run(problem, gen)
     stages["solve"] = time.perf_counter() - t0
+    os.makedirs(out_dir, exist_ok=True)
 
     t0 = time.perf_counter()
     record = dg.diagnostics_record(result)
@@ -243,10 +240,9 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "version": __version__,
         "config": payload["config"],
         "grid_sha256": _grid_hash(result.state.zeta.spec),
-        "files": sorted(files),
+        "files": sorted(files) + ["manifest.json"],
         "wall_clock_seconds": {k: round(v, 6) for k, v in stages.items()},
     }
-    manifest["files"] = sorted(files) + ["manifest.json"]
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   _json_dumps(manifest))
     return result, record
@@ -425,7 +421,7 @@ def cmd_report(args):
     return 0
 
 
-def _validate_greens(seed, n_pairs=200):
+def _validate_greens(seed):
     from .greens import (StreamOperator, kernel_bound, kernel_closed_form,
                          kernel_quadrature, expansion_remainder, sigma)
     rng = np.random.default_rng(seed)
@@ -433,13 +429,11 @@ def _validate_greens(seed, n_pairs=200):
     worst = 0.0
     bound_ok = True
     four_pi_violations = 0
-    made = 0
-    while made < n_pairs:
+    while len(rows) < 200:
         r, rp = rng.uniform(0.5, 2.0, 2)
         z, zp = rng.uniform(-1.0, 1.0, 2)
         if sigma(r, z, rp, zp) < 1e-6:
             continue
-        made += 1
         closed = kernel_closed_form(r, z, rp, zp).value
         quad = kernel_quadrature(r, z, rp, zp).value
         rel = abs(closed - quad) / abs(quad)
@@ -472,7 +466,7 @@ def _validate_greens(seed, n_pairs=200):
     op_diff = float(np.max(np.abs(op.apply(field) - direct))
                     / np.max(np.abs(direct)))
     summary = {
-        "pairs": n_pairs,
+        "pairs": len(rows),
         "max_rel_diff": worst,
         "closed_vs_quadrature_ok": bool(worst <= 1e-10),
         "positive_and_under_halfpi_bound": bool(bound_ok),
@@ -536,11 +530,12 @@ def _validate_profiles(seed):
     return out, all_ok
 
 
-def _validate_bathtub(seed, trials=200):
+def _validate_bathtub(seed):
     from .rearrange import MeasureSpace, bathtub_maximize
     rng = np.random.default_rng(seed)
     worst = 0.0
     structure_ok = True
+    trials = 200
     for _ in range(trials):
         n = int(rng.integers(2, 11))
         w = rng.uniform(0.2, 2.0, n)

@@ -103,8 +103,9 @@ class ScaledProfile:
     center: tuple
 
 
-def scaled_profile(zeta, center, epsilon, n_cells=96):
-    """Resample eps^2 zeta around the center in core units.
+def scaled_profile(zeta, center, epsilon):
+    """Resample eps^2 zeta around the center in core units, on 96 x 96
+    cells.
 
     The window is the square |x_i| <= 2 * (diam / eps), which always
     contains the support when the center lies in its convex hull; if any
@@ -127,8 +128,7 @@ def scaled_profile(zeta, center, epsilon, n_cells=96):
             "scaled-profile window clips the support: %.3g > %.3g"
             % (far, halfwidth))
 
-    win = GridSpec(-halfwidth, halfwidth, -halfwidth, halfwidth,
-                   int(n_cells), int(n_cells))
+    win = GridSpec(-halfwidth, halfwidth, -halfwidth, halfwidth, 96, 96)
     xs = win.r_centers
     sample_r = cr + epsilon * xs[:, None] + 0.0 * xs[None, :]
     sample_z = cz + 0.0 * xs[:, None] + epsilon * xs[None, :]
@@ -159,19 +159,20 @@ def radial_shell_profile(profile, n_shells=24):
     return mids, means
 
 
-def angular_variation(profile, n_sectors=8, core_fraction=0.5):
+def angular_variation(profile):
     """Relative spread of sector averages of the scaled profile.
 
-    Splits the disc rho <= core_fraction * halfwidth into equal angular
-    sectors, averages the profile over each, and returns
-    (max - min) / mean. Small values mean the core is nearly radial.
+    Splits the disc rho <= halfwidth / 2 into 8 equal angular sectors,
+    averages the profile over each, and returns (max - min) / mean. Small
+    values mean the core is nearly radial.
     """
+    n_sectors = 8
     fld = profile.field
     spec = fld.spec
     xx = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
     yy = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
     rho = np.hypot(xx, yy)
-    inside = rho <= core_fraction * profile.window_halfwidth
+    inside = rho <= 0.5 * profile.window_halfwidth
     ang = np.mod(np.arctan2(yy, xx), 2.0 * np.pi)
     sector = np.minimum((ang / (2.0 * np.pi) * n_sectors).astype(int),
                         n_sectors - 1)
@@ -222,14 +223,14 @@ def velocity_field(psi, gen, epsilon):
     return v_r, v_theta, v_z
 
 
-def far_field_check(result, n_angles=48, min_radius=None):
+def far_field_check(result):
     """Far-field axial velocity against the traveling-frame value.
 
-    Samples v_z at r >= r_star / 4 on a circle of radius
-    max(10 * diam, min_radius) around the core center: -W log(1/eps) plus
+    Samples v_z at 48 angles, where r >= r_star / 4, on a circle of radius
+    max(10 * diam, 6 r_star) around the core center: -W log(1/eps) plus
     the free-space velocity induced by the support, the sum over its cells
-    of `ring_velocity_z` times zeta nu. The default floor of 6 r_star keeps
-    the circle outside the ring's dipole near zone, whose 1/rho^3 tail
+    of `ring_velocity_z` times zeta nu. The floor of 6 r_star keeps the
+    circle outside the ring's dipole near zone, whose 1/rho^3 tail
     otherwise dominates the comparison. Returns a dict with the mean
     sampled v_z, the worst relative deviation, and the radius.
     """
@@ -237,12 +238,10 @@ def far_field_check(result, n_angles=48, min_radius=None):
     zeta = result.state.zeta
     _, _, diam, _ = support_stats(zeta, r_star=config.r_star)
     center_r, center_z = center_of_vorticity(zeta)
-    if min_radius is None:
-        min_radius = 6.0 * config.r_star
-    radius = max(10.0 * diam, min_radius)
+    radius = max(10.0 * diam, 6.0 * config.r_star)
 
     target = -config.W * config.log_inv_eps
-    angles = (np.arange(n_angles) + 0.5) * 2.0 * np.pi / n_angles
+    angles = (np.arange(48) + 0.5) * 2.0 * np.pi / 48
     pr = center_r + radius * np.cos(angles)
     pz = center_z + radius * np.sin(angles)
     keep = pr >= 0.25 * config.r_star

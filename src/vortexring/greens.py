@@ -386,24 +386,16 @@ def get_stream_operator(spec):
 def apply_stream_operator(zeta, support=None):
     """psi0 = K zeta for a nonnegative vorticity field.
 
-    support, when given, is a boolean mask (or iterable of (i, j) pairs)
-    asserting where zeta may be nonzero; a nonzero cell outside it raises
+    support, when given, is a boolean mask shaped like zeta asserting
+    where zeta may be nonzero; a nonzero cell outside it raises
     ConsistencyError. The returned field is strictly positive wherever
     zeta is not identically zero.
     """
     vals = zeta.values
     if np.any(vals < 0):
         raise ConfigurationError("stream operator expects zeta >= 0")
-    if support is not None:
-        mask = np.zeros(vals.shape, dtype=bool)
-        sup = np.asarray(support)
-        if sup.dtype == bool and sup.shape == vals.shape:
-            mask = sup
-        else:
-            for i, j in support:
-                mask[int(i), int(j)] = True
-        if np.any((vals > 0) & ~mask):
-            raise ConsistencyError("support set omits a nonzero cell")
+    if support is not None and np.any((vals > 0) & ~np.asarray(support)):
+        raise ConsistencyError("support set omits a nonzero cell")
     op = get_stream_operator(zeta.spec)
     return ScalarField(zeta.spec, op.apply(vals))
 
@@ -455,21 +447,18 @@ def _resample_conservative(zeta, ext):
     return out
 
 
-def fd_solve(zeta, box=None, margin_factor=3.0, cells_per_unit=42.0):
+def fd_solve(zeta, box):
     """Solve L psi0 = zeta by second-order finite differences on a large
     box with zero Dirichlet data on its boundary and at the axis offset.
 
-    zeta lives on the (small) solve grid and is extended by zero. Returns
-    psi0 on the extended grid. Independent of the kernel table in every
+    zeta lives on the (small) solve grid and is extended by zero; box, for
+    instance from default_extended_box, must strictly contain that grid.
+    Returns psi0 on box. Independent of the kernel table in every
     respect, which is what makes it useful as a cross-check.
     """
-    if box is None:
-        box = default_extended_box(zeta.spec, margin_factor=margin_factor,
-                                   cells_per_unit=cells_per_unit)
-    else:
-        if not (box.r_min < zeta.spec.r_min and box.r_max > zeta.spec.r_max
-                and box.z_min < zeta.spec.z_min and box.z_max > zeta.spec.z_max):
-            raise ConfigurationError("extended box must strictly contain the source domain")
+    if not (box.r_min < zeta.spec.r_min and box.r_max > zeta.spec.r_max
+            and box.z_min < zeta.spec.z_min and box.z_max > zeta.spec.z_max):
+        raise ConfigurationError("extended box must strictly contain the source domain")
     src = _resample_conservative(zeta, box)
 
     n_r, n_z = box.n_r, box.n_z

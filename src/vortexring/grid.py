@@ -21,7 +21,7 @@ class GridSpec:
     Cell (i, j) has center (r_min + (i + 1/2) dr, z_mid + (j + 1/2 - n_z/2) dz)
     with z_mid the midpoint of the z-extent. Writing the z centers relative
     to the midpoint keeps them exactly symmetric in floating point whenever
-    the extent is symmetric, which the symmetrization step relies on.
+    the extent is symmetric, which the solver's symmetry check relies on.
     """
 
     r_min: float
@@ -61,16 +61,6 @@ class GridSpec:
         """True when the z-extent is centered on 0 with an even cell count,
         so that cells pair exactly under z -> -z."""
         return self.n_z % 2 == 0 and self.z_min == -self.z_max
-
-    def same_as(self, other):
-        return (
-            self.r_min == other.r_min
-            and self.r_max == other.r_max
-            and self.z_min == other.z_min
-            and self.z_max == other.z_max
-            and self.n_r == other.n_r
-            and self.n_z == other.n_z
-        )
 
 
 def build_grid(r_min, r_max, z_min, z_max, n_r, n_z):
@@ -151,7 +141,7 @@ def bilinear_sample(f, r, z):
 
 
 def _check_same_grid(a, b):
-    if not a.spec.same_as(b.spec):
+    if a.spec != b.spec:
         raise GridMismatchError("fields live on different grids")
 
 

@@ -201,12 +201,12 @@ def eval_J(gen, r, s):
     return _shaped(out, r, s)
 
 
-def eval_J_numeric(gen, r, s, n=64):
+def eval_J_numeric(gen, r, s):
     """Conjugate by direct maximization of s t - I(r, t) over t >= 0, the
     slow reference for eval_J.
 
     The objective is concave in t (its derivative s - i(r, t) is
-    nonincreasing), so a coarse scan plus golden-section refinement is
+    nonincreasing), so a 64-point scan plus golden-section refinement is
     exact to the requested precision. The scan range doubles until the
     derivative is negative at its end.
     """
@@ -223,6 +223,7 @@ def eval_J_numeric(gen, r, s, n=64):
     def obj(t):
         return s * t - eval_I(gen, r, t)
 
+    n = 64
     ts = np.linspace(0.0, t_end, n)
     vals = np.array([obj(t) for t in ts])
     k = int(np.argmax(vals))
@@ -323,7 +324,7 @@ def make_generator(family, p=1.0, alpha=1.0, table=None, table_path=None):
     return GeneratorPair(family=family, p=float(p), alpha=float(alpha))
 
 
-def check_assumptions(gen, r_max=2.0, t_max=50.0, n_sample=200, seed=7):
+def check_assumptions(gen, r_max=2.0, t_max=50.0, n_sample=200):
     """Sampled verification of the structural assumptions on (f, g).
 
     (a1) f, g nonnegative and nondecreasing; (a2) i strictly increasing in
@@ -331,10 +332,14 @@ def check_assumptions(gen, r_max=2.0, t_max=50.0, n_sample=200, seed=7):
     delta1 >= 0 with I <= delta0 * i * t + delta1 * i on the sample; (a4)
     i(r, t) e^{-tau t} eventually decreasing to 0 along geometric t.
 
-    Sampling cannot prove the universal statements; the report says which
-    sampled checks passed and with which witnesses.
+    t is sampled on (0, t_max), and for a table on (0, t_end) below its
+    last node instead, since its i is flat past t_end. Sampling cannot
+    prove the universal statements; the report says which sampled checks
+    passed and with which witnesses.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
+    if gen.family == "table":
+        t_max = float(gen.table_t[-1])
     ts = np.sort(rng.uniform(1e-6, t_max, n_sample))
     rs = rng.uniform(1e-3, r_max, 16)
     report = {}

@@ -75,14 +75,15 @@ def test_invalid_config_lists_every_error(tmp_path, capsys):
         "epsilon": 1.5,
         "kappa": -1.0,
         "banana": 7,
+        "symmetrize": True,
         "grid": {"n_r": 0, "n_q": 3},
         "profile": {"family": "nope"},
     }))
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    for needle in ("epsilon", "kappa", "banana", "grid.n_r", "grid.n_q",
-                   "profile.family"):
+    for needle in ("epsilon", "kappa", "banana", "symmetrize: unknown key",
+                   "grid.n_r", "grid.n_q", "profile.family"):
         assert needle in err, "missing complaint about %s" % needle
     assert not os.path.exists(tmp_path / "o")
 
@@ -94,6 +95,20 @@ def test_table_path_needs_the_table_family(tmp_path, capsys):
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "profile.table_path" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"epsilon": 0.1, "Lambda": 0.5, "grid": {"n_r": 16, "n_z": 16}},
+    {"epsilon": 0.1, "grid": {"n_r": 16, "n_z": 15}},
+], ids=["cap-below-one", "odd-n_z"])
+def test_solve_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
+    # both pass the schema; run raises before any file could be written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
 

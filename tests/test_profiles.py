@@ -163,6 +163,11 @@ def test_check_assumptions_families_pass():
     d0, d1 = report["a3"]["witness"]
     assert 0.0 < d0 < 1.0
     assert d1 >= 0.0
+    # a table is sampled below its last node: its i is flat past t = 40,
+    # so sampling up to the closed families' t_max = 50 would fail (a2)
+    t = np.linspace(0.0, 40.0, 9)
+    short = make_generator("table", table=(t, np.zeros(9), t))
+    assert check_assumptions(short, n_sample=120)["all_pass"]
 
 
 def test_check_assumptions_rejects_decreasing_g():

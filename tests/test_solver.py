@@ -10,8 +10,9 @@ import pytest
 from vortexring import solver
 from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.grid import ScalarField, integrate_nu
-from vortexring.greens import apply_stream_operator
+from vortexring.greens import apply_stream_operator, get_stream_operator
 from vortexring.profiles import eval_i, make_generator
+from vortexring.rearrange import steiner_symmetrize_z
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
                                patch_measure, run, solve_mu)
@@ -295,14 +296,94 @@ def test_run_table_with_jump_and_swirl_converges():
 
 def test_run_table_twin_matches_power_law():
     cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=400)
-    t = np.linspace(0.0, 60.0, 13)
     closed = run(cfg, make_generator("power_law", p=1.0))
-    twin = run(cfg, make_generator("table", table=(t, np.zeros(13), t)))
-    assert closed.converged and twin.converged
-    assert twin.iterations == closed.iterations
-    np.testing.assert_allclose(twin.state.mu, closed.state.mu, rtol=1e-12)
-    np.testing.assert_allclose(twin.energy_trace, closed.energy_trace,
-                               rtol=1e-12)
+    assert closed.converged
+    # the 9-node table ends at t = 40, below the t_max = 50 the closed
+    # families are checked on; the heads never leave either table
+    for t in (np.linspace(0.0, 60.0, 13), np.linspace(0.0, 40.0, 9)):
+        twin = run(cfg, make_generator("table", table=(t, 0.0 * t, t)))
+        assert twin.converged
+        assert twin.iterations == closed.iterations
+        # same iterates; only the energy's conjugate term is evaluated apart
+        np.testing.assert_array_equal(twin.state.zeta.values,
+                                      closed.state.zeta.values)
+        np.testing.assert_allclose(twin.state.mu, closed.state.mu,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(twin.energy_trace, closed.energy_trace,
+                                   rtol=1e-12)
+
+
+def _is_steiner(zeta):
+    return np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values)
+
+
+@pytest.mark.parametrize("family, params", [
+    pytest.param("turkington", {"alpha": 1.0}, id="turkington"),
+    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
+])
+def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
+    # the loop invariant run relies on: K of a field whose columns are even
+    # and nonincreasing in |z|, averaged in z, has such columns too, and
+    # solve_mu's update of it is a fixed point of the symmetrization
+    cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
+    gen = make_generator(family, **params)
+    spec = cfg.domain_grid()
+    op = get_stream_operator(spec)
+    for _ in range(5):
+        raw = rng.uniform(0.0, 1.0, (16, 16))
+        raw[rng.uniform(size=(16, 16)) < 0.6] = 0.0
+        zeta = steiner_symmetrize_z(ScalarField(spec, raw))
+        zeta.values *= cfg.kappa / integrate_nu(zeta)
+        vals = op.apply(zeta.values)
+        psi0 = 0.5 * (vals + vals[:, ::-1])
+        np.testing.assert_array_equal(psi0, psi0[:, ::-1])
+        assert np.all(np.diff(psi0[:, 8:], axis=1) <= 0.0)
+        _, update = solve_mu(cfg, gen, ScalarField(spec, psi0))
+        assert np.any(update.values > 0.0)
+        assert _is_steiner(update)
+
+
+@pytest.mark.parametrize("family, params, max_iterations", [
+    pytest.param("turkington", {"alpha": 1.0}, 400, id="turkington"),
+    pytest.param("power_law", {"p": 1.0}, 150, id="power_law-p1"),
+    pytest.param("table",
+                 {"table": (_TABLE_T, 0.5 * _TABLE_T, 1.0 + _TABLE_T)},
+                 400, id="table-jump-and-swirl"),
+])
+def test_run_iterates_stay_steiner_symmetric(family, params, max_iterations,
+                                             monkeypatch):
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48,
+                        max_iterations=max_iterations)
+    gen = make_generator(family, **params)
+    assert _is_steiner(initialize(cfg, gen))
+    checked = []
+
+    def checking(*args):
+        mu, zeta = solve_mu(*args)
+        checked.append(_is_steiner(zeta))
+        return mu, zeta
+
+    monkeypatch.setattr(solver, "solve_mu", checking)
+    result = run(cfg, gen)
+    assert len(checked) == result.iterations
+    assert all(checked)
+
+
+@pytest.mark.parametrize("breaks", [
+    # no longer even in z
+    lambda v: np.roll(v, 1, axis=1),
+    # still even, but each half reversed so columns grow towards the edge
+    lambda v: np.hstack((v[:, :8][:, ::-1], v[:, 8:][:, ::-1])),
+], ids=["shifted", "hollow"])
+def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
+    def broken(*args):
+        mu, zeta = solve_mu(*args)
+        return mu, ScalarField(zeta.spec, breaks(zeta.values))
+
+    monkeypatch.setattr(solver, "solve_mu", broken)
+    cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16, max_iterations=1)
+    with pytest.raises(NumericalError, match="not Steiner-symmetric"):
+        run(cfg, make_generator("power_law", p=1.0))
 
 
 def test_kkt_residual_detects_perturbation(coarse_turkington):
