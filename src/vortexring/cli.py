@@ -214,6 +214,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "config": _problem_snapshot(problem, gen_cfg),
         "outcome": {
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
             "iterations": result.iterations,
             "mu": result.state.mu,
             "energy": result.state.energy,
@@ -283,8 +284,10 @@ def cmd_solve(args):
     out_dir = resolve_out_dir(args.out)
     result, _ = solve_to_dir(problem, gen, cfg.get("profile", {}), out_dir)
     if not result.converged:
-        print("solve did not converge in %d iterations (results written to %s)"
-              % (result.iterations, out_dir), file=sys.stderr)
+        print("solve did not converge: stop_reason %s after %d iterations "
+              "(results written to %s)"
+              % (result.stop_reason, result.iterations, out_dir),
+              file=sys.stderr)
         return 2
     print("converged in %d iterations; results in %s"
           % (result.iterations, out_dir))
@@ -295,7 +298,7 @@ SWEEP_COLUMNS = [
     "epsilon", "log_inv_eps", "mu", "E", "R_center", "theta_minus",
     "theta_plus", "diam", "diam_over_eps", "dist_to_ring", "mass",
     "kkt_residual", "patch_measure", "simply_connected", "far_vz",
-    "core_radius", "status",
+    "core_radius", "support_on_edge", "status",
 ]
 
 
@@ -317,6 +320,7 @@ def _sweep_row(problem, record, status):
         "simply_connected": str(bool(record.simply_connected)).lower(),
         "far_vz": record.far_field_vz,
         "core_radius": record.core_radius,
+        "support_on_edge": str(bool(record.support_on_edge)).lower(),
         "status": status,
     }
 

@@ -132,6 +132,12 @@ class SolveResult:
     mass: float = np.nan
     degenerate_epsilon: bool = False
 
+    @property
+    def stop_reason(self):
+        """Why the loop stopped: "converged" when the L1 change fell below
+        tol_zeta, "iteration_cap" when max_iterations ran out first."""
+        return "converged" if self.converged else "iteration_cap"
+
 
 def background_field(config, spec):
     """(W r^2 / 2) log(1/eps) sampled on the grid."""
@@ -167,20 +173,22 @@ def solve_mu(config, gen, psi0):
     head value when the mass jumps across the budget there, as it does for
     generators with a jump at the origin, in which case the cells on that
     level set (the ledge psi = 0) are filled fractionally; and a bracketed
-    root between two heads otherwise.
+    root between two heads otherwise. Each mass evaluation is one eval_i
+    call on the cells whose head lies above the probed mu, with their radii
+    gathered from the flattened grid.
     """
     spec = psi0.spec
     lam = config.resolved_lambda(gen)
     eps2 = config.epsilon ** 2
-    head0 = psi0.values - background_field(config, spec)
-    cand = head0 > 0.0
-    rc = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)[cand]
-    mu, uc = threshold_fill(head0[cand], spec.nu_weights()[cand],
-                            config.kappa * eps2,
-                            lambda t: np.minimum(lam, eval_i(gen, rc, t)))
-    vals = np.zeros(head0.shape)
-    vals[cand] = uc / eps2
-    zeta = ScalarField(spec, vals)
+    head = (psi0.values - background_field(config, spec)).ravel()
+    rc = np.repeat(spec.r_centers, spec.n_z)
+
+    def fill(t, idx):
+        return np.minimum(lam, eval_i(gen, rc[idx], t))
+
+    mu, u = threshold_fill(head, spec.nu_weights().ravel(),
+                           config.kappa * eps2, fill)
+    zeta = ScalarField(spec, (u / eps2).reshape(psi0.values.shape))
     mass = integrate_nu(zeta)
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "

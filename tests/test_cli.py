@@ -1,6 +1,7 @@
 """Command line front end: config validation, solve outputs, sweeps,
 validation suites, and reports."""
 
+import csv
 import json
 import os
 
@@ -38,6 +39,7 @@ def test_solve_converged_writes_all_outputs(solved_dir):
         assert os.path.exists(os.path.join(out, name))
     payload = json.loads(open(os.path.join(out, "result.json")).read())
     assert payload["outcome"]["converged"] is True
+    assert payload["outcome"]["stop_reason"] == "converged"
     assert payload["outcome"]["mu"] > 0.0
     assert payload["config"]["epsilon"] == 0.1
     assert payload["config"]["profile"]["family"] == "turkington"
@@ -64,9 +66,11 @@ def test_solve_nonconverged_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", max_iterations=1)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "iteration_cap" in err
     # partial results are still on disk
-    assert os.path.exists(tmp_path / "o" / "result.json")
+    payload = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert payload["outcome"]["stop_reason"] == "iteration_cap"
 
 
 def test_invalid_config_lists_every_error(tmp_path, capsys):
@@ -144,6 +148,34 @@ def test_sweep_rows_and_dedup(tmp_path, capsys):
     assert first[-1] == "nonconverged" and second[-1] == "nonconverged"
     for eps in ("0.2", "0.1"):
         assert os.path.exists(os.path.join(out, "eps_" + eps, "result.json"))
+
+
+def test_sweep_flags_support_on_edge(tmp_path):
+    # at 32x32 both solves converge; the epsilon = 0.2 core reaches the
+    # outer box edge r = 2 r_star, the epsilon = 0.1 core stays inside
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "epsilons": [0.2, 0.1],
+        "profile": {"family": "turkington", "alpha": 1.0},
+        "grid": {"n_r": 32, "n_z": 32},
+        "max_iterations": 200,
+    }))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", str(path), "--out", out]) == 0
+    with open(os.path.join(out, "sweep.csv")) as f:
+        header = f.readline().strip().split(",")
+        f.seek(0)
+        rows = list(csv.DictReader(f))
+    assert "support_on_edge" in header
+    flags = {}
+    for row in rows:
+        assert row["status"] == "converged"
+        eps = float(row["epsilon"])
+        with open(os.path.join(out, "eps_%g" % eps, "result.json")) as f:
+            diag = json.load(f)["diagnostics"]
+        assert row["support_on_edge"] == str(diag["support_on_edge"]).lower()
+        flags[eps] = row["support_on_edge"]
+    assert flags == {0.2: "true", 0.1: "false"}
 
 
 def test_sweep_requires_epsilons(tmp_path, capsys):

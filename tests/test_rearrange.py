@@ -1,15 +1,210 @@
-"""Bathtub maximizer and Steiner symmetrization."""
+"""Threshold fill, bathtub maximizer and Steiner symmetrization."""
+
+import gc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from vortexring import solver
 from vortexring.cli import _bathtub_brute
 from vortexring.errors import ConfigurationError
 from vortexring.grid import (GridSpec, ScalarField, build_grid, inner_nu,
                              integrate_nu)
 from vortexring.greens import apply_stream_operator
+from vortexring.profiles import eval_i
 from vortexring.rearrange import (MeasureSpace, bathtub_maximize,
-                                  steiner_symmetrize_z)
+                                  steiner_symmetrize_z, threshold_fill)
+
+TINY = np.finfo(float).tiny
+
+
+def _threshold_fill_oracle(h, w, budget, fill):
+    """Reference multiplier search over the full arrays: fill(t) sees every
+    cell at every probed mu, and a binary search runs over all distinct
+    positive heads from mu = 0 up. Same contract as threshold_fill, with
+    a fill that takes t shaped like h."""
+    u = fill(h)
+    masses = {0.0: float(np.sum(w * u))}
+    if masses[0.0] <= budget:
+        return 0.0, u
+
+    def excess(mu):
+        if mu not in masses:
+            masses[mu] = float(np.sum(w * fill(h - mu)))
+        return masses[mu] - budget
+
+    levels = np.unique(h[h > 0.0])
+    masses[float(levels[-1])] = 0.0
+    a, b = -1, levels.size - 1
+    while b - a > 1:
+        mid = (a + b) // 2
+        if excess(float(levels[mid])) > 0.0:
+            a = mid
+        else:
+            b = mid
+    lo = float(levels[a]) if a >= 0 else 0.0
+    hi = float(levels[b])
+
+    ledge = h == hi
+    t = h - hi
+    t[ledge] = TINY
+    u = fill(t)
+    on_ledge = float(np.sum(w[ledge] * u[ledge]))
+    if masses[hi] + on_ledge > budget:
+        u[ledge] *= (budget - masses[hi]) / on_ledge
+        return hi, u
+    mu = brentq(excess, lo, hi, xtol=TINY)
+    return float(mu), fill(h - mu)
+
+
+def _fills(rng, n):
+    """(name, per-cell fill law F(t, cell)) for the three fill shapes: a
+    capped power with a per-cell coefficient, a jump at the origin, and
+    the bathtub step."""
+    coef = rng.uniform(0.5, 2.0, n)
+    return [
+        ("capped-power", lambda t, i: np.where(
+            t > 0.0, np.minimum(3.0, coef[i] * np.maximum(t, 0.0) ** 1.5),
+            0.0)),
+        ("jump", lambda t, i: np.where(t > 0.0, 0.7 + t, 0.0)),
+        ("step", lambda t, i: (t > 0.0).astype(float)),
+    ]
+
+
+def _check_against_oracle(h, w, budget, law):
+    """threshold_fill against the oracle, plus the prefix contract: every
+    fill call gets a super-level set of the heads, with t > 0 throughout
+    and the left-limit argument only on the lowest head of the call."""
+    calls = []
+
+    def fill(t, idx):
+        calls.append((t.copy(), idx.copy()))
+        return law(t, idx)
+
+    mu, u = threshold_fill(h, w, budget, fill)
+    mu_ref, u_ref = _threshold_fill_oracle(
+        h, w, budget, lambda t: law(t, np.arange(h.size)))
+    assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+    scale = float(np.max(np.abs(u_ref))) if u_ref.size else 0.0
+    np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * scale)
+    if mu > 0.0:
+        np.testing.assert_allclose(float(np.sum(w * u)), budget, rtol=1e-12)
+    for t, idx in calls:
+        assert idx.size and np.all(t > 0.0)
+        heads = h[idx]
+        low = float(np.min(heads))
+        np.testing.assert_array_equal(np.sort(idx),
+                                      np.flatnonzero(h >= low))
+        assert np.all(heads[t == TINY] == low)
+    return mu, calls
+
+
+def test_threshold_fill_matches_full_array_search(rng):
+    for _ in range(60):
+        n = int(rng.integers(5, 400))
+        # heads on a coarse lattice: many ties, about a quarter negative
+        h = np.round(rng.uniform(-1.0, 3.0, n), 1)
+        w = rng.uniform(0.1, 2.0, n)
+        for _, law in _fills(rng, n):
+            full = float(np.sum(w * law(h, np.arange(n))))
+            if full == 0.0:
+                continue
+            budget = rng.uniform(0.02, 0.98) * full
+            mu, _ = _check_against_oracle(h, w, budget, law)
+            assert mu > 0.0
+
+
+def test_threshold_fill_zero_multiplier_when_the_fill_fits(rng):
+    n = 50
+    h = rng.uniform(-1.0, 2.0, n)
+    w = rng.uniform(0.1, 2.0, n)
+    for name, law in _fills(rng, n):
+        full = float(np.sum(w * law(h, np.arange(n))))
+        # a budget equal to the full mass would sit on roundoff: the two
+        # searches sum the same terms in different orders
+        for budget in ((1.0 + 1e-9) * full, 1.5 * full):
+            mu, calls = _check_against_oracle(h, w, budget, law)
+            assert mu == 0.0, name
+            # the last call is the mass at mu = 0 over every positive head
+            np.testing.assert_array_equal(np.sort(calls[-1][1]),
+                                          np.flatnonzero(h > 0.0))
+    # no positive head: nothing fills and fill is never called
+    mu, calls = _check_against_oracle(-np.abs(h), w, 1.0, _fills(rng, n)[0][1])
+    assert mu == 0.0 and calls == []
+
+
+def test_threshold_fill_single_level(rng):
+    n = 40
+    h = np.where(rng.random(n) < 0.6, 1.5, -rng.uniform(0.0, 1.0, n))
+    w = rng.uniform(0.1, 2.0, n)
+    on = h > 0.0
+    for name, law in _fills(rng, n):
+        full = float(np.sum(w * law(h, np.arange(n))))
+        idx = np.flatnonzero(on)
+        left_limit = float(np.sum(w[on] * law(np.full(idx.size, TINY), idx)))
+        for share in (0.1, 0.5, 0.9):
+            mu, _ = _check_against_oracle(h, w, share * full, law)
+            if share * full < left_limit:
+                # the mass jumps across the budget at the one head: mu sits
+                # on it and the level set shares the budget
+                assert mu == 1.5, name
+            else:
+                assert 0.0 < mu < 1.5, name
+    # the step fill on one level is the bathtub ledge: fractions w-blind
+    mu, u = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
+                           lambda t, idx: (t > 0.0).astype(float))
+    np.testing.assert_allclose(u[on], 0.5, rtol=1e-14)
+    assert np.all(u[~on] == 0.0)
+
+
+def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
+    # brentq wraps its objective in a self-referencing closure, so arrays
+    # the objective captured would outlive the call until a cyclic
+    # collection; across solver iterations that raised the peak memory
+    n = 200
+    h = rng.uniform(-1.0, 3.0, n)
+    w = rng.uniform(0.1, 2.0, n)
+    law = _fills(rng, n)[0][1]
+    budget = 0.3 * float(np.sum(w * law(h, np.arange(n))))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        mu, _ = threshold_fill(h, w, budget, law)
+        gc.collect()
+        held = [r for o in gc.garbage for r in gc.get_referents(o)
+                if isinstance(r, np.ndarray)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert 0.0 < mu < float(np.max(h))
+    assert held == []
+
+
+@pytest.mark.parametrize("which", ["coarse_turkington", "coarse_power_law"])
+def test_solve_mu_matches_full_array_search(which, request):
+    result = request.getfixturevalue(which)
+    config, gen, psi0 = result.config, result.gen, result.state.psi0
+    mu, zeta = solver.solve_mu(config, gen, psi0)
+
+    # the full-array update of solve_mu, through the oracle search
+    spec = psi0.spec
+    lam = config.resolved_lambda(gen)
+    eps2 = config.epsilon ** 2
+    head = psi0.values - solver.background_field(config, spec)
+    cand = head > 0.0
+    rc = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)[cand]
+    mu_ref, uc = _threshold_fill_oracle(
+        head[cand], spec.nu_weights()[cand], config.kappa * eps2,
+        lambda t: np.minimum(lam, eval_i(gen, rc, t)))
+    vals = np.zeros(head.shape)
+    vals[cand] = uc / eps2
+    zeta_ref = solver._capped(ScalarField(spec, vals), config, lam)
+
+    assert mu > 0.0
+    assert abs(mu - mu_ref) <= 1e-12 * mu_ref
+    scale = float(np.max(zeta_ref.values))
+    assert float(np.max(np.abs(zeta.values - zeta_ref.values))) <= 1e-12 * scale
 
 
 def test_bathtub_worked_example():

@@ -283,6 +283,14 @@ def test_run_invariants_power_law(coarse_power_law):
     assert result.patch_measure == 0.0
 
 
+def test_stop_reason_on_conftest_runs(coarse_turkington, coarse_power_law):
+    assert coarse_turkington.stop_reason == "converged"
+    assert coarse_turkington.iterations < coarse_turkington.config.max_iterations
+    assert coarse_power_law.stop_reason == "iteration_cap"
+    assert not coarse_power_law.converged
+    assert coarse_power_law.iterations == coarse_power_law.config.max_iterations
+
+
 def test_run_table_with_jump_and_swirl_converges():
     # f = t / 2, g = 1 + t on 13 nodes: g jumps at 0 and f feeds swirl
     cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=400)
