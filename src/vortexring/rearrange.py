@@ -5,10 +5,12 @@ threshold_fill finds the multiplier mu of a mass-constrained threshold
 update: each cell i holds fill(h_i - mu, i) for a fill that is
 nondecreasing in t and vanishes for t <= 0, and mu is the smallest value
 >= 0 whose total weight fits the budget. Only cells with h_i > mu fill,
-so the positive heads are sorted once in descending order and each mass
-evaluation calls fill on the prefix above the probed mu; the search for
-mu runs down from the top head. The solver's multiplier search is the
-case fill(t, i) = min(Lambda, i(r_i, t)); the bathtub problem
+so each mass evaluation calls fill on the prefix of the descending heads
+above the probed mu, and only a top band of the heads is sorted: the
+search for mu runs down from the top head to the band's floor, and grows
+the band 4x, keeping its state, when the mass at the floor fits. The
+solver's multiplier search is the case fill(t, i) = min(Lambda, i(r_i, t));
+the bathtub problem
 
     maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap
 
@@ -57,6 +59,12 @@ class BathtubSolution:
     value: float
 
 
+# threshold_fill's first band is h.size // 8 heads, at least 64; it grows 4x
+_BAND_SHARE = 8
+_BAND_MIN = 64
+_BAND_GROWTH = 4
+
+
 def threshold_fill(h, w, budget, fill):
     """Smallest mu >= 0 with sum_i w_i fill(h_i - mu, i) <= budget, and the
     fills at it, with the budget met exactly whenever mu > 0.
@@ -65,35 +73,40 @@ def threshold_fill(h, w, budget, fill):
     maps the arguments t of the cells idx (indices into h) to their fills;
     it must be nondecreasing in t and zero for t <= 0, so mass(mu) is
     nonincreasing, continuous between the distinct positive heads, and
-    drops only at them. Only cells with h_i > mu fill at mu, so the
-    positive heads are sorted in descending order once and every mass
-    evaluation calls fill on the sorted prefix above the probed mu alone.
+    drops only at them. Only cells with h_i > mu fill at mu, so every mass
+    evaluation calls fill on the cells above the probed mu alone.
 
-    The search runs over the distinct positive heads from the top, where
-    the mass is zero, down: it doubles the level index until the mass
-    exceeds the budget, then bisects, and ends with adjacent levels
-    lo < hi with mass(lo) > budget >= mass(hi). The mass at mu = 0, over
-    every positive head, is evaluated only when the search gets there, and
-    mu = 0 is returned when it fits. Each probe of a head also hands fill
-    the cells on that head with t = tiny, the left limit t -> 0+, so the
-    left-limit mass(hi-) costs no extra call. If it still exceeds the
+    Only a top band of the heads is sorted: the h.size // 8 largest (at
+    least 64), by one argpartition, less those on its floor, the largest
+    head left out (0 once that is <= 0). The search runs over the band's
+    distinct heads from the top, where the mass is zero, down to the
+    floor, where it is exact as no cell below the band fills: it doubles
+    the level index until the mass exceeds the budget, then bisects, and
+    ends with adjacent levels lo < hi with mass(lo) > budget >= mass(hi).
+    If the mass at a floor of 0 fits, mu = 0; at a positive floor, the
+    band grows 4x downward and the search goes on where it was: levels
+    above the old floor keep their indices and fills, and the old floor
+    becomes a level with its cells on it. Each probe of a head also hands
+    fill the cells on that head with t = tiny, the left limit t -> 0+, so
+    the left-limit mass(hi-) costs no extra call. If it still exceeds the
     budget, mu = hi and the cells with h == hi share the rest of the
     budget in proportion to their left-limit fill (the level set of the
     bathtub); otherwise brentq closes the crossing inside (lo, hi), where
     the cells above mu are the fixed prefix h >= hi.
     """
     out = np.zeros(h.shape)
-    pos = np.flatnonzero(h > 0.0)
-    if pos.size == 0:
-        return 0.0, out
-    order = pos[np.argsort(-h[pos])]
-    hs, ws = h[order], w[order]
-    # level k is the k-th distinct head from the top, with above[k] cells
-    # strictly above it; level n_levels is mu = 0, with no cell on it
-    above = np.flatnonzero(np.diff(hs, prepend=np.inf))
-    n_levels = above.size
-    levels = np.append(hs[above], 0.0)
-    above = np.append(above, [hs.size, hs.size])
+    size = max(h.size // _BAND_SHARE, _BAND_MIN)
+    order, rest, floor = _top_band(h, None, size)
+
+    def band_levels():
+        # level k is the k-th distinct head from the top, with above[k]
+        # cells above it; the last level is the floor, with no cell on it
+        hs = h[order]
+        above = np.flatnonzero(np.diff(hs, prepend=np.inf))
+        levels = np.append(hs[above], floor)
+        return hs, w[order], levels, np.append(above, [hs.size, hs.size])
+
+    hs, ws, levels, above = band_levels()
 
     def level_fill(k):
         """Mass at mu = levels[k], the left-limit mass of the cells on that
@@ -109,13 +122,21 @@ def threshold_fill(h, w, budget, fill):
     evals = {}
     good, bad = 0, None
     while bad is None or bad - good > 1:
-        k = min(2 * good + 1, n_levels) if bad is None else (good + bad) // 2
+        if bad is None and good == levels.size - 1:
+            # the floor fits: mu = 0 at a zero floor, else grow the band
+            if floor == 0.0:
+                out[order] = evals[good][2] if order.size else 0.0
+                return 0.0, out
+            size *= _BAND_GROWTH
+            more, rest, floor = _top_band(h, rest, size - order.size)
+            order = np.concatenate((order, more))
+            hs, ws, levels, above = band_levels()
+            evals.pop(good, None)
+            continue
+        k = min(2 * good + 1, levels.size - 1) if bad is None else (good + bad) // 2
         evals[k] = level_fill(k)
         if evals[k][0] > budget:
             bad = k
-        elif k == n_levels:
-            out[order] = evals[k][2]
-            return 0.0, out
         else:
             good = k
     if good not in evals:
@@ -137,6 +158,27 @@ def threshold_fill(h, w, budget, fill):
                 args=(hs[:m], ws[:m], order[:m], fill, budget, masses, fills))
     out[order[:m]] = fills[mu] if mu in fills else fill(hs[:m] - mu, order[:m])
     return float(mu), out
+
+
+def _top_band(h, rest, k):
+    """Of the cells in the index arrays rest (all cells when None), those
+    among the k largest heads above the floor, by descending head; the
+    others, for the next band; and the floor, the largest head left out
+    or 0 once that is <= 0."""
+    idx = None if rest is None else np.concatenate(rest)
+    hr = h if idx is None else h[idx]
+    if k < hr.size:
+        part = np.argpartition(hr, hr.size - k - 1)
+        floor = max(float(hr[part[-k - 1]]), 0.0)
+        low, part = part[:-k], part[-k:]
+    else:
+        low, part, floor = np.empty(0, dtype=np.intp), np.arange(hr.size), 0.0
+    up = hr[part] > floor
+    top, tied = part[up], part[~up]
+    top = top[np.argsort(-hr[top])]
+    if idx is not None:
+        top, low, tied = idx[top], idx[low], idx[tied]
+    return top, (low, tied), floor
 
 
 def _prefix_excess(mu, hs, ws, idx, fill, budget, masses, fills):

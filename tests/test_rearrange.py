@@ -115,6 +115,22 @@ def test_threshold_fill_matches_full_array_search(rng):
             assert mu > 0.0
 
 
+def test_threshold_fill_across_growing_bands(rng):
+    # the first band holds the n // 8 largest heads; heads on a 0.1 or 0.01
+    # lattice put ties on the band floors, and budgets of 0.3 to 0.98 of
+    # the full mass send the search past the first floor
+    for _ in range(40):
+        n = int(rng.integers(600, 3001))
+        h = np.round(rng.uniform(-1.0, 3.0, n), int(rng.integers(1, 3)))
+        w = rng.uniform(0.1, 2.0, n)
+        for _, law in _fills(rng, n):
+            full = float(np.sum(w * law(h, np.arange(n))))
+            budget = rng.uniform(0.3, 0.98) * full
+            mu, calls = _check_against_oracle(h, w, budget, law)
+            assert mu > 0.0
+            assert max(idx.size for _, idx in calls) > n // 8
+
+
 def test_threshold_fill_zero_multiplier_when_the_fill_fits(rng):
     n = 50
     h = rng.uniform(-1.0, 2.0, n)

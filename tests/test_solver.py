@@ -9,9 +9,9 @@ import pytest
 
 from vortexring import solver
 from vortexring.errors import ConfigurationError, NumericalError
-from vortexring.grid import ScalarField, integrate_nu
+from vortexring.grid import ScalarField, inner_nu, integrate_nu
 from vortexring.greens import apply_stream_operator, get_stream_operator
-from vortexring.profiles import eval_i, make_generator
+from vortexring.profiles import eval_i, eval_J, make_generator
 from vortexring.rearrange import steiner_symmetrize_z
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
@@ -106,6 +106,47 @@ def test_energy_zero_field_and_scaling():
                                rtol=1e-10, atol=1e-12)
 
 
+def _energy_full_grid(config, gen, zeta, psi0):
+    """The functional with every term summed over the whole grid: the
+    reference for energy, which sums over the support alone."""
+    eps2 = config.epsilon ** 2
+    kern = 0.5 * inner_nu(zeta, psi0)
+    spec = zeta.spec
+    r2 = spec.r_centers[:, None] ** 2
+    impulse = float(np.sum(zeta.values * r2 * spec.nu_weights()))
+    w = spec.nu_weights()
+    u = eps2 * zeta.values
+    nz = u > 0
+    penalty = 0.0
+    if np.any(nz):
+        rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
+        jvals = eval_J(gen, rr[nz], u[nz])
+        penalty = float(np.sum(np.asarray(jvals) * w[nz]))
+    return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
+
+
+def test_energy_matches_full_grid_sum(coarse_turkington, coarse_power_law,
+                                      rng):
+    for result in (coarse_turkington, coarse_power_law):
+        st = result.state
+        ref = _energy_full_grid(result.config, result.gen, st.zeta, st.psi0)
+        got = energy(result.config, result.gen, st.zeta, st.psi0)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    # a nonnegative field with no symmetry and holes in its support
+    cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
+    spec = cfg.domain_grid()
+    vals = np.where(rng.random((16, 16)) < 0.6,
+                    rng.uniform(0.0, 300.0, (16, 16)), 0.0)
+    zeta = ScalarField(spec, vals)
+    psi0 = apply_stream_operator(zeta)
+    zero = ScalarField(spec, np.zeros((16, 16)))
+    for gen in (make_generator("power_law", p=1.0),
+                make_generator("turkington", alpha=1.0)):
+        ref = _energy_full_grid(cfg, gen, zeta, psi0)
+        assert abs(energy(cfg, gen, zeta, psi0) - ref) <= 1e-13 * abs(ref)
+        assert energy(cfg, gen, zero, psi0) == 0.0
+
+
 def test_solve_mu_pointwise_cases():
     # W grows with kappa, so the domain stays (0.5, 2) x (-1, 1) while the
     # mass budget sits far above the update's mass: mu = 0 and each cell
@@ -153,20 +194,43 @@ _TABLE_T = np.linspace(0.0, 60.0, 13)
                  id="table-power_law-p1"),
 ])
 def test_solve_mu_active_mass_constraint(family, params, monkeypatch):
-    cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32)
+    sizes, n_cand = _solve_mu_on_hump(32, family, params, monkeypatch)
+    # the multiplier search is a binary search over the candidate heads
+    # plus a bounded bracketed root-find, not a fixed-count bisection
+    assert len(sizes) <= math.ceil(math.log2(n_cand)) + 10
+
+
+@pytest.mark.parametrize("family, params", [
+    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
+    pytest.param("beltrami", {"p": 1.0}, id="beltrami-p1"),
+])
+def test_solve_mu_grows_the_band_without_restarting(family, params,
+                                                    monkeypatch):
+    # 64^2 cells put the first band at 4096 // 8 = 512 heads, fewer than
+    # the ~700 cells above mu: the search runs past the band's floor and
+    # grows it without restarting, so the 32^2 call bound still holds
+    sizes, n_cand = _solve_mu_on_hump(64, family, params, monkeypatch)
+    assert max(sizes) > 512
+    assert len(sizes) <= math.ceil(math.log2(n_cand)) + 10
+
+
+def _solve_mu_on_hump(n, family, params, monkeypatch):
+    """solve_mu on an n x n grid under a broad quadratic hump over the
+    background, whose raw update holds far more than kappa; checks the
+    mass constraint and the cap, and returns the cell count of every
+    eval_i call and the number of cells under the hump."""
+    cfg = ProblemConfig(epsilon=0.1, n_r=n, n_z=n)
     gen = make_generator(family, **params)
     spec = cfg.domain_grid()
     bg = background_field(cfg, spec)
-    # a broad quadratic hump over the background so the raw update holds
-    # far more than kappa
     rr = spec.r_centers[:, None]
     zz = spec.z_centers[None, :]
     hump = 3.0 * np.maximum(0.25 - (rr - 1.0) ** 2 - zz ** 2, 0.0)
-    calls = []
+    sizes = []
 
-    def counted(*args):
-        calls.append(1)
-        return eval_i(*args)
+    def counted(gen, r, t):
+        sizes.append(np.size(t))
+        return eval_i(gen, r, t)
 
     monkeypatch.setattr(solver, "eval_i", counted)
     mu, zeta = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
@@ -176,10 +240,7 @@ def test_solve_mu_active_mass_constraint(family, params, monkeypatch):
     np.testing.assert_allclose(mass, cfg.kappa, rtol=1e-12)
     lam = cfg.resolved_lambda(gen)
     assert np.max(cfg.epsilon ** 2 * zeta.values) <= lam
-    # the multiplier search is a binary search over the candidate heads
-    # plus a bounded bracketed root-find, not a fixed-count bisection
-    n_cand = int(np.count_nonzero(hump > 0.0))
-    assert len(calls) <= math.ceil(math.log2(n_cand)) + 10
+    return sizes, int(np.count_nonzero(hump > 0.0))
 
 
 def test_solve_mu_ledge_fill_for_jump_generator():
