@@ -227,6 +227,8 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
                             else v)
                         for k, v in record.__dict__.items()},
         "energy_trace": [float(x) for x in result.energy_trace],
+        "mu_trace": [float(x) for x in result.mu_trace],
+        "l1_change_trace": [float(x) for x in result.l1_change_trace],
     }
     files = {}
     for name, text in (
@@ -469,6 +471,11 @@ def _validate_greens(seed):
     direct = op.apply_direct(field)
     op_diff = float(np.max(np.abs(op.apply(field) - direct))
                     / np.max(np.abs(direct)))
+    # the even apply against the same oracle on the field's even part
+    upper = field[:, 10:]
+    direct = op.apply_direct(np.hstack((upper[:, ::-1], upper)))[:, 10:]
+    even_diff = float(np.max(np.abs(op.apply_even(upper) - direct))
+                      / np.max(np.abs(direct)))
     summary = {
         "pairs": len(rows),
         "max_rel_diff": worst,
@@ -480,10 +487,13 @@ def _validate_greens(seed):
         "remainder_bounded": bool(fine <= 1.05 * max(coarse, 1e-12)),
         "operator_max_rel_diff": op_diff,
         "operator_vs_direct_ok": bool(op_diff <= 1e-12),
+        "even_operator_max_rel_diff": even_diff,
+        "even_operator_vs_direct_ok": bool(even_diff <= 1e-12),
     }
     summary["pass"] = bool(summary["closed_vs_quadrature_ok"]
                            and bound_ok and summary["remainder_bounded"]
-                           and summary["operator_vs_direct_ok"])
+                           and summary["operator_vs_direct_ok"]
+                           and summary["even_operator_vs_direct_ok"])
     csv_lines = ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound"]
     for row in rows:
         csv_lines.append(",".join("%.17g" % v for v in row))

@@ -18,8 +18,11 @@ convolution in z: the z-translation invariance makes the cell-to-cell
 table block-Toeplitz, and its offset transform, built once per grid as a
 DCT-I, is stored frequency-major (frequency, source row, target row) so
 that one application is a single batched real matmul restricted to the
-source rows that hold vorticity. `apply_direct` sums over source cells
-explicitly and is the oracle for it. `ring_velocity_z` is (1/r) dK/dr
+source rows that hold vorticity. For a field even in z on a box centred
+at z = 0, `apply_even` works on the rows z > 0 alone by symmetric
+convolution (Martucci, IEEE Trans. Signal Process. 1994): a DCT-II, the
+same table, a DCT-III. `apply_direct` sums over source cells explicitly
+and is the oracle for both. `ring_velocity_z` is (1/r) dK/dr
 in closed form, for the far field. `fd_solve` solves L psi0 = zeta by
 finite differences on a much larger box; it is only an independent
 check on the kernel path, in the tests and demos.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, sparse
-from scipy.fft import dct
+from scipy.fft import dct, idct
 from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipkm1
 
@@ -333,6 +336,13 @@ class StreamOperator:
     parts of their transform as (f, 2, b1 - b0), and contracts them with
     T[:, b0:b1, :] in one batched real matmul; a dense field is the range
     [0, n_r).
+
+    `apply_even` takes the rows z > 0 of a field even about z = 0 (an
+    even n_z on a box centred at 0). Zero-padded to n_z, their half-sample
+    symmetric extension is the field's 2 n_z-periodic sequence, so the
+    convolution is a DCT-II of rows [b0, b1), one real row per frequency
+    against T[:n_z, b0:b1, :], and a DCT-III back, whose first n_z / 2
+    samples are psi0 on the same rows.
     """
 
     def __init__(self, spec):
@@ -361,6 +371,20 @@ class StreamOperator:
         out = np.fft.irfft(phat[:, 0, :].T + 1j * phat[:, 1, :].T,
                            n=self._nfft, axis=1)
         return out[:, :n_z]
+
+    def apply_even(self, upper):
+        """psi0 on the rows z > 0 of a field even in z, from those rows:
+        (n_r, n_z / 2) arrays ordered outward from z = 0."""
+        n_r, n_z = self.spec.n_r, self.spec.n_z
+        if not self.spec.z_symmetric():
+            raise ConfigurationError("the even apply needs a z-symmetric grid")
+        rows = np.flatnonzero(np.any(upper, axis=1))
+        if rows.size == 0:
+            return np.zeros((n_r, n_z // 2))
+        b0, b1 = rows[0], rows[-1] + 1
+        vhat = dct(upper[b0:b1].T, type=2, n=n_z, axis=0)
+        phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, :])
+        return idct(phat[:, 0, :].T, type=2, axis=1)[:, : n_z // 2]
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells, on a

@@ -149,10 +149,13 @@ def integrate_nu(f):
     """Midpoint-rule integral of f against nu = r dr dz.
 
     Exact for integrands constant or linear in r on each cell column.
-    The summation order is fixed (flattened C order) so repeated runs
-    give bit-identical results.
+    Only the nonzero cells are summed, in a fixed order (flattened C
+    order), so repeated runs give bit-identical results.
     """
-    return float(np.sum(f.values * f.spec.nu_weights()))
+    spec = f.spec
+    idx = np.flatnonzero(f.values.ravel() != 0.0)
+    r = spec.r_centers[idx // spec.n_z]
+    return float(np.sum(f.values.ravel()[idx] * r)) * spec.cell_area
 
 
 def inner_nu(a, b):

@@ -19,9 +19,13 @@ step on E, which the loop asserts.
 Steiner symmetry in z (each r-column even and nonincreasing in |z|) is a
 loop invariant, not a step: the starting ball has it, the kernel table
 is strictly decreasing in the z-offset so K maps such columns to such
-columns, psi0 is averaged in z, and the update is nondecreasing in the
-head with r fixed along a column. run checks it once, on the returned
-state, and raises NumericalError if it does not hold.
+columns, and the update is nondecreasing in the head with r fixed along
+a column. run uses the evenness: it iterates on the rows z > 0 alone,
+applies K to them by the even apply (greens.StreamOperator.apply_even),
+and runs the multiplier search, the energy and the L1 change on those
+rows with each cell weighted for itself and its mirror image. The full
+field is built once, for the returned state, on which run checks the
+symmetry and raises NumericalError if it does not hold.
 
 The optimality profile of the converged state is
 
@@ -35,7 +39,7 @@ jump at the origin place their fractional cells.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,6 +131,8 @@ class SolveResult:
     converged: bool
     iterations: int
     energy_trace: np.ndarray = field(repr=False)
+    mu_trace: np.ndarray = field(repr=False)
+    l1_change_trace: np.ndarray = field(repr=False)
     kkt: float = np.nan
     patch_measure: float = np.nan
     mass: float = np.nan
@@ -242,8 +248,11 @@ def initialize(config, gen):
 
 
 def l1_change(spec, a, b):
-    """Relative L1(nu) distance between successive iterates."""
-    w = spec.nu_weights()
+    """Relative L1(nu) distance between successive iterates, summed over
+    the cells where either is nonzero."""
+    idx = np.flatnonzero((a != 0.0) | (b != 0.0))
+    w = spec.r_centers[idx // spec.n_z] * spec.cell_area
+    a, b = a.ravel()[idx], b.ravel()[idx]
     denom = float(np.sum(np.abs(a) * w))
     return float(np.sum(np.abs(b - a) * w)) / max(denom, 1e-300)
 
@@ -254,7 +263,8 @@ def run(config, gen):
     Iterates psi0 = K zeta_k, (mu, zeta_{k+1}) = solve_mu until the
     relative L1(nu) change drops below tol_zeta or max_iterations is hit.
     The energy trace is recorded per iterate and asserted nondecreasing
-    (1e-9 relative slack). The returned vorticity must be a fixed point of
+    (1e-9 relative slack); mu and the L1 change are recorded per
+    iteration. The returned vorticity must be a fixed point of
     steiner_symmetrize_z, bit for bit, or NumericalError is raised; an odd
     n_z raises ConfigurationError up front. The final state gets a fresh
     stream field so the reported optimality residual and patch measure
@@ -270,15 +280,19 @@ def run(config, gen):
 
     spec = config.domain_grid()
     op = get_stream_operator(spec)
-    zeta = initialize(config, gen)
+    # the loop holds the rows z > 0 of its even iterates on the box with
+    # n_z / 2 cells of height 2 dz, each standing for a mirror pair: the nu
+    # weights double, so masses and energies are those of the even field
+    half = spec.n_z // 2
+    pairs = replace(spec, n_z=half)
+    zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
 
-    trace = []
+    trace, mus, changes = [], [], []
 
     def ascend(zeta, it):
-        """psi0 = K zeta averaged in z; its energy joins the trace after the
-        ascent check. it is None for the final state."""
-        vals = op.apply(zeta.values)
-        psi0 = ScalarField(spec, 0.5 * (vals + vals[:, ::-1]))
+        """psi0 = K zeta; its energy joins the trace after the ascent
+        check. it is None for the final state."""
+        psi0 = ScalarField(pairs, op.apply_even(zeta.values))
         e = energy(config, gen, zeta, psi0)
         if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
             if it is None:
@@ -295,16 +309,22 @@ def run(config, gen):
     for it in range(1, config.max_iterations + 1):
         psi0 = ascend(zeta, it)
         mu, zeta_next = solve_mu(config, gen, psi0)
-        change = l1_change(spec, zeta.values, zeta_next.values)
+        mus.append(mu)
+        changes.append(l1_change(pairs, zeta.values, zeta_next.values))
         zeta = zeta_next
         iterations = it
-        if change <= config.tol_zeta:
+        if changes[-1] <= config.tol_zeta:
             converged = True
             break
 
+    def unfold(f):
+        return ScalarField(spec, np.hstack((f.values[:, ::-1], f.values)))
+
+    # the full field sums its mass in another order: clamp it once more
+    zeta = _capped(unfold(zeta), config, config.resolved_lambda(gen))
     if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
-    psi0 = ascend(zeta, None)
+    psi0 = unfold(ascend(ScalarField(pairs, zeta.values[:, half:]), None))
     bg = background_field(config, spec)
     psi = ScalarField(spec, psi0.values - bg - mu)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
@@ -312,6 +332,7 @@ def run(config, gen):
     result = SolveResult(
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),
+        mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
         degenerate_epsilon=config.degenerate_epsilon,
     )
     result.mass = integrate_nu(zeta)

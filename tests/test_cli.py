@@ -45,6 +45,11 @@ def test_solve_converged_writes_all_outputs(solved_dir):
     assert payload["config"]["profile"]["family"] == "turkington"
     assert payload["diagnostics"]["simply_connected"] is True
     assert len(payload["energy_trace"]) == payload["outcome"]["iterations"] + 1
+    # one multiplier and one L1 change per iteration, the last mu reported
+    assert len(payload["mu_trace"]) == payload["outcome"]["iterations"]
+    assert len(payload["l1_change_trace"]) == payload["outcome"]["iterations"]
+    assert payload["mu_trace"][-1] == payload["outcome"]["mu"]
+    assert payload["l1_change_trace"][-1] <= payload["config"]["tol"]["zeta"]
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert "grid_sha256" in manifest
     assert sorted(manifest["files"]) == ["manifest.json", "psi.csv",
@@ -219,6 +224,8 @@ def test_validate_greens_writes_pair_table(tmp_path):
     assert summary["greens"]["closed_vs_quadrature_ok"] is True
     assert summary["greens"]["operator_vs_direct_ok"] is True
     assert 0.0 <= summary["greens"]["operator_max_rel_diff"] <= 1e-12
+    assert summary["greens"]["even_operator_vs_direct_ok"] is True
+    assert 0.0 <= summary["greens"]["even_operator_max_rel_diff"] <= 1e-12
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -189,6 +189,30 @@ def test_apply_matches_direct_summation(n_r, n_z, rng):
         assert err <= 1e-13, (name, err)
 
 
+@pytest.mark.parametrize("n_r,n_z", [(13, 18), (20, 10), (16, 16)])
+def test_apply_even_matches_direct_summation(n_r, n_z, rng):
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z))
+    half = n_z // 2
+    for name, vals in _row_fields(n_r, half, rng).items():
+        # the even field whose rows z > 0 are vals
+        even = np.hstack((vals[:, ::-1], vals))
+        direct = op.apply_direct(even)[:, half:]
+        got = op.apply_even(vals)
+        assert got.shape == (n_r, half)
+        err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+        assert err <= 1e-13, (name, err)
+    assert np.all(op.apply_even(np.zeros((n_r, half))) == 0.0)
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0, 9), (-1.0, 0.5, 10)],
+                         ids=["odd n_z", "off-centre box"])
+def test_apply_even_needs_a_z_symmetric_grid(box):
+    z_min, z_max, n_z = box
+    op = StreamOperator(build_grid(0.5, 2.0, z_min, z_max, 6, n_z))
+    with pytest.raises(ConfigurationError):
+        op.apply_even(np.ones((6, n_z // 2)))
+
+
 def test_operator_build_holds_one_table():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 48, 40)
     table_bytes = spec.n_r ** 2 * (spec.n_z + 1) * 8

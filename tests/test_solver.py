@@ -425,11 +425,16 @@ def test_run_iterates_stay_steiner_symmetric(family, params, max_iterations,
                         max_iterations=max_iterations)
     gen = make_generator(family, **params)
     assert _is_steiner(initialize(cfg, gen))
+    spec = cfg.domain_grid()
     checked = []
 
     def checking(*args):
+        # the loop's iterates are the rows z > 0 of even fields: mirror
+        # each one onto the full grid before checking it
         mu, zeta = solve_mu(*args)
-        checked.append(_is_steiner(zeta))
+        assert zeta.values.shape == (spec.n_r, spec.n_z // 2)
+        full = np.hstack((zeta.values[:, ::-1], zeta.values))
+        checked.append(_is_steiner(ScalarField(spec, full)))
         return mu, zeta
 
     monkeypatch.setattr(solver, "solve_mu", checking)
@@ -438,10 +443,82 @@ def test_run_iterates_stay_steiner_symmetric(family, params, max_iterations,
     assert all(checked)
 
 
+def _full_grid_run(cfg, gen):
+    """The loop on the full grid, with psi0 = K zeta averaged in z: the
+    reference for run, which iterates on the rows z > 0 alone. Returns
+    the iteration count, the energy and multiplier traces and the final
+    vorticity."""
+    spec = cfg.domain_grid()
+    op = get_stream_operator(spec)
+    zeta = initialize(cfg, gen)
+    trace, mus = [], []
+
+    def stream(zeta):
+        vals = op.apply(zeta.values)
+        psi0 = ScalarField(spec, 0.5 * (vals + vals[:, ::-1]))
+        trace.append(energy(cfg, gen, zeta, psi0))
+        return psi0
+
+    for it in range(1, cfg.max_iterations + 1):
+        mu, update = solve_mu(cfg, gen, stream(zeta))
+        mus.append(mu)
+        change = l1_change(spec, zeta.values, update.values)
+        zeta = update
+        if change <= cfg.tol_zeta:
+            break
+    stream(zeta)
+    return it, np.asarray(trace), np.asarray(mus), zeta.values
+
+
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("family, params", [
+    pytest.param("turkington", {"alpha": 1.0}, id="turkington"),
+    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
+])
+def test_half_plane_run_matches_full_grid_loop(family, params, n,
+                                               monkeypatch):
+    cfg = ProblemConfig(epsilon=0.1, n_r=n, n_z=n, max_iterations=150)
+    gen = make_generator(family, **params)
+    iterations, trace, mus, zeta = _full_grid_run(cfg, gen)
+    spec = cfg.domain_grid()
+    ulps, gaps = [], []
+
+    def paired(config, gen, psi0):
+        # each half-plane search against the full-grid search on the
+        # mirrored stream: the same multiplier and the mirrored update
+        mu, update = solve_mu(config, gen, psi0)
+        full = ScalarField(spec, np.hstack((psi0.values[:, ::-1],
+                                            psi0.values)))
+        mu_full, update_full = solve_mu(config, gen, full)
+        ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
+        top = update_full.values[:, n // 2:]
+        gaps.append(np.max(np.abs(update.values - top)) / np.max(top))
+        return mu, update
+
+    monkeypatch.setattr(solver, "solve_mu", paired)
+    result = run(cfg, gen)
+    assert max(ulps) <= 4.0
+    assert max(gaps) <= 1e-13
+    # the loops apply K by different transforms, so their iterates part
+    # at roundoff, and the multiplier, a level of psi0 less the background,
+    # inherits the cancellation: compare both traces relatively
+    assert result.iterations == iterations
+    assert result.mu_trace.size == result.l1_change_trace.size == iterations
+    assert result.state.mu == result.mu_trace[-1]
+    err = np.abs(result.energy_trace - trace) / np.abs(trace)
+    assert np.max(err) <= 1e-13
+    err = np.abs(result.mu_trace - mus) / np.abs(mus)
+    assert np.max(err) <= 1e-13
+    np.testing.assert_allclose(result.state.zeta.values, zeta,
+                               rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("breaks", [
-    # no longer even in z
+    # run's iterates are the rows z > 0 of even fields (16 x 8 here), so
+    # both breaks leave the unfolded state even: rolled by a cell, the
+    # empty edge cell lands next to z = 0
     lambda v: np.roll(v, 1, axis=1),
-    # still even, but each half reversed so columns grow towards the edge
+    # reversed, so columns grow towards the edge
     lambda v: np.hstack((v[:, :8][:, ::-1], v[:, 8:][:, ::-1])),
 ], ids=["shifted", "hollow"])
 def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
