@@ -266,55 +266,49 @@ def _log_mean_rect(x0, x1, y0, y1):
     return float(out) if out.ndim == 0 else out
 
 
+def _correct_near(slab, spec, dj):
+    """Correct the (target, source) kernel slab of z-offset dj in place.
+
+    Entries with source and target within NCORR cells of each other
+    replace the midpoint value of the logarithmic part by its exact
+    average over the source cell, which is what keeps the near-diagonal
+    of the discretized operator second-order despite the log singularity.
+    At dj = 0 the diagonal becomes the self-cell value.
+    """
+    if dj > NCORR:
+        return
+    r, dr, dz, n_r = spec.r_centers, spec.dr, spec.dz, spec.n_r
+    for di in range(-NCORR, NCORR + 1):
+        if abs(di) > n_r - 1 or di == dj == 0:
+            continue
+        x0 = di * dr - 0.5 * dr
+        y0 = dj * dz - 0.5 * dz
+        avg = _log_mean_rect(x0, x0 + dr, y0, y0 + dz)
+        corr = (avg - np.log(1.0 / np.hypot(di * dr, dj * dz))) / TWO_PI
+        idx_t = np.arange(max(0, -di), n_r - max(0, di))
+        idx_s = idx_t + di
+        slab[idx_t, idx_s] += np.sqrt(r[idx_t] * r[idx_s]) * corr
+    if dj == 0:
+        # self cell: near-coincidence law K ~ (r/2 pi)(log(8 r / rho) - 2)
+        # averaged exactly in rho over the cell
+        avg = _log_mean_rect(-0.5 * dr, 0.5 * dr, -0.5 * dz, 0.5 * dz)
+        np.fill_diagonal(slab, (r / TWO_PI) * (avg + np.log(8.0 * r) - 2.0))
+
+
 def build_kernel_block(spec):
     """Tabulate cell-to-cell kernel values K[i_target, i_source, |dj|].
 
     The z-translation invariance of the kernel collapses the table to the
-    z-offset magnitude. Entries with source and target within NCORR cells
-    of each other (and the self entry) replace the midpoint value of the
-    logarithmic part by its exact average over the source cell, which is
-    what keeps the near-diagonal of the discretized operator second-order
-    despite the log singularity.
+    z-offset magnitude. Every ordered pair is evaluated, so the block is
+    an independent check on the symmetric build of `StreamOperator`; the
+    near-diagonal entries are corrected by `_correct_near`.
     """
     r = spec.r_centers
-    dz = spec.dz
-    dr = spec.dr
-    n_r, n_z = spec.n_r, spec.n_z
-    block = np.empty((n_r, n_r, n_z))
-    rt = r[:, None]
-    rs = r[None, :]
-    for dj in range(n_z):
-        val, _ = _elliptic_kernel(rt, 0.0, rs, dj * dz)
-        if dj == 0:
-            np.fill_diagonal(val, 0.0)
-        block[:, :, dj] = val
-
-    # near-diagonal correction: average the log(1/distance) part over the
-    # offset source cell instead of evaluating it at the cell center
-    root = np.sqrt(rt * rs)
-    for dj in range(min(NCORR, n_z - 1) + 1):
-        for di in range(-NCORR, NCORR + 1):
-            if abs(di) > n_r - 1:
-                continue
-            x0 = di * dr - 0.5 * dr
-            y0 = dj * dz - 0.5 * dz
-            if di == 0 and dj == 0:
-                continue
-            avg = _log_mean_rect(x0, x0 + dr, y0, y0 + dz)
-            dist = np.hypot(di * dr, dj * dz)
-            corr = (avg - np.log(1.0 / dist)) / TWO_PI
-            if di >= 0:
-                idx_t = np.arange(0, n_r - di)
-            else:
-                idx_t = np.arange(-di, n_r)
-            idx_s = idx_t + di
-            block[idx_t, idx_s, dj] += root[idx_t, idx_s] * corr
-
-    # self cell: near-coincidence law K ~ (r/2 pi)(log(8 r / rho) - 2)
-    # averaged exactly in rho over the cell
-    avg_self = _log_mean_rect(-0.5 * dr, 0.5 * dr, -0.5 * dz, 0.5 * dz)
-    ii = np.arange(n_r)
-    block[ii, ii, 0] = (r / TWO_PI) * (avg_self + np.log(8.0 * r) - 2.0)
+    block = np.empty((spec.n_r, spec.n_r, spec.n_z))
+    for dj in range(spec.n_z):
+        block[:, :, dj], _ = _elliptic_kernel(r[:, None], 0.0, r[None, :],
+                                              dj * spec.dz)
+        _correct_near(block[:, :, dj], spec, dj)
     return block
 
 
@@ -326,10 +320,13 @@ class StreamOperator:
     offset index. Its even extension to length 2 n_z, zero at offset n_z,
     makes each application a batch of circular convolutions that equal
     the linear ones; the transform of an even sequence is real and is the
-    DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0], which is how the table
-    is built. It is stored frequency-major as one C-contiguous float64
-    array T[f, b, a] of shape (n_z + 1, n_r, n_r), n_r^2 (n_z + 1) * 8
-    bytes.
+    DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0]. It is stored
+    frequency-major as one C-contiguous float64 array T[f, b, a] of shape
+    (n_z + 1, n_r, n_r), n_r^2 (n_z + 1) * 8 bytes, and built without a
+    second copy: the kernel is symmetric in (r, r'), so for each offset
+    the pairs a <= b are evaluated once, mirrored into one (n_r, n_r)
+    slab, corrected near the diagonal, weighted and written into T[dj];
+    the DCT-I then runs in place.
 
     `apply` transforms only the source rows [b0, b1) between the first and
     the last row holding a nonzero cell, stacks the real and imaginary
@@ -347,16 +344,20 @@ class StreamOperator:
 
     def __init__(self, spec):
         self.spec = spec
-        block = build_kernel_block(spec)
-        w = spec.r_centers * spec.cell_area
-        table = np.empty((spec.n_z + 1, spec.n_r, spec.n_r))
-        np.multiply(block.transpose(2, 1, 0), w[None, :, None],
-                    out=table[: spec.n_z])
-        table[spec.n_z] = 0.0
-        del block
-        # in place: the build never holds more than the block and one table
+        r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
+        w = r * spec.cell_area
+        ia, ib = np.triu_indices(n_r)
+        slab = np.empty((n_r, n_r))
+        table = np.empty((n_z + 1, n_r, n_r))
+        for dj in range(n_z):
+            val, _ = _elliptic_kernel(r[ia], 0.0, r[ib], dj * spec.dz)
+            slab[ia, ib] = val
+            slab[ib, ia] = val
+            _correct_near(slab, spec, dj)
+            np.multiply(slab.T, w[:, None], out=table[dj])
+        table[n_z] = 0.0
         self._table = dct(table, type=1, axis=0, overwrite_x=True)
-        self._nfft = 2 * spec.n_z
+        self._nfft = 2 * n_z
 
     def apply(self, values):
         """Apply to an (n_r, n_z) array of cell values, returning psi0."""

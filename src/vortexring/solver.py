@@ -133,6 +133,7 @@ class SolveResult:
     energy_trace: np.ndarray = field(repr=False)
     mu_trace: np.ndarray = field(repr=False)
     l1_change_trace: np.ndarray = field(repr=False)
+    support_trace: np.ndarray = field(repr=False)
     kkt: float = np.nan
     patch_measure: float = np.nan
     mass: float = np.nan
@@ -263,12 +264,12 @@ def run(config, gen):
     Iterates psi0 = K zeta_k, (mu, zeta_{k+1}) = solve_mu until the
     relative L1(nu) change drops below tol_zeta or max_iterations is hit.
     The energy trace is recorded per iterate and asserted nondecreasing
-    (1e-9 relative slack); mu and the L1 change are recorded per
-    iteration. The returned vorticity must be a fixed point of
-    steiner_symmetrize_z, bit for bit, or NumericalError is raised; an odd
-    n_z raises ConfigurationError up front. The final state gets a fresh
-    stream field so the reported optimality residual and patch measure
-    are self-consistent.
+    (1e-9 relative slack); mu, the L1 change and the full field's count
+    of nonzero cells are recorded per iteration. The returned vorticity
+    must be a fixed point of steiner_symmetrize_z, bit for bit, or
+    NumericalError is raised; an odd n_z raises ConfigurationError up
+    front. The final state gets a fresh stream field so the reported
+    optimality residual and patch measure are self-consistent.
     """
     report = check_assumptions(gen, r_max=2.0 * config.r_star, n_sample=80)
     if not report["all_pass"]:
@@ -287,7 +288,7 @@ def run(config, gen):
     pairs = replace(spec, n_z=half)
     zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
 
-    trace, mus, changes = [], [], []
+    trace, mus, changes, supports = [], [], [], []
 
     def ascend(zeta, it):
         """psi0 = K zeta; its energy joins the trace after the ascent
@@ -311,6 +312,7 @@ def run(config, gen):
         mu, zeta_next = solve_mu(config, gen, psi0)
         mus.append(mu)
         changes.append(l1_change(pairs, zeta.values, zeta_next.values))
+        supports.append(2 * np.count_nonzero(zeta_next.values))
         zeta = zeta_next
         iterations = it
         if changes[-1] <= config.tol_zeta:
@@ -333,6 +335,7 @@ def run(config, gen):
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),
         mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
+        support_trace=np.asarray(supports),
         degenerate_epsilon=config.degenerate_epsilon,
     )
     result.mass = integrate_nu(zeta)

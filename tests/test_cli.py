@@ -50,6 +50,11 @@ def test_solve_converged_writes_all_outputs(solved_dir):
     assert len(payload["l1_change_trace"]) == payload["outcome"]["iterations"]
     assert payload["mu_trace"][-1] == payload["outcome"]["mu"]
     assert payload["l1_change_trace"][-1] <= payload["config"]["tol"]["zeta"]
+    # the support after each iteration, the last that of the written field
+    assert len(payload["support_trace"]) == payload["outcome"]["iterations"]
+    with open(os.path.join(out, "zeta.csv")) as fh:
+        nonzero = sum(float(row["value"]) != 0.0 for row in csv.DictReader(fh))
+    assert payload["support_trace"][-1] == nonzero
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert "grid_sha256" in manifest
     assert sorted(manifest["files"]) == ["manifest.json", "psi.csv",

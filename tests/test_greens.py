@@ -13,7 +13,10 @@ import pytest
 
 from vortexring.errors import (ConfigurationError, ConsistencyError,
                                SingularEvaluationError)
-from vortexring.greens import (apply_stream_operator, default_extended_box,
+from scipy.fft import dct
+
+from vortexring.greens import (apply_stream_operator, build_kernel_block,
+                               default_extended_box,
                                expansion_remainder, fd_solve,
                                StreamOperator, get_stream_operator,
                                kernel_bound,
@@ -224,7 +227,21 @@ def test_operator_build_holds_one_table():
         tracemalloc.stop()
     assert not hasattr(op, "block")
     assert held <= 1.05 * table_bytes
-    assert peak <= 2.5 * table_bytes
+    assert peak <= 1.25 * table_bytes
+
+
+@pytest.mark.parametrize("n_r,n_z", [(13, 17), (20, 9), (48, 40), (3, 2)])
+def test_stream_table_matches_block_build(n_r, n_z):
+    # the symmetric build against the block of every ordered pair; at
+    # (3, 2) the near-diagonal band is wider than the grid
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z)
+    w = spec.r_centers * spec.cell_area
+    weighted = build_kernel_block(spec).transpose(2, 1, 0) * w[None, :, None]
+    ref = dct(np.concatenate((weighted, np.zeros((1, n_r, n_r)))),
+              type=1, axis=0)
+    table = StreamOperator(spec)._table
+    assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(table, ref)
 
 
 def test_single_cell_matches_pointwise_kernel():

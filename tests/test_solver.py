@@ -503,7 +503,8 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     # at roundoff, and the multiplier, a level of psi0 less the background,
     # inherits the cancellation: compare both traces relatively
     assert result.iterations == iterations
-    assert result.mu_trace.size == result.l1_change_trace.size == iterations
+    assert (result.mu_trace.size == result.l1_change_trace.size
+            == result.support_trace.size == iterations)
     assert result.state.mu == result.mu_trace[-1]
     err = np.abs(result.energy_trace - trace) / np.abs(trace)
     assert np.max(err) <= 1e-13
