@@ -31,14 +31,29 @@ from .solver import ProblemConfig, run
 from . import diagnostics as dg
 
 
-_SOLVE_KEYS = {
-    "epsilon", "kappa", "W", "Lambda", "grid", "profile", "tol",
-    "max_iterations",
+# Each numeric config key ("section.key" inside a section): the
+# ProblemConfig field it sets, its lower bound (exclusive for a number,
+# inclusive for an integer), its upper bound, and whether it is an
+# integer. Validation, build_problem and the result.json echo all read it.
+_FIELDS = {
+    "epsilon": ("epsilon", 0.0, 1.0, False),
+    "kappa": ("kappa", 0.0, None, False),
+    "W": ("W", 0.0, None, False),
+    "Lambda": ("lambda_cap", 0.0, None, False),
+    "grid.n_r": ("n_r", 2, None, True),
+    "grid.n_z": ("n_z", 2, None, True),
+    "tol.zeta": ("tol_zeta", 0.0, None, False),
+    "tol.mu": ("tol_mu", 0.0, None, False),
+    "max_iterations": ("max_iterations", 1, None, True),
 }
+# make_generator's numeric parameters, rows as above: no ProblemConfig
+# field, they are passed on as given
+_PROFILE_NUMBERS = {"profile.p": (None, 0.0, None, False),
+                    "profile.alpha": (None, 0.0, None, False)}
+_SOLVE_KEYS = {*_FIELDS, *_PROFILE_NUMBERS, "profile.family",
+               "profile.table_path"}
 _SWEEP_KEYS = (_SOLVE_KEYS - {"epsilon"}) | {"epsilons"}
-_GRID_KEYS = {"n_r", "n_z"}
-_PROFILE_KEYS = {"family", "p", "alpha", "table_path"}
-_TOL_KEYS = {"zeta", "mu"}
+_SECTIONS = {key.partition(".")[0] for key in _SOLVE_KEYS if "." in key}
 
 
 class CliError(Exception):
@@ -51,127 +66,94 @@ class CliError(Exception):
         super().__init__("; ".join(self.messages))
 
 
-def _check_number(cfg, key, errors, lo=None, hi=None, integer=False,
-                  lo_strict=True, label=None):
-    if key not in cfg:
-        return
-    v = cfg[key]
-    label = label or key
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if ok and integer:
-        ok = float(v).is_integer()
-    if ok and lo is not None:
-        ok = v > lo if lo_strict else v >= lo
-    if ok and hi is not None:
-        ok = v < hi
-    if not ok:
-        bounds = ""
-        if lo is not None and hi is not None:
-            bounds = " in (%g, %g)" % (lo, hi)
-        elif lo is not None:
-            bounds = " %s %g" % (">" if lo_strict else ">=", lo)
-        kind = "an integer" if integer else "a number"
-        errors.append("%s: must be %s%s, got %r" % (label, kind, bounds, v))
+def _flatten(cfg):
+    """cfg with each section's keys lifted to "section.key"; a section
+    that is not an object stays under its own name."""
+    flat = {}
+    for key, v in cfg.items():
+        if key in _SECTIONS and isinstance(v, dict):
+            flat.update((key + "." + k, x) for k, x in v.items())
+        else:
+            flat[key] = v
+    return flat
 
 
-def _check_section(cfg, name, allowed, errors):
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        errors.append("%s: must be an object, got %r" % (name, sec))
-        return {}
-    for key in sorted(set(sec) - allowed):
-        errors.append("%s.%s: unknown key" % (name, key))
-    return sec
+def _complaint(v, lo, hi, integer):
+    """Why v is not a number above lo (an integral one at least lo, when
+    integer) and below hi; None when it is."""
+    if (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and ((v >= lo and (isinstance(v, int) or v.is_integer()))
+                 if integer else v > lo)
+            and (hi is None or v < hi)):
+        return None
+    bounds = (" in (%g, %g)" % (lo, hi) if hi is not None
+              else " %s %g" % (">=" if integer else ">", lo))
+    return "must be %s%s, got %r" % ("an integer" if integer else "a number",
+                                     bounds, v)
 
 
 def validate_config(cfg, allowed, require):
     """Schema check collecting every offending key before raising."""
-    errors = []
     if not isinstance(cfg, dict):
         raise CliError(["config root must be a JSON object"])
-    for key in sorted(set(cfg) - allowed):
-        errors.append("%s: unknown key" % key)
-    for key in require:
-        if key not in cfg:
-            errors.append("%s: required key is missing" % key)
-    _check_number(cfg, "epsilon", errors, lo=0.0, hi=1.0)
-    if "epsilons" in cfg:
-        v = cfg["epsilons"]
-        if (not isinstance(v, list) or not v
-                or not all(isinstance(e, (int, float))
-                           and not isinstance(e, bool) and 0.0 < e < 1.0
-                           for e in v)):
-            errors.append(
-                "epsilons: must be a nonempty list of numbers in (0, 1), "
-                "got %r" % (v,))
-    _check_number(cfg, "kappa", errors, lo=0.0)
-    _check_number(cfg, "W", errors, lo=0.0)
-    if cfg.get("Lambda") is not None:
-        _check_number(cfg, "Lambda", errors, lo=0.0)
-    _check_number(cfg, "max_iterations", errors, lo=1, integer=True,
-                  lo_strict=False)
-
-    grid = _check_section(cfg, "grid", _GRID_KEYS, errors)
-    for key in ("n_r", "n_z"):
-        _check_number(grid, key, errors, lo=2, integer=True,
-                      lo_strict=False, label="grid." + key)
-    tol = _check_section(cfg, "tol", _TOL_KEYS, errors)
-    for key in ("zeta", "mu"):
-        _check_number(tol, key, errors, lo=0.0, label="tol." + key)
-    prof = _check_section(cfg, "profile", _PROFILE_KEYS, errors)
-    fam = prof.get("family", "power_law")
+    flat = _flatten(cfg)
+    # a dotted key at the top level would pass for a section's key
+    unknown = (set(flat) - allowed) | {key for key in cfg if "." in key}
+    errors = ["%s: %s" % (key, "must be an object, got %r" % (flat[key],)
+                          if key in _SECTIONS else "unknown key")
+              for key in sorted(unknown)]
+    errors += ["%s: required key is missing" % key
+               for key in require if key not in flat]
+    rows = {**_FIELDS, **_PROFILE_NUMBERS}
+    for key, (field, lo, hi, integer) in rows.items():
+        # null stands for a field whose default is None (Lambda)
+        null_ok = field and getattr(ProblemConfig, field, 0) is None
+        if key in flat and not (flat[key] is None and null_ok):
+            why = _complaint(flat[key], lo, hi, integer)
+            if why:
+                errors.append("%s: %s" % (key, why))
+    if "epsilons" in flat:
+        eps = flat["epsilons"]
+        if (not isinstance(eps, list) or not eps
+                or any(_complaint(e, *_FIELDS["epsilon"][1:]) for e in eps)):
+            errors.append("epsilons: must be a nonempty list of numbers in "
+                          "(0, 1), got %r" % (eps,))
+    fam = flat.get("profile.family", "power_law")
     if fam not in FAMILIES:
         errors.append("profile.family: must be one of %s, got %r"
                       % ("/".join(FAMILIES), fam))
-    for key in ("p", "alpha"):
-        _check_number(prof, key, errors, lo=0.0, label="profile." + key)
-    if (fam == "table") != ("table_path" in prof):
+    has_path = "profile.table_path" in flat
+    if (fam == "table") != has_path:
         errors.append("profile.table_path: required for the table "
                       "family and only for it, got family %r" % (fam,))
-    if "table_path" in prof and not isinstance(prof["table_path"], str):
+    if has_path and not isinstance(flat["profile.table_path"], str):
         errors.append("profile.table_path: must be a string")
     if errors:
         raise CliError(errors)
 
 
 def build_problem(cfg, epsilon=None):
-    """ProblemConfig + GeneratorPair from a validated config dict."""
-    grid = cfg.get("grid", {})
-    tol = cfg.get("tol", {})
-    kwargs = {}
-    for key in ("kappa", "W", "max_iterations"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "Lambda" in cfg:
-        kwargs["lambda_cap"] = cfg["Lambda"]
-    if "n_r" in grid:
-        kwargs["n_r"] = int(grid["n_r"])
-    if "n_z" in grid:
-        kwargs["n_z"] = int(grid["n_z"])
-    if "zeta" in tol:
-        kwargs["tol_zeta"] = tol["zeta"]
-    if "mu" in tol:
-        kwargs["tol_mu"] = tol["mu"]
-    eps = cfg.get("epsilon") if epsilon is None else epsilon
-    problem = ProblemConfig(epsilon=float(eps), **kwargs)
+    """ProblemConfig + GeneratorPair from a validated config dict; epsilon
+    overrides the config's."""
+    flat = _flatten(cfg)
+    kwargs = {field: int(flat[key]) if integer else flat[key]
+              for key, (field, _, _, integer) in _FIELDS.items()
+              if key in flat}
+    if epsilon is not None:
+        kwargs["epsilon"] = epsilon
     pspec = dict(cfg.get("profile", {}))
-    family = pspec.pop("family", "power_law")
-    gen = make_generator(family, **pspec)
-    return problem, gen
+    gen = make_generator(pspec.pop("family", "power_law"), **pspec)
+    return ProblemConfig(**kwargs), gen
 
 
-def _problem_snapshot(problem, profile_cfg):
-    snap = {
-        "epsilon": problem.epsilon,
-        "kappa": problem.kappa,
-        "W": problem.W,
-        "Lambda": problem.lambda_cap,
-        "grid": {"n_r": problem.n_r, "n_z": problem.n_z},
-        "tol": {"zeta": problem.tol_zeta, "mu": problem.tol_mu},
-        "max_iterations": problem.max_iterations,
-        "profile": {"family": "power_law", **profile_cfg},
-    }
-    return snap
+def _config_echo(problem, gen, profile_cfg):
+    """The solve config that rebuilds problem and gen."""
+    echo = {"profile": {**profile_cfg, "family": gen.family}}
+    for key, (field, *_) in _FIELDS.items():
+        section, _, name = key.rpartition(".")
+        into = echo.setdefault(section, {}) if section else echo
+        into[name] = getattr(problem, field)
+    return echo
 
 
 def _grid_hash(spec):
@@ -183,8 +165,7 @@ def _grid_hash(spec):
 
 def _atomic_write(path, data):
     tmp = path + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as f:
+    with open(tmp, "w") as f:
         f.write(data)
     os.replace(tmp, path)
 
@@ -211,7 +192,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
     t0 = time.perf_counter()
     payload = {
         "version": __version__,
-        "config": _problem_snapshot(problem, gen_cfg),
+        "config": _config_echo(problem, gen, gen_cfg),
         "outcome": {
             "converged": result.converged,
             "stop_reason": result.stop_reason,
@@ -223,9 +204,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
             "mass": result.mass,
             "degenerate_epsilon": result.degenerate_epsilon,
         },
-        "diagnostics": {k: (bool(v) if isinstance(v, (bool, np.bool_))
-                            else v)
-                        for k, v in record.__dict__.items()},
+        "diagnostics": vars(record),
         "energy_trace": [float(x) for x in result.energy_trace],
         "mu_trace": [float(x) for x in result.mu_trace],
         "l1_change_trace": [float(x) for x in result.l1_change_trace],
@@ -280,10 +259,7 @@ def resolve_out_dir(arg):
 def cmd_solve(args):
     cfg = _load_config(args.config)
     validate_config(cfg, _SOLVE_KEYS, require=("epsilon",))
-    try:
-        problem, gen = build_problem(cfg)
-    except ConfigurationError as exc:
-        raise CliError([str(exc)])
+    problem, gen = build_problem(cfg)
     out_dir = resolve_out_dir(args.out)
     result, _ = solve_to_dir(problem, gen, cfg.get("profile", {}), out_dir)
     if not result.converged:
@@ -297,43 +273,27 @@ def cmd_solve(args):
     return 0
 
 
-SWEEP_COLUMNS = [
-    "epsilon", "log_inv_eps", "mu", "E", "R_center", "theta_minus",
-    "theta_plus", "diam", "diam_over_eps", "dist_to_ring", "mass",
-    "kkt_residual", "patch_measure", "simply_connected", "far_vz",
-    "core_radius", "support_on_edge", "status",
-]
-
-
-def _sweep_row(problem, record, status):
-    return {
-        "epsilon": problem.epsilon,
-        "log_inv_eps": problem.log_inv_eps,
-        "mu": record.mu,
-        "E": record.energy,
-        "R_center": record.center_r,
-        "theta_minus": record.theta_minus,
-        "theta_plus": record.theta_plus,
-        "diam": record.diam_supp,
-        "diam_over_eps": record.diam_supp / problem.epsilon,
-        "dist_to_ring": record.dist_to_ring,
-        "mass": record.mass,
-        "kkt_residual": record.kkt_residual,
-        "patch_measure": record.patch_measure,
-        "simply_connected": str(bool(record.simply_connected)).lower(),
-        "far_vz": record.far_field_vz,
-        "core_radius": record.core_radius,
-        "support_on_edge": str(bool(record.support_on_edge)).lower(),
-        "status": status,
-    }
+# sweep.csv columns in order, each with the key its cell is read from:
+# epsilon, log_inv_eps and status are the row's own, diam_over_eps is
+# derived, and the rest come from the solve's diagnostics record (nan
+# when the solve failed)
+_SWEEP = {
+    "epsilon": "epsilon", "log_inv_eps": "log_inv_eps", "mu": "mu",
+    "E": "energy", "R_center": "center_r", "theta_minus": "theta_minus",
+    "theta_plus": "theta_plus", "diam": "diam_supp",
+    "diam_over_eps": "diam_over_eps", "dist_to_ring": "dist_to_ring",
+    "mass": "mass", "kkt_residual": "kkt_residual",
+    "patch_measure": "patch_measure", "simply_connected": "simply_connected",
+    "far_vz": "far_field_vz", "core_radius": "core_radius",
+    "support_on_edge": "support_on_edge", "status": "status",
+}
+SWEEP_COLUMNS = list(_SWEEP)
 
 
 def _format_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+    if isinstance(v, bool):
+        return str(v).lower()
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 def cmd_sweep(args):
@@ -348,31 +308,34 @@ def cmd_sweep(args):
         else:
             seen.append(e)
     eps_list = sorted(seen, reverse=True)
+    # reject what run would before any file is written, as solve does
+    problem, gen = build_problem(cfg, epsilon=eps_list[0])
+    problem.resolved_lambda(gen)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     gen_cfg = cfg.get("profile", {})
 
     def one(eps):
-        tag = "eps_%g" % eps
+        row = {"epsilon": eps, "log_inv_eps": float(np.log(1.0 / eps))}
         try:
             problem, gen = build_problem(cfg, epsilon=eps)
             _, record = solve_to_dir(problem, gen, gen_cfg,
-                                     os.path.join(out_dir, tag))
-            status = "converged" if record.converged else "nonconverged"
-            return _sweep_row(problem, record, status)
+                                     os.path.join(out_dir, "eps_%g" % eps))
+            row.update(vars(record), diam_over_eps=record.diam_supp / eps,
+                       status="converged" if record.converged
+                       else "nonconverged")
         except Exception as exc:  # recorded per row, sweep continues
-            return {"epsilon": eps, "log_inv_eps": float(np.log(1.0 / eps)),
-                    "status": "error: %s" % str(exc).replace(",", ";"),
-                    **{c: "nan" for c in SWEEP_COLUMNS
-                       if c not in ("epsilon", "log_inv_eps", "status")}}
+            row["status"] = "error: %s" % str(exc).replace(",", ";")
+        return row
 
     rows = [one(e) for e in eps_list]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in SWEEP_COLUMNS))
+        lines.append(",".join(_format_cell(row.get(key, "nan"))
+                              for key in _SWEEP.values()))
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
-    n_bad = sum(1 for r in rows if str(r["status"]).startswith("error"))
+    n_bad = sum(1 for r in rows if r["status"].startswith("error"))
     print("sweep wrote %d rows to %s (%d failed)"
           % (len(rows), os.path.join(out_dir, "sweep.csv"), n_bad))
     return 1 if n_bad == len(rows) else 0
@@ -382,8 +345,8 @@ def cmd_report(args):
     cfg = _load_config(args.config) if args.config else {}
     if cfg:
         validate_config(cfg, _SWEEP_KEYS | {"epsilon"}, require=())
-    kappa = float(cfg.get("kappa", 4.0 * np.pi))
-    w_speed = float(cfg.get("W", 1.0))
+    kappa = float(cfg.get("kappa", ProblemConfig.kappa))
+    w_speed = float(cfg.get("W", ProblemConfig.W))
     out_dir = resolve_out_dir(args.out)
     sweep_path = os.path.join(out_dir, "sweep.csv")
     try:
@@ -407,14 +370,7 @@ def cmd_report(args):
         "kappa": kappa,
         "W": w_speed,
         "n_points": len(good),
-        "fit": {
-            "slope_mu": fit.slope_mu,
-            "intercept_mu": fit.intercept_mu,
-            "r_squared_mu": fit.r_squared_mu,
-            "slope_E": fit.slope_E,
-            "intercept_E": fit.intercept_E,
-            "r_squared_E": fit.r_squared_E,
-        },
+        "fit": vars(fit),
         "predicted": {"slope_mu": pred_mu, "slope_E": pred_e},
         "relative_error": {
             "slope_mu": abs(fit.slope_mu - pred_mu) / abs(pred_mu),

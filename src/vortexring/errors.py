@@ -17,11 +17,6 @@ class QuadratureToleranceError(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class ConsistencyError(ValueError):
-    """Internal data passed between stages disagrees (e.g. a support
-    index set that misses a nonzero cell)."""
-
-
 class NumericalError(RuntimeError):
     """A linear solve or multiplier search failed in a way that indicates
     a bug or an ill-posed configuration, not a user error."""

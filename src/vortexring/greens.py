@@ -40,7 +40,6 @@ from scipy.special import ellipe, ellipkm1
 
 from .errors import (
     ConfigurationError,
-    ConsistencyError,
     NumericalError,
     QuadratureToleranceError,
     SingularEvaluationError,
@@ -408,19 +407,15 @@ def get_stream_operator(spec):
     return StreamOperator(spec)
 
 
-def apply_stream_operator(zeta, support=None):
+def apply_stream_operator(zeta):
     """psi0 = K zeta for a nonnegative vorticity field.
 
-    support, when given, is a boolean mask shaped like zeta asserting
-    where zeta may be nonzero; a nonzero cell outside it raises
-    ConsistencyError. The returned field is strictly positive wherever
-    zeta is not identically zero.
+    The returned field is strictly positive wherever zeta is not
+    identically zero.
     """
     vals = zeta.values
     if np.any(vals < 0):
         raise ConfigurationError("stream operator expects zeta >= 0")
-    if support is not None and np.any((vals > 0) & ~np.asarray(support)):
-        raise ConsistencyError("support set omits a nonzero cell")
     op = get_stream_operator(zeta.spec)
     return ScalarField(zeta.spec, op.apply(vals))
 

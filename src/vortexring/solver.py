@@ -56,8 +56,8 @@ class ProblemConfig:
 
     The ring radius scale is r_star = kappa / (4 pi W) and the domain is
     D = (r_star/2, 2 r_star) x (-1, 1). lambda_cap = None means
-    40 * max(1, g(0+)), resolved once the generator is known. run needs
-    an even n_z, so that cells pair under z -> -z.
+    40 * max(1, g(0+)), resolved once the generator is known. n_z must be
+    even, so that cells pair under z -> -z.
     """
 
     epsilon: float
@@ -78,6 +78,8 @@ class ProblemConfig:
             raise ConfigurationError("kappa and W must be positive")
         if self.lambda_cap is not None and self.lambda_cap <= 0:
             raise ConfigurationError("lambda_cap must be positive")
+        if self.n_z % 2:
+            raise ConfigurationError("the solver needs an even n_z")
 
     @property
     def r_star(self):
@@ -267,17 +269,15 @@ def run(config, gen):
     (1e-9 relative slack); mu, the L1 change and the full field's count
     of nonzero cells are recorded per iteration. The returned vorticity
     must be a fixed point of steiner_symmetrize_z, bit for bit, or
-    NumericalError is raised; an odd n_z raises ConfigurationError up
-    front. The final state gets a fresh stream field so the reported
-    optimality residual and patch measure are self-consistent.
+    NumericalError is raised. The final state gets a fresh stream field
+    so the reported optimality residual and patch measure are
+    self-consistent.
     """
     report = check_assumptions(gen, r_max=2.0 * config.r_star, n_sample=80)
     if not report["all_pass"]:
         raise ConfigurationError(
             "generator fails its structural checks: %s"
             % {k: v for k, v in report.items() if k != "all_pass"})
-    if config.n_z % 2:
-        raise ConfigurationError("the solver needs an even n_z")
 
     spec = config.domain_grid()
     op = get_stream_operator(spec)

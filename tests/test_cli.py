@@ -4,11 +4,15 @@ validation suites, and reports."""
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from vortexring.cli import SWEEP_COLUMNS, main
+from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, build_problem, main,
+                            validate_config)
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _write_config(path, **overrides):
@@ -83,6 +87,43 @@ def test_solve_nonconverged_exits_two(tmp_path, capsys):
     assert payload["outcome"]["stop_reason"] == "iteration_cap"
 
 
+def test_result_config_rebuilds_the_problem(solved_dir):
+    # the echo in result.json is itself a solve config for the same problem
+    _, out, cfg, _ = solved_dir
+    with open(os.path.join(out, "result.json")) as f:
+        echo = json.load(f)["config"]
+    with open(cfg) as f:
+        given = json.load(f)
+    validate_config(echo, _SOLVE_KEYS, require=("epsilon",))
+    assert build_problem(echo) == build_problem(given)
+    assert echo["Lambda"] is None and echo["grid"] == {"n_r": 48, "n_z": 48}
+
+
+def test_readme_config_example_is_valid():
+    with open(README) as f:
+        text = f.read()
+    block = re.search(r"`solve` accepts\n\n```json\n(.*?)```", text, re.S)
+    cfg = json.loads(block.group(1))
+    validate_config(cfg, _SOLVE_KEYS, require=("epsilon",))
+    problem, gen = build_problem(cfg)
+    assert problem.n_z == 192 and problem.lambda_cap is None
+    assert gen.family == "turkington"
+
+
+def test_integral_floats_count_as_integers(tmp_path, capsys):
+    # a one-iteration solve stops at the cap whichever way 1 is written
+    runs = {}
+    for name, n, cap in (("int", 16, 1), ("float", 16.0, 1.0)):
+        cfg = _write_config(tmp_path / (name + ".json"), max_iterations=cap,
+                            grid={"n_r": n, "n_z": n})
+        runs[name] = str(tmp_path / name)
+        assert main(["solve", "--config", cfg, "--out", runs[name]]) == 2
+        assert "iteration_cap" in capsys.readouterr().err
+    for name in ("result.json", "zeta.csv", "psi.csv"):
+        a = open(os.path.join(runs["int"], name), "rb").read()
+        assert a == open(os.path.join(runs["float"], name), "rb").read()
+
+
 def test_invalid_config_lists_every_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -92,12 +133,14 @@ def test_invalid_config_lists_every_error(tmp_path, capsys):
         "symmetrize": True,
         "grid": {"n_r": 0, "n_q": 3},
         "profile": {"family": "nope"},
+        "tol.mu": 1e-9,
     }))
     rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     for needle in ("epsilon", "kappa", "banana", "symmetrize: unknown key",
-                   "grid.n_r", "grid.n_q", "profile.family"):
+                   "grid.n_r", "grid.n_q", "profile.family",
+                   "tol.mu: unknown key"):
         assert needle in err, "missing complaint about %s" % needle
     assert not os.path.exists(tmp_path / "o")
 
@@ -112,18 +155,32 @@ def test_table_path_needs_the_table_family(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("cfg", [
-    {"epsilon": 0.1, "Lambda": 0.5, "grid": {"n_r": 16, "n_z": 16}},
-    {"epsilon": 0.1, "grid": {"n_r": 16, "n_z": 15}},
+# configs that pass the schema but that the solver rejects
+_REJECTED_BY_RUN = pytest.mark.parametrize("cfg", [
+    {"Lambda": 0.5, "grid": {"n_r": 16, "n_z": 16}},
+    {"grid": {"n_r": 16, "n_z": 15}},
 ], ids=["cap-below-one", "odd-n_z"])
-def test_solve_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
-    # both pass the schema; run raises before any file could be written
+
+
+def _assert_writes_nothing(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@_REJECTED_BY_RUN
+def test_solve_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
+    _assert_writes_nothing("solve", dict(cfg, epsilon=0.1), tmp_path, capsys)
+
+
+@_REJECTED_BY_RUN
+def test_sweep_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
+    # rejected up front, not with one error row per epsilon
+    _assert_writes_nothing("sweep", dict(cfg, epsilons=[0.2, 0.1]), tmp_path,
+                           capsys)
 
 
 def test_unreadable_or_malformed_config(tmp_path, capsys):

@@ -11,8 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexring.errors import (ConfigurationError, ConsistencyError,
-                               SingularEvaluationError)
+from vortexring.errors import ConfigurationError, SingularEvaluationError
 from scipy.fft import dct
 
 from vortexring.greens import (apply_stream_operator, build_kernel_block,
@@ -257,23 +256,6 @@ def test_single_cell_matches_pointwise_kernel():
     k = kernel_closed_form(spec.r_centers[i1], spec.z_centers[j1],
                            spec.r_centers[i0], spec.z_centers[j0]).value
     np.testing.assert_allclose(psi[i1, j1], k * mass, rtol=5e-13)
-
-
-def test_apply_stream_operator_support_check():
-    spec = build_grid(0.5, 2.0, -1.0, 1.0, 16, 16)
-    vals = np.zeros((16, 16))
-    vals[4, 4] = 1.0
-    vals[10, 10] = 1.0
-    zeta = ScalarField(spec, vals)
-    full = apply_stream_operator(zeta)
-    assert np.all(full.values > 0.0)
-    good = vals > 0
-    same = apply_stream_operator(zeta, support=good)
-    np.testing.assert_array_equal(same.values, full.values)
-    bad = np.zeros_like(good)
-    bad[4, 4] = True  # misses the second cell
-    with pytest.raises(ConsistencyError):
-        apply_stream_operator(zeta, support=bad)
 
 
 def test_fd_solve_zero_and_maximum_principle(rng):

@@ -570,10 +570,10 @@ def test_run_warns_in_degenerate_regime():
 
 
 def test_run_rejects_odd_grid_with_symmetrization():
-    cfg = ProblemConfig(epsilon=0.1, n_r=24, n_z=25)
+    # the config itself refuses an odd n_z, before run is reached
     gen = make_generator("power_law", p=1.0)
-    with pytest.raises(ConfigurationError):
-        run(cfg, gen)
+    with pytest.raises(ConfigurationError, match="even n_z"):
+        run(ProblemConfig(epsilon=0.1, n_r=24, n_z=25), gen)
 
 
 @pytest.mark.parametrize("max_iterations, message", [
