@@ -27,7 +27,7 @@ from .errors import ConfigurationError
 from .grid import build_grid, dump_field_csv
 from .profiles import (FAMILIES, check_assumptions, eval_I, eval_J,
                        eval_J_numeric, eval_dJds, eval_i, make_generator)
-from .solver import ProblemConfig, run
+from .solver import ProblemConfig, check_problem, run
 from . import diagnostics as dg
 
 
@@ -46,12 +46,12 @@ _FIELDS = {
     "tol.mu": ("tol_mu", 0.0, None, False),
     "max_iterations": ("max_iterations", 1, None, True),
 }
-# make_generator's numeric parameters, rows as above: no ProblemConfig
-# field, they are passed on as given
-_PROFILE_NUMBERS = {"profile.p": (None, 0.0, None, False),
-                    "profile.alpha": (None, 0.0, None, False)}
-_SOLVE_KEYS = {*_FIELDS, *_PROFILE_NUMBERS, "profile.family",
-               "profile.table_path"}
+# each family's parameter key; the numeric ones get rows as above, with
+# no ProblemConfig field: they are passed on to make_generator as given
+_PARAMETERS = {"profile." + name: law for name, law in FAMILIES.values()}
+_PROFILE_NUMBERS = {key: (None, 0.0, None, False)
+                    for key, law in _PARAMETERS.items() if law}
+_SOLVE_KEYS = {*_FIELDS, *_PARAMETERS, "profile.family"}
 _SWEEP_KEYS = (_SOLVE_KEYS - {"epsilon"}) | {"epsilons"}
 _SECTIONS = {key.partition(".")[0] for key in _SOLVE_KEYS if "." in key}
 
@@ -119,14 +119,20 @@ def validate_config(cfg, allowed, require):
             errors.append("epsilons: must be a nonempty list of numbers in "
                           "(0, 1), got %r" % (eps,))
     fam = flat.get("profile.family", "power_law")
-    if fam not in FAMILIES:
+    if not isinstance(fam, str) or fam not in FAMILIES:
         errors.append("profile.family: must be one of %s, got %r"
                       % ("/".join(FAMILIES), fam))
-    has_path = "profile.table_path" in flat
-    if (fam == "table") != has_path:
-        errors.append("profile.table_path: required for the table "
-                      "family and only for it, got family %r" % (fam,))
-    if has_path and not isinstance(flat["profile.table_path"], str):
+    else:
+        # a family takes its own parameter and no other; the table family
+        # has no default for its table_path
+        name, law = FAMILIES[fam]
+        errors += ["%s: not a parameter of family %r" % (key, fam)
+                   for key in sorted(set(_PARAMETERS) & set(flat))
+                   if key != "profile." + name]
+        if not law and "profile." + name not in flat:
+            errors.append("profile.%s: required for the %s family"
+                          % (name, fam))
+    if not isinstance(flat.get("profile.table_path", ""), str):
         errors.append("profile.table_path: must be a string")
     if errors:
         raise CliError(errors)
@@ -248,12 +254,7 @@ def _load_config(path):
 
 
 def resolve_out_dir(arg):
-    if arg:
-        return arg
-    env = os.environ.get("RING_DESING_OUT")
-    if env:
-        return env
-    return "out"
+    return arg or os.environ.get("RING_DESING_OUT") or "out"
 
 
 def cmd_solve(args):
@@ -309,8 +310,7 @@ def cmd_sweep(args):
             seen.append(e)
     eps_list = sorted(seen, reverse=True)
     # reject what run would before any file is written, as solve does
-    problem, gen = build_problem(cfg, epsilon=eps_list[0])
-    problem.resolved_lambda(gen)
+    check_problem(*build_problem(cfg, epsilon=eps_list[0]))
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     gen_cfg = cfg.get("profile", {})
@@ -460,17 +460,15 @@ def _validate_greens(seed):
 def _validate_profiles(seed):
     rng = np.random.default_rng(seed)
     t13 = np.linspace(0.0, 60.0, 13)
-    families = [
-        ("power_law(p=1)", make_generator("power_law", p=1.0)),
-        ("power_law(p=2)", make_generator("power_law", p=2.0)),
-        ("turkington(alpha=1)", make_generator("turkington", alpha=1.0)),
-        ("beltrami(p=1)", make_generator("beltrami", p=1.0)),
-        ("mixed(p=1)", make_generator("mixed", p=1.0)),
-        # last, so the seeded draws of the families above stay put
-        ("table(13-node power_law p=1)",
-         make_generator("table", table=(t13, np.zeros(13), t13)))]
+    families = [("%s(%s=%g)" % (fam, FAMILIES[fam][0], v),
+                 make_generator(fam, **{FAMILIES[fam][0]: v}))
+                for fam, v in (("power_law", 1.0), ("power_law", 2.0),
+                               ("turkington", 1.0), ("beltrami", 1.0),
+                               ("mixed", 1.0))]
+    # last, so the seeded draws of the families above stay put
+    families.append(("table(13-node power_law p=1)", make_generator(
+        "table", table=(t13, np.zeros(13), t13))))
     out = {}
-    all_ok = True
     for name, gen in families:
         rs = rng.uniform(0.5, 2.0, 24)
         ts = rng.uniform(1e-3, 8.0, 24)
@@ -488,7 +486,7 @@ def _validate_profiles(seed):
         fy = np.abs(jc - (ts * svals - eval_I(gen, rs, ts)))
         fy_err = float(np.max(fy / np.maximum(np.abs(jc), 1e-9)))
         checks = check_assumptions(gen, n_sample=120)
-        entry = {
+        out[name] = {
             "closed_vs_numeric_J": j_err,
             "inverse_roundtrip": round_err,
             "fenchel_young": fy_err,
@@ -496,9 +494,7 @@ def _validate_profiles(seed):
             "pass": bool(j_err <= 1e-6 and round_err <= 1e-8
                          and fy_err <= 1e-8 and checks["all_pass"]),
         }
-        out[name] = entry
-        all_ok = all_ok and entry["pass"]
-    return out, all_ok
+    return out, all(entry["pass"] for entry in out.values())
 
 
 def _validate_bathtub(seed):

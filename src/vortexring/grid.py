@@ -105,9 +105,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("field contains non-finite values")
 
-    def copy(self):
-        return ScalarField(self.spec, self.values.copy())
-
 
 def field_from_function(spec, fn):
     """Sample fn(r, z) at cell centers (fn must broadcast over arrays)."""

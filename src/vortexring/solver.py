@@ -260,6 +260,18 @@ def l1_change(spec, a, b):
     return float(np.sum(np.abs(b - a) * w)) / max(denom, 1e-300)
 
 
+def check_problem(config, gen):
+    """Reject what run cannot solve before any work is done: a generator
+    that fails its structural checks, or a cap at or below max(1, g(0+)).
+    Returns the resolved cap."""
+    report = check_assumptions(gen, r_max=2.0 * config.r_star, n_sample=80)
+    if not report["all_pass"]:
+        raise ConfigurationError(
+            "generator fails its structural checks: %s"
+            % {k: v for k, v in report.items() if k != "all_pass"})
+    return config.resolved_lambda(gen)
+
+
 def run(config, gen):
     """Outer majorize-maximize loop.
 
@@ -271,14 +283,9 @@ def run(config, gen):
     must be a fixed point of steiner_symmetrize_z, bit for bit, or
     NumericalError is raised. The final state gets a fresh stream field
     so the reported optimality residual and patch measure are
-    self-consistent.
+    self-consistent. check_problem runs first.
     """
-    report = check_assumptions(gen, r_max=2.0 * config.r_star, n_sample=80)
-    if not report["all_pass"]:
-        raise ConfigurationError(
-            "generator fails its structural checks: %s"
-            % {k: v for k, v in report.items() if k != "all_pass"})
-
+    lam = check_problem(config, gen)
     spec = config.domain_grid()
     op = get_stream_operator(spec)
     # the loop holds the rows z > 0 of its even iterates on the box with
@@ -323,7 +330,7 @@ def run(config, gen):
         return ScalarField(spec, np.hstack((f.values[:, ::-1], f.values)))
 
     # the full field sums its mass in another order: clamp it once more
-    zeta = _capped(unfold(zeta), config, config.resolved_lambda(gen))
+    zeta = _capped(unfold(zeta), config, lam)
     if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
     psi0 = unfold(ascend(ScalarField(pairs, zeta.values[:, half:]), None))

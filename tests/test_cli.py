@@ -155,14 +155,33 @@ def test_table_path_needs_the_table_family(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
-# configs that pass the schema but that the solver rejects
+def test_parameter_of_another_family_is_rejected(tmp_path, capsys):
+    # turkington takes alpha alone: a p is reported, not dropped
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilon": 0.1, "profile": {
+        "family": "turkington", "p": 3}}))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "profile.p: not a parameter of family 'turkington'" in err
+    assert "profile.alpha" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+# configs that pass the schema but that the solver rejects; the table,
+# written to the working directory, has g falling from 2 to 1 on [1, 2],
+# which run's structural check rejects
 _REJECTED_BY_RUN = pytest.mark.parametrize("cfg", [
     {"Lambda": 0.5, "grid": {"n_r": 16, "n_z": 16}},
     {"grid": {"n_r": 16, "n_z": 15}},
-], ids=["cap-below-one", "odd-n_z"])
+    {"profile": {"family": "table", "table_path": "tab.csv"},
+     "grid": {"n_r": 16, "n_z": 16}},
+], ids=["cap-below-one", "odd-n_z", "table-fails-checks"])
 
 
-def _assert_writes_nothing(command, cfg, tmp_path, capsys):
+def _assert_writes_nothing(command, cfg, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tab.csv").write_text("t,f,g\n0,0,0\n1,1,2\n2,1,1\n")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
@@ -172,15 +191,18 @@ def _assert_writes_nothing(command, cfg, tmp_path, capsys):
 
 
 @_REJECTED_BY_RUN
-def test_solve_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
-    _assert_writes_nothing("solve", dict(cfg, epsilon=0.1), tmp_path, capsys)
+def test_solve_rejected_by_run_writes_nothing(cfg, tmp_path, capsys,
+                                              monkeypatch):
+    _assert_writes_nothing("solve", dict(cfg, epsilon=0.1), tmp_path, capsys,
+                           monkeypatch)
 
 
 @_REJECTED_BY_RUN
-def test_sweep_rejected_by_run_writes_nothing(cfg, tmp_path, capsys):
+def test_sweep_rejected_by_run_writes_nothing(cfg, tmp_path, capsys,
+                                              monkeypatch):
     # rejected up front, not with one error row per epsilon
     _assert_writes_nothing("sweep", dict(cfg, epsilons=[0.2, 0.1]), tmp_path,
-                           capsys)
+                           capsys, monkeypatch)
 
 
 def test_unreadable_or_malformed_config(tmp_path, capsys):
@@ -215,6 +237,29 @@ def test_sweep_rows_and_dedup(tmp_path, capsys):
     assert first[-1] == "nonconverged" and second[-1] == "nonconverged"
     for eps in ("0.2", "0.1"):
         assert os.path.exists(os.path.join(out, "eps_" + eps, "result.json"))
+
+
+def test_sweep_row_error_does_not_stop_the_sweep(tmp_path, capsys):
+    # at epsilon = 0.3 the start ball (radius 0.6) does not fit the 0.5 of
+    # room in the box; the up-front check does not depend on epsilon, so
+    # it passes, and only that row fails
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "epsilons": [0.3, 0.2],
+        "profile": {"family": "turkington", "alpha": 1.0},
+        "grid": {"n_r": 16, "n_z": 16},
+    }))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", str(path), "--out", out]) == 0
+    assert "(1 failed)" in capsys.readouterr().out
+    with open(os.path.join(out, "sweep.csv")) as f:
+        rows = list(csv.DictReader(f))
+    assert [float(row["epsilon"]) for row in rows] == [0.3, 0.2]
+    assert rows[0]["status"].startswith("error: initialization ball")
+    assert rows[0]["mu"] == "nan"
+    assert rows[1]["status"] == "converged"
+    assert not os.path.exists(os.path.join(out, "eps_0.3"))
+    assert os.path.exists(os.path.join(out, "eps_0.2", "result.json"))
 
 
 def test_sweep_flags_support_on_edge(tmp_path):
@@ -288,6 +333,19 @@ def test_validate_greens_writes_pair_table(tmp_path):
     assert 0.0 <= summary["greens"]["operator_max_rel_diff"] <= 1e-12
     assert summary["greens"]["even_operator_vs_direct_ok"] is True
     assert 0.0 <= summary["greens"]["even_operator_max_rel_diff"] <= 1e-12
+
+
+def test_validate_profiles_passes(tmp_path):
+    out = str(tmp_path / "v")
+    assert main(["validate", "profiles", "--out", out]) == 0
+    summary = json.loads(open(os.path.join(out, "validation.json")).read())
+    families = summary["profiles"]["families"]
+    assert len(families) == 6
+    for name, entry in families.items():
+        assert entry["pass"] is True, name
+        assert entry["closed_vs_numeric_J"] <= 1e-6, name
+    assert summary["profiles"]["pass"] is True
+    assert summary["all_pass"] is True
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Generator families: the nonlinearity i, its primitive, the conjugate,
 and the structural assumption checker."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from vortexring.errors import ConfigurationError
-from vortexring.profiles import (GeneratorPair, check_assumptions, eval_H,
-                                 eval_I, eval_J, eval_J_numeric, eval_dJds,
-                                 eval_i, make_generator)
+from vortexring.profiles import (FAMILIES, GeneratorPair, check_assumptions,
+                                 eval_H, eval_I, eval_J, eval_J_numeric,
+                                 eval_dJds, eval_i, make_generator)
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 ALL_FAMILIES = [
     make_generator("power_law", p=1.0),
@@ -242,3 +248,29 @@ def test_make_generator_validation(tmp_path):
     gen = make_generator("table", table_path=str(path))
     assert gen.family == "table"
     np.testing.assert_allclose(eval_i(gen, 1.0, 1.5), 1.5, rtol=1e-12)
+
+
+def test_each_family_takes_its_own_parameter_only():
+    with pytest.raises(ConfigurationError, match="takes no alpha"):
+        make_generator("power_law", alpha=2.0)
+    t = np.linspace(0.0, 2.0, 3)
+    for family, (name, law) in FAMILIES.items():
+        own = {name: 2.0} if law else {"table": (t, t, t)}
+        assert make_generator(family, **own).family == family
+        for other in {"p", "alpha", "table_path"} - {name}:
+            with pytest.raises(ConfigurationError, match="takes no " + other):
+                make_generator(family, **dict(own, **{other: 2.0}))
+    with pytest.raises(ConfigurationError, match="alpha must be positive"):
+        GeneratorPair("turkington", alpha=-1.0)
+
+
+def test_profile_families_demo_runs():
+    # the demo calls every evaluator, the numeric conjugate and the checks
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", "profile_families.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "all_pass = True" in proc.stdout
+    assert "all_pass = False" not in proc.stdout

@@ -11,7 +11,7 @@ from vortexring import solver
 from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.grid import ScalarField, inner_nu, integrate_nu
 from vortexring.greens import apply_stream_operator, get_stream_operator
-from vortexring.profiles import eval_i, eval_J, make_generator
+from vortexring.profiles import eval_dJds, eval_i, eval_J, make_generator
 from vortexring.rearrange import steiner_symmetrize_z
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
@@ -547,6 +547,35 @@ def test_kkt_residual_detects_perturbation(coarse_turkington):
     res = kkt_residual(bumped)
     assert res > 100.0 * base.kkt
     assert res > 1e-3
+
+
+def test_kkt_residual_on_capped_cells():
+    # with Lambda = 1.5 the converged core reaches the cap on a few cells,
+    # where optimality asks psi >= dJds(r, Lambda)
+    cfg = ProblemConfig(epsilon=0.1, lambda_cap=1.5, n_r=32, n_z=32)
+    base = run(cfg, make_generator("turkington", alpha=1.0))
+    assert base.converged and base.kkt <= 1e-8
+    u = cfg.epsilon ** 2 * base.state.zeta.values
+    capped = np.argwhere(u >= 1.5 * (1.0 - 1e-12))
+    assert len(capped) > 0
+    i, j = capped[0]
+    spec = base.state.psi.spec
+    thresh = eval_dJds(base.gen, spec.r_centers[i], 1.5)
+    psi = base.state.psi.values
+    scale = float(np.max(np.abs(psi)))
+    assert thresh < psi[i, j] < scale
+
+    def residual_with(value):
+        vals = psi.copy()
+        vals[i, j] = value
+        state = dataclasses.replace(base.state, psi=ScalarField(spec, vals))
+        return kkt_residual(dataclasses.replace(base, state=state))
+
+    # still above the threshold: no change; below it: the gap, normalized
+    assert residual_with(0.5 * (thresh + psi[i, j])) == base.kkt
+    res = residual_with(thresh - 0.01 * scale)
+    np.testing.assert_allclose(res, 0.01, rtol=1e-12)
+    assert res >= 100.0 * base.kkt
 
 
 def test_patch_measure_reports_capped_cells():
