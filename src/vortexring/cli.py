@@ -215,6 +215,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "mu_trace": [float(x) for x in result.mu_trace],
         "l1_change_trace": [float(x) for x in result.l1_change_trace],
         "support_trace": [int(x) for x in result.support_trace],
+        "mass_evals_trace": [int(x) for x in result.mass_evals_trace],
     }
     files = {}
     for name, text in (

@@ -6,10 +6,12 @@ update: each cell i holds fill(h_i - mu, i) for a fill that is
 nondecreasing in t and vanishes for t <= 0, and mu is the smallest value
 >= 0 whose total weight fits the budget. Only cells with h_i > mu fill,
 so each mass evaluation calls fill on the prefix of the descending heads
-above the probed mu, and only a top band of the heads is sorted: the
-search for mu runs down from the top head to the band's floor, and grows
-the band 4x, keeping its state, when the mass at the floor fits. The
-solver's multiplier search is the case fill(t, i) = min(Lambda, i(r_i, t));
+above the probed mu, and only a top band of the heads is sorted. The
+search starts at the head with a given count of cells above it (the last
+call's), brackets mu between two heads by a gallop and a regula falsi
+over the heads, growing the band 4x when it runs past the floor, and
+closes on the fixed prefix by an Illinois regula falsi. The solver's
+multiplier search is the case fill(t, i) = min(Lambda, i(r_i, t));
 the bathtub problem
 
     maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap
@@ -23,7 +25,6 @@ and nonincreasing in |z|, exactly preserving the column's value multiset.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .grid import ScalarField
@@ -65,9 +66,11 @@ _BAND_MIN = 64
 _BAND_GROWTH = 4
 
 
-def threshold_fill(h, w, budget, fill):
-    """Smallest mu >= 0 with sum_i w_i fill(h_i - mu, i) <= budget, and the
-    fills at it, with the budget met exactly whenever mu > 0.
+def threshold_fill(h, w, budget, fill, start=0):
+    """Smallest mu >= 0 with sum_i w_i fill(h_i - mu, i) <= budget, the
+    fills at it, with the budget met to a few ulp whenever mu > 0, and the
+    count of cells above mu, for a later call on nearby heads to take as
+    its start (0 searches cold).
 
     h and w are matching 1-d float arrays of heads and weights. fill(t, idx)
     maps the arguments t of the cells idx (indices into h) to their fills;
@@ -79,20 +82,24 @@ def threshold_fill(h, w, budget, fill):
     Only a top band of the heads is sorted: the h.size // 8 largest (at
     least 64), by one argpartition, less those on its floor, the largest
     head left out (0 once that is <= 0). The search runs over the band's
-    distinct heads from the top, where the mass is zero, down to the
-    floor, where it is exact as no cell below the band fills: it doubles
-    the level index until the mass exceeds the budget, then bisects, and
-    ends with adjacent levels lo < hi with mass(lo) > budget >= mass(hi).
-    If the mass at a floor of 0 fits, mu = 0; at a positive floor, the
-    band grows 4x downward and the search goes on where it was: levels
-    above the old floor keep their indices and fills, and the old floor
-    becomes a level with its cells on it. Each probe of a head also hands
-    fill the cells on that head with t = tiny, the left limit t -> 0+, so
-    the left-limit mass(hi-) costs no extra call. If it still exceeds the
-    budget, mu = hi and the cells with h == hi share the rest of the
-    budget in proportion to their left-limit fill (the level set of the
-    bathtub); otherwise brentq closes the crossing inside (lo, hi), where
-    the cells above mu are the fixed prefix h >= hi.
+    distinct heads, from the top, where the mass is zero, to the floor,
+    where it is exact as no cell below the band fills. It probes the level
+    with start cells above it, gallops from there with doubling steps,
+    down while the mass fits and up while it does not, then probes the
+    level nearest the secant root of mass - budget (the middle one after
+    two probes on one side) until adjacent levels lo < hi hold mass(lo) >
+    budget >= mass(hi). If the mass at a floor of 0 fits, mu = 0; at a
+    positive floor, the band grows 4x downward and the gallop goes on:
+    levels above the old floor keep their indices and fills, and the old
+    floor becomes a level with its cells on it. Each probe of a head also
+    hands fill the cells on that head with t = tiny, the left limit
+    t -> 0+, so the left-limit mass(hi-) costs no extra call. If it
+    exceeds the budget, mu = hi and the cells with h == hi share the rest
+    of the budget in proportion to their left-limit fill (the level set of
+    the bathtub); otherwise an Illinois regula falsi from mass(lo) and
+    mass(hi-) closes the crossing on the fixed prefix h >= hi, to a few
+    ulp of the budget or until the bracket collapses, and returns the
+    evaluated point closest to it: one call when the fill is linear in t.
     """
     out = np.zeros(h.shape)
     size = max(h.size // _BAND_SHARE, _BAND_MIN)
@@ -117,28 +124,50 @@ def threshold_fill(h, w, budget, fill):
         u = fill(t, order[:e])
         return float(np.dot(ws[:c], u[:c])), float(np.dot(ws[c:e], u[c:])), u
 
-    # mass(levels[0]) = 0: no cell lies above the top head. Double the
-    # index until a level holds too much, then bisect.
     evals = {}
-    good, bad = 0, None
-    while bad is None or bad - good > 1:
-        if bad is None and good == levels.size - 1:
+    good, bad = 0, None  # mass(levels[0]) = 0: no cell lies above the top
+
+    def probe(k):
+        """Whether level k fits; moves the bracket end it falls on. A level
+        whose left-limit mass exceeds the budget holds mu itself."""
+        nonlocal good, bad
+        mass, on_level, _ = evals[k] = level_fill(k)
+        if mass > budget:
+            bad = k
+        else:
+            good, bad = k, k + 1 if mass + on_level > budget else bad
+        return mass <= budget
+
+    k = min(int(np.searchsorted(above, start, "right")) - 1, levels.size - 1)
+    step = 1
+    if k > 0 and not probe(k):
+        while good == 0 and bad > step:  # gallop up
+            probe(bad - step)
+            step *= 2
+    while bad is None:  # gallop down
+        if good == levels.size - 1:
             # the floor fits: mu = 0 at a zero floor, else grow the band
             if floor == 0.0:
                 out[order] = evals[good][2] if order.size else 0.0
-                return 0.0, out
+                return 0.0, out, order.size
             size *= _BAND_GROWTH
             more, rest, floor = _top_band(h, rest, size - order.size)
             order = np.concatenate((order, more))
             hs, ws, levels, above = band_levels()
             evals.pop(good, None)
             continue
-        k = min(2 * good + 1, levels.size - 1) if bad is None else (good + bad) // 2
-        evals[k] = level_fill(k)
-        if evals[k][0] > budget:
-            bad = k
+        probe(min(good + step, levels.size - 1))
+        step *= 2
+    sides = []
+    while bad - good > 1:  # regula falsi over the levels
+        if sides[-2:] in ([True, True], [False, False]):
+            k = (good + bad) // 2
         else:
-            good = k
+            g = sum(evals[good][:2]) if good in evals else 0.0
+            mu = levels[good] + (levels[bad] - levels[good]) * (
+                (budget - g) / (evals[bad][0] - g))
+            k = good + 1 + int(np.argmin(np.abs(levels[good + 1:bad] - mu)))
+        sides.append(probe(k))
     if good not in evals:
         evals[good] = level_fill(good)
     mass_hi, on_ledge, u = evals[good]
@@ -148,16 +177,29 @@ def threshold_fill(h, w, budget, fill):
     if mass_hi + on_ledge > budget:
         u[top:] *= (budget - mass_hi) / on_ledge
         out[order[:m]] = u
-        return hi, out
+        return hi, out, top
 
-    # brentq starts by evaluating its bracket ends, which the search has,
-    # and returns one of the points it evaluated
-    masses = {hi: mass_hi, lo: evals[bad][0]}
-    fills = {}
-    mu = brentq(_prefix_excess, lo, hi, xtol=np.finfo(float).tiny,
-                args=(hs[:m], ws[:m], order[:m], fill, budget, masses, fills))
-    out[order[:m]] = fills[mu] if mu in fills else fill(hs[:m] - mu, order[:m])
-    return float(mu), out
+    # Illinois regula falsi from the left-limit mass at hi and the mass at
+    # lo; the end kept twice in a row has its excess halved
+    f_hi, f_lo = mass_hi + on_ledge - budget, evals[bad][0] - budget
+    best = min((abs(f_hi), hi, u), (abs(f_lo), lo, evals[bad][2][:m]),
+               key=lambda p: p[0])
+    side = 0
+    while best[0] > 4.0 * np.spacing(budget):
+        mu = lo - f_lo * (lo - hi) / (f_lo - f_hi)
+        if not lo < mu < hi:
+            mu = lo + 0.5 * (hi - lo)
+            if not lo < mu < hi:
+                break  # the bracket has collapsed
+        v = fill(hs[:m] - mu, order[:m])
+        f = float(np.dot(ws[:m], v)) - budget
+        best = min(best, (abs(f), mu, v), key=lambda p: p[0])
+        if f > 0.0:
+            lo, f_lo, f_hi, side = mu, f, f_hi / (1 + (side > 0)), 1
+        else:
+            hi, f_hi, f_lo, side = mu, f, f_lo / (1 + (side < 0)), -1
+    out[order[:m]] = best[2]
+    return float(best[1]), out, m
 
 
 def _top_band(h, rest, k):
@@ -181,18 +223,6 @@ def _top_band(h, rest, k):
     return top, (low, tied), floor
 
 
-def _prefix_excess(mu, hs, ws, idx, fill, budget, masses, fills):
-    """Mass at mu of the cells idx less the budget, for brentq, caching the
-    mass and fills by mu. brentq wraps its objective in a self-referencing
-    closure, so a nested function here would keep every array it captured
-    alive until the next cyclic garbage collection; passing the data as
-    arguments leaves nothing behind when the call returns."""
-    if mu not in masses:
-        fills[mu] = fill(hs - mu, idx)
-        masses[mu] = float(np.dot(ws, fills[mu]))
-    return masses[mu] - budget
-
-
 def bathtub_maximize(space):
     """Exact solution of the capped, mass-constrained linear maximization:
     the fill = 1 case of threshold_fill.
@@ -203,8 +233,9 @@ def bathtub_maximize(space):
     the residual capacity in proportion to weight, and nothing at or below
     0 ever fills.
     """
-    level, omega = threshold_fill(space.values, space.weights, space.capacity,
-                                  lambda t, idx: (t > 0.0).astype(float))
+    level, omega, _ = threshold_fill(
+        space.values, space.weights, space.capacity,
+        lambda t, idx: (t > 0.0).astype(float))
     value = float(np.sum(space.weights * space.values * omega))
     return BathtubSolution(omega=omega, level=level, value=value)
 

@@ -136,6 +136,7 @@ class SolveResult:
     mu_trace: np.ndarray = field(repr=False)
     l1_change_trace: np.ndarray = field(repr=False)
     support_trace: np.ndarray = field(repr=False)
+    mass_evals_trace: np.ndarray = field(repr=False)
     kkt: float = np.nan
     patch_measure: float = np.nan
     mass: float = np.nan
@@ -172,38 +173,42 @@ def energy(config, gen, zeta, psi0):
     return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
 
 
-def solve_mu(config, gen, psi0):
-    """Multiplier and updated vorticity for one outer step.
+def solve_mu(config, gen, psi0, start=0):
+    """Multiplier and updated vorticity of one outer step, the count of
+    cells above mu (the next step's start; 0 is cold) and the fill calls.
 
     The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
     with head = psi0 less the per-row background, and its mass is
     nonincreasing in mu.
     rearrange.threshold_fill returns the smallest mu >= 0 whose update fits
-    the mass budget, exactly: zero when the unconstrained update fits; a
-    head value when the mass jumps across the budget there, as it does for
-    generators with a jump at the origin, in which case the cells on that
-    level set (the ledge psi = 0) are filled fractionally; and a bracketed
-    root between two heads otherwise. Each mass evaluation is one eval_i
-    call on the cells whose head lies above the probed mu, with their radii
-    gathered by row: flat cell idx lies in row idx // n_z.
+    the mass budget: zero when the unconstrained update fits; a head value
+    when the mass jumps across the budget there, as it does for generators
+    with a jump at the origin, in which case the cells on that level set
+    (the ledge psi = 0) are filled fractionally; and a root between two
+    heads, to a few ulp of the budget, otherwise. Each mass evaluation is
+    one eval_i call on the cells whose head lies above the probed mu, with
+    their radii gathered by row: flat cell idx lies in row idx // n_z.
     """
     spec = psi0.spec
     lam = config.resolved_lambda(gen)
     eps2 = config.epsilon ** 2
     head = (psi0.values - background_field(config, spec)).ravel()
     rc, n_z = spec.r_centers, spec.n_z
+    evals = 0
 
     def fill(t, idx):
+        nonlocal evals
+        evals += 1
         return np.minimum(lam, eval_i(gen, rc[idx // n_z], t))
 
-    mu, u = threshold_fill(head, spec.nu_weights().ravel(),
-                           config.kappa * eps2, fill)
+    mu, u, above = threshold_fill(head, spec.nu_weights().ravel(),
+                                  config.kappa * eps2, fill, start)
     zeta = ScalarField(spec, (u / eps2).reshape(psi0.values.shape))
     mass = integrate_nu(zeta)
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
-    return mu, _capped(zeta, config, lam)
+    return mu, _capped(zeta, config, lam), above, evals
 
 
 def _capped(zeta, config, lam):
@@ -278,12 +283,14 @@ def run(config, gen):
     Iterates psi0 = K zeta_k, (mu, zeta_{k+1}) = solve_mu until the
     relative L1(nu) change drops below tol_zeta or max_iterations is hit.
     The energy trace is recorded per iterate and asserted nondecreasing
-    (1e-9 relative slack); mu, the L1 change and the full field's count
-    of nonzero cells are recorded per iteration. The returned vorticity
-    must be a fixed point of steiner_symmetrize_z, bit for bit, or
-    NumericalError is raised. The final state gets a fresh stream field
-    so the reported optimality residual and patch measure are
-    self-consistent. check_problem runs first.
+    (1e-9 relative slack); mu, the L1 change, the full field's count of
+    nonzero cells and the multiplier search's mass evaluations are
+    recorded per iteration. Each search starts from the last one's count
+    of cells above mu. The returned vorticity must be a fixed point of
+    steiner_symmetrize_z, bit for bit, or NumericalError is raised. The
+    final state gets a fresh stream field so the reported optimality
+    residual and patch measure are self-consistent. check_problem runs
+    first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -295,7 +302,7 @@ def run(config, gen):
     pairs = replace(spec, n_z=half)
     zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
 
-    trace, mus, changes, supports = [], [], [], []
+    trace, mus, changes, supports, evals = [], [], [], [], []
 
     def ascend(zeta, it):
         """psi0 = K zeta; its energy joins the trace after the ascent
@@ -311,13 +318,14 @@ def run(config, gen):
         trace.append(e)
         return psi0
 
-    mu = 0.0
+    mu, above = 0.0, 0
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         psi0 = ascend(zeta, it)
-        mu, zeta_next = solve_mu(config, gen, psi0)
+        mu, zeta_next, above, n = solve_mu(config, gen, psi0, above)
         mus.append(mu)
+        evals.append(n)
         changes.append(l1_change(pairs, zeta.values, zeta_next.values))
         supports.append(2 * np.count_nonzero(zeta_next.values))
         zeta = zeta_next
@@ -342,7 +350,7 @@ def run(config, gen):
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),
         mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
-        support_trace=np.asarray(supports),
+        support_trace=np.asarray(supports), mass_evals_trace=np.asarray(evals),
         degenerate_epsilon=config.degenerate_epsilon,
     )
     result.mass = integrate_nu(zeta)

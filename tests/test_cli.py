@@ -59,6 +59,10 @@ def test_solve_converged_writes_all_outputs(solved_dir):
     with open(os.path.join(out, "zeta.csv")) as fh:
         nonzero = sum(float(row["value"]) != 0.0 for row in csv.DictReader(fh))
     assert payload["support_trace"][-1] == nonzero
+    # the multiplier search's fill calls, one count per iteration
+    evals = payload["mass_evals_trace"]
+    assert len(evals) == payload["outcome"]["iterations"]
+    assert all(isinstance(n, int) and n >= 1 for n in evals)
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert "grid_sha256" in manifest
     assert sorted(manifest["files"]) == ["manifest.json", "psi.csv",

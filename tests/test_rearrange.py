@@ -72,31 +72,48 @@ def _fills(rng, n):
     ]
 
 
-def _check_against_oracle(h, w, budget, law):
+def _check_against_oracle(h, w, budget, law, warm=False):
     """threshold_fill against the oracle, plus the prefix contract: every
     fill call gets a super-level set of the heads, with t > 0 throughout
-    and the left-limit argument only on the lowest head of the call."""
-    calls = []
-
-    def fill(t, idx):
-        calls.append((t.copy(), idx.copy()))
-        return law(t, idx)
-
-    mu, u = threshold_fill(h, w, budget, fill)
+    and the left-limit argument only on the lowest head of the call. The
+    search must return the count of cells above mu. With warm, it is
+    repeated from starts around that count, below it and past it, and
+    must give the same result from each. Returns mu and the fill calls of
+    the cold search."""
     mu_ref, u_ref = _threshold_fill_oracle(
         h, w, budget, lambda t: law(t, np.arange(h.size)))
-    assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
     scale = float(np.max(np.abs(u_ref))) if u_ref.size else 0.0
-    np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * scale)
-    if mu > 0.0:
-        np.testing.assert_allclose(float(np.sum(w * u)), budget, rtol=1e-12)
-    for t, idx in calls:
-        assert idx.size and np.all(t > 0.0)
-        heads = h[idx]
-        low = float(np.min(heads))
-        np.testing.assert_array_equal(np.sort(idx),
-                                      np.flatnonzero(h >= low))
-        assert np.all(heads[t == TINY] == low)
+
+    def check(start):
+        calls = []
+
+        def fill(t, idx):
+            calls.append((t.copy(), idx.copy()))
+            return law(t, idx)
+
+        mu, u, count = threshold_fill(h, w, budget, fill, start)
+        assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * scale)
+        if mu > 0.0:
+            np.testing.assert_allclose(float(np.sum(w * u)), budget,
+                                       rtol=1e-12)
+        assert count == np.count_nonzero(h > mu)
+        for t, idx in calls:
+            assert idx.size and np.all(t > 0.0)
+            heads = h[idx]
+            low = float(np.min(heads))
+            np.testing.assert_array_equal(np.sort(idx),
+                                          np.flatnonzero(h >= low))
+            assert np.all(heads[t == TINY] == low)
+        return mu, calls
+
+    mu, calls = check(0)
+    if warm:
+        count = int(np.count_nonzero(h > mu))
+        band = max(h.size // 8, 64)
+        for start in (1, count, count - 1, count + 1, 3 * count, 2 * band,
+                      h.size):
+            check(start)
     return mu, calls
 
 
@@ -126,9 +143,25 @@ def test_threshold_fill_across_growing_bands(rng):
         for _, law in _fills(rng, n):
             full = float(np.sum(w * law(h, np.arange(n))))
             budget = rng.uniform(0.3, 0.98) * full
-            mu, calls = _check_against_oracle(h, w, budget, law)
+            mu, calls = _check_against_oracle(h, w, budget, law, warm=True)
             assert mu > 0.0
             assert max(idx.size for _, idx in calls) > n // 8
+
+
+def test_threshold_fill_warm_start_on_a_ledge(rng):
+    # a jump fill on heads of a 0.1 lattice, with a budget inside the jump
+    # at the head 1.0: mu is that head exactly from every start, and the
+    # ~half of the cells above it lie past the first band
+    n = 2000
+    h = np.round(rng.uniform(-1.0, 3.0, n), 1)
+    w = rng.uniform(0.1, 2.0, n)
+    law = _fills(rng, n)[1][1]
+    above, on = h > 1.0, h == 1.0
+    full = float(np.sum(w[above] * law(h[above] - 1.0, None)))
+    left = np.full(np.count_nonzero(on), TINY)
+    jump = float(np.sum(w[on] * law(left, None)))
+    mu, _ = _check_against_oracle(h, w, full + 0.5 * jump, law, warm=True)
+    assert mu == 1.0
 
 
 def test_threshold_fill_zero_multiplier_when_the_fill_fits(rng):
@@ -168,16 +201,16 @@ def test_threshold_fill_single_level(rng):
             else:
                 assert 0.0 < mu < 1.5, name
     # the step fill on one level is the bathtub ledge: fractions w-blind
-    mu, u = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
-                           lambda t, idx: (t > 0.0).astype(float))
+    mu, u, _ = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
+                              lambda t, idx: (t > 0.0).astype(float))
     np.testing.assert_allclose(u[on], 0.5, rtol=1e-14)
     assert np.all(u[~on] == 0.0)
 
 
 def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
-    # brentq wraps its objective in a self-referencing closure, so arrays
-    # the objective captured would outlive the call until a cyclic
-    # collection; across solver iterations that raised the peak memory
+    # arrays held by a closure in a reference cycle would outlive the call
+    # until a cyclic collection; across solver iterations that raised the
+    # peak memory
     n = 200
     h = rng.uniform(-1.0, 3.0, n)
     w = rng.uniform(0.1, 2.0, n)
@@ -186,7 +219,7 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        mu, _ = threshold_fill(h, w, budget, law)
+        mu, _, _ = threshold_fill(h, w, budget, law)
         gc.collect()
         held = [r for o in gc.garbage for r in gc.get_referents(o)
                 if isinstance(r, np.ndarray)]
@@ -201,7 +234,7 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
 def test_solve_mu_matches_full_array_search(which, request):
     result = request.getfixturevalue(which)
     config, gen, psi0 = result.config, result.gen, result.state.psi0
-    mu, zeta = solver.solve_mu(config, gen, psi0)
+    mu, zeta, _, _ = solver.solve_mu(config, gen, psi0)
 
     # the full-array update of solve_mu, through the oracle search
     spec = psi0.spec

@@ -12,7 +12,7 @@ from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.grid import ScalarField, inner_nu, integrate_nu
 from vortexring.greens import apply_stream_operator, get_stream_operator
 from vortexring.profiles import eval_dJds, eval_i, eval_J, make_generator
-from vortexring.rearrange import steiner_symmetrize_z
+from vortexring.rearrange import steiner_symmetrize_z, threshold_fill
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
                                patch_measure, run, solve_mu)
@@ -160,7 +160,7 @@ def test_solve_mu_pointwise_cases():
     head[1, 1] = 0.5
     head[2, 2] = 100.0
     psi0 = bg + head
-    mu, out = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, out, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
     eps2 = cfg.epsilon ** 2
     assert mu == 0.0
     assert out.values[0, 0] == 0.0
@@ -175,7 +175,8 @@ def test_solve_mu_zero_stream():
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
-    mu, zeta = solve_mu(cfg, gen, ScalarField(spec, np.zeros((16, 16))))
+    mu, zeta, _, _ = solve_mu(cfg, gen,
+                              ScalarField(spec, np.zeros((16, 16))))
     assert mu == 0.0
     assert np.all(zeta.values == 0.0)
 
@@ -183,20 +184,27 @@ def test_solve_mu_zero_stream():
 _TABLE_T = np.linspace(0.0, 60.0, 13)
 
 
-@pytest.mark.parametrize("family, params", [
-    pytest.param("turkington", {"alpha": 1.0}, id="turkington"),
-    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
-    pytest.param("power_law", {"p": 2.0}, id="power_law-p2"),
-    pytest.param("mixed", {"p": 1.5}, id="mixed-p1.5"),
-    pytest.param("beltrami", {"p": 1.0}, id="beltrami-p1"),
+_HUMP_FAMILIES = [
+    ("turkington", "turkington", {"alpha": 1.0}),
+    ("power_law-p1", "power_law", {"p": 1.0}),
+    ("power_law-p2", "power_law", {"p": 2.0}),
+    ("mixed-p1.5", "mixed", {"p": 1.5}),
+    ("beltrami-p1", "beltrami", {"p": 1.0}),
     # the table twin of power_law p=1
-    pytest.param("table", {"table": (_TABLE_T, np.zeros(13), _TABLE_T)},
-                 id="table-power_law-p1"),
-])
-def test_solve_mu_active_mass_constraint(family, params, monkeypatch):
-    sizes, n_cand = _solve_mu_on_hump(32, family, params, monkeypatch)
-    # the multiplier search is a binary search over the candidate heads
-    # plus a bounded bracketed root-find, not a fixed-count bisection
+    ("table-power_law-p1", "table",
+     {"table": (_TABLE_T, np.zeros(13), _TABLE_T)}),
+]
+
+
+# the ids of the 32^2 cases are the bare family ids
+@pytest.mark.parametrize("family, params, n", [
+    pytest.param(family, params, n,
+                 id=name if n == 32 else "%s-n%d" % (name, n))
+    for n in (32, 64, 96) for name, family, params in _HUMP_FAMILIES])
+def test_solve_mu_active_mass_constraint(family, params, n, monkeypatch):
+    sizes, n_cand = _solve_mu_on_hump(n, family, params, monkeypatch)
+    # the multiplier search is a search over the candidate heads plus a
+    # bounded bracketed root-find, not a fixed-count bisection
     assert len(sizes) <= math.ceil(math.log2(n_cand)) + 10
 
 
@@ -233,7 +241,7 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
         return eval_i(gen, r, t)
 
     monkeypatch.setattr(solver, "eval_i", counted)
-    mu, zeta = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
+    mu, zeta, _, _ = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
     assert mu > 0.0
     mass = integrate_nu(zeta)
     assert mass <= cfg.kappa
@@ -257,7 +265,7 @@ def test_solve_mu_ledge_fill_for_jump_generator():
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     psi0 = bg + plateau
-    mu, zeta = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, zeta, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
     # (bg + 1) - bg leaves the plateau heads a few ulp apart
     head = psi0 - bg
     assert mu in set(head[plateau == 1.0])
@@ -407,7 +415,7 @@ def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
         psi0 = 0.5 * (vals + vals[:, ::-1])
         np.testing.assert_array_equal(psi0, psi0[:, ::-1])
         assert np.all(np.diff(psi0[:, 8:], axis=1) <= 0.0)
-        _, update = solve_mu(cfg, gen, ScalarField(spec, psi0))
+        _, update, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
         assert np.any(update.values > 0.0)
         assert _is_steiner(update)
 
@@ -431,11 +439,11 @@ def test_run_iterates_stay_steiner_symmetric(family, params, max_iterations,
     def checking(*args):
         # the loop's iterates are the rows z > 0 of even fields: mirror
         # each one onto the full grid before checking it
-        mu, zeta = solve_mu(*args)
+        mu, zeta, *search = solve_mu(*args)
         assert zeta.values.shape == (spec.n_r, spec.n_z // 2)
         full = np.hstack((zeta.values[:, ::-1], zeta.values))
         checked.append(_is_steiner(ScalarField(spec, full)))
-        return mu, zeta
+        return mu, zeta, *search
 
     monkeypatch.setattr(solver, "solve_mu", checking)
     result = run(cfg, gen)
@@ -460,7 +468,7 @@ def _full_grid_run(cfg, gen):
         return psi0
 
     for it in range(1, cfg.max_iterations + 1):
-        mu, update = solve_mu(cfg, gen, stream(zeta))
+        mu, update, _, _ = solve_mu(cfg, gen, stream(zeta))
         mus.append(mu)
         change = l1_change(spec, zeta.values, update.values)
         zeta = update
@@ -483,17 +491,17 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     spec = cfg.domain_grid()
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0):
-        # each half-plane search against the full-grid search on the
+    def paired(config, gen, psi0, start):
+        # each half-plane search against a cold full-grid search on the
         # mirrored stream: the same multiplier and the mirrored update
-        mu, update = solve_mu(config, gen, psi0)
+        mu, update, *search = solve_mu(config, gen, psi0, start)
         full = ScalarField(spec, np.hstack((psi0.values[:, ::-1],
                                             psi0.values)))
-        mu_full, update_full = solve_mu(config, gen, full)
+        mu_full, update_full, _, _ = solve_mu(config, gen, full)
         ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
         top = update_full.values[:, n // 2:]
         gaps.append(np.max(np.abs(update.values - top)) / np.max(top))
-        return mu, update
+        return mu, update, *search
 
     monkeypatch.setattr(solver, "solve_mu", paired)
     result = run(cfg, gen)
@@ -514,6 +522,35 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("family, params", [
+    pytest.param("turkington", {"alpha": 1.0}, id="turkington"),
+    pytest.param("power_law", {"p": 1.0}, id="power_law-p1"),
+])
+def test_warm_multiplier_search_matches_cold(family, params, monkeypatch):
+    # run starts each search from the previous one's count of cells above
+    # mu; the same search from a cold start on the same heads must find
+    # mu to 4 ulp and close the mass at least as well, up to 2e-15
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=150)
+    starts, counts, ulps = [], [], []
+
+    def compared(h, w, budget, fill, start):
+        mu, u, count = threshold_fill(h, w, budget, fill, start)
+        mu_cold, u_cold, _ = threshold_fill(h, w, budget, fill)
+        starts.append(start)
+        counts.append(count)
+        ulps.append(abs(mu - mu_cold) / np.spacing(mu_cold))
+        warm = abs(float(np.dot(w, u)) - budget)
+        cold = abs(float(np.dot(w, u_cold)) - budget)
+        assert warm <= max(cold, 2e-15 * budget)
+        return mu, u, count
+
+    monkeypatch.setattr(solver, "threshold_fill", compared)
+    result = run(cfg, make_generator(family, **params))
+    assert len(ulps) == result.iterations
+    assert max(ulps) <= 4.0
+    assert starts == [0] + counts[:-1]
+
+
 @pytest.mark.parametrize("breaks", [
     # run's iterates are the rows z > 0 of even fields (16 x 8 here), so
     # both breaks leave the unfolded state even: rolled by a cell, the
@@ -524,8 +561,8 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
 ], ids=["shifted", "hollow"])
 def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
     def broken(*args):
-        mu, zeta = solve_mu(*args)
-        return mu, ScalarField(zeta.spec, breaks(zeta.values))
+        mu, zeta, *search = solve_mu(*args)
+        return mu, ScalarField(zeta.spec, breaks(zeta.values)), *search
 
     monkeypatch.setattr(solver, "solve_mu", broken)
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16, max_iterations=1)
