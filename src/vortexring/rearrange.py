@@ -179,27 +179,26 @@ def threshold_fill(h, w, budget, fill, start=0):
         out[order[:m]] = u
         return hi, out, top
 
-    # Illinois regula falsi from the left-limit mass at hi and the mass at
-    # lo; the end kept twice in a row has its excess halved
+    # Illinois regula falsi between lo and hi-, whose left-limit fills
+    # stand for mu = hi; an end kept twice in a row has its excess halved
     f_hi, f_lo = mass_hi + on_ledge - budget, evals[bad][0] - budget
-    best = min((abs(f_hi), hi, u), (abs(f_lo), lo, evals[bad][2][:m]),
+    best = min((abs(f_hi), hi, u, top), (abs(f_lo), lo, evals[bad][2][:m], m),
                key=lambda p: p[0])
     side = 0
     while best[0] > 4.0 * np.spacing(budget):
         mu = lo - f_lo * (lo - hi) / (f_lo - f_hi)
+        mu = min(max(mu, np.nextafter(lo, hi)), np.nextafter(hi, lo))
         if not lo < mu < hi:
-            mu = lo + 0.5 * (hi - lo)
-            if not lo < mu < hi:
-                break  # the bracket has collapsed
+            break  # the bracket has collapsed
         v = fill(hs[:m] - mu, order[:m])
         f = float(np.dot(ws[:m], v)) - budget
-        best = min(best, (abs(f), mu, v), key=lambda p: p[0])
+        best = min(best, (abs(f), mu, v, m), key=lambda p: p[0])
         if f > 0.0:
             lo, f_lo, f_hi, side = mu, f, f_hi / (1 + (side > 0)), 1
         else:
             hi, f_hi, f_lo, side = mu, f, f_lo / (1 + (side < 0)), -1
     out[order[:m]] = best[2]
-    return float(best[1]), out, m
+    return float(best[1]), out, best[3]
 
 
 def _top_band(h, rest, k):

@@ -150,8 +150,9 @@ def test_threshold_fill_across_growing_bands(rng):
 
 def test_threshold_fill_warm_start_on_a_ledge(rng):
     # a jump fill on heads of a 0.1 lattice, with a budget inside the jump
-    # at the head 1.0: mu is that head exactly from every start, and the
-    # ~half of the cells above it lie past the first band
+    # at the head 1.0 or at its top, the left-limit mass there: mu is that
+    # head from every start, and the ~half of the cells above it lie past
+    # the first band
     n = 2000
     h = np.round(rng.uniform(-1.0, 3.0, n), 1)
     w = rng.uniform(0.1, 2.0, n)
@@ -162,6 +163,9 @@ def test_threshold_fill_warm_start_on_a_ledge(rng):
     jump = float(np.sum(w[on] * law(left, None)))
     mu, _ = _check_against_oracle(h, w, full + 0.5 * jump, law, warm=True)
     assert mu == 1.0
+    # at the top the oracle's root lies within roundoff below the head
+    mu, _ = _check_against_oracle(h, w, full + jump, law, warm=True)
+    assert abs(mu - 1.0) <= 1e-12
 
 
 def test_threshold_fill_zero_multiplier_when_the_fill_fits(rng):
