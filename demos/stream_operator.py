@@ -1,7 +1,8 @@
 # stream_operator.py
-# The grid stream operator psi0 = K zeta two ways: kernel summation (the
-# solver's fast path) against a finite-difference solve of the
-# axisymmetric elliptic operator on a padded box.
+# The grid stream operator psi0 = K zeta two ways: the tabulated ring
+# kernel (the solver's fast path, for fields even in z) against a
+# finite-difference solve of the axisymmetric elliptic operator on a
+# padded box.
 #
 # Run from the repository root:  python3 demos/stream_operator.py
 
@@ -11,13 +12,16 @@ from vortexring.greens import (apply_stream_operator, default_extended_box,
                                fd_solve, restrict_to_grid)
 from vortexring.grid import ScalarField, build_grid
 
-# A uniform patch of potential vorticity on the solver's working box.
+# A uniform patch of potential vorticity on the solver's working box,
+# centred at z = 0 so that it is even in z.
 spec = build_grid(0.5, 2.0, -1.0, 1.0, 64, 64)
 rr = spec.r_centers[:, None]
 zz = spec.z_centers[None, :]
 patch = ScalarField(spec, np.where(np.hypot(rr - 1.0, zz) <= 0.25, 1.0, 0.0))
 
-# Fast path: tabulated ring kernel, applied by FFT convolution in z.
+# Fast path: the tabulated ring kernel, applied to the patch's rows z > 0
+# by symmetric convolution in z (DCT-II, one matmul per frequency,
+# DCT-III) and mirrored.
 psi_kernel = apply_stream_operator(patch)
 print("kernel apply:  max psi0 = %.6f" % np.max(psi_kernel.values))
 

@@ -139,26 +139,6 @@ def scaled_profile(zeta, center, epsilon):
                          window_halfwidth=halfwidth, center=(cr, cz))
 
 
-def radial_shell_profile(profile, n_shells=24):
-    """Angular average of a scaled profile over circular shells.
-
-    Returns (shell_radii, shell_means). Useful for monotonicity checks.
-    """
-    fld = profile.field
-    spec = fld.spec
-    xx = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    yy = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
-    rho = np.hypot(xx, yy)
-    rmax = profile.window_halfwidth
-    edges = np.linspace(0.0, rmax, n_shells + 1)
-    idx = np.clip(np.digitize(rho.ravel(), edges) - 1, 0, n_shells - 1)
-    sums = np.bincount(idx, weights=fld.values.ravel(), minlength=n_shells)
-    counts = np.bincount(idx, minlength=n_shells)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids, means
-
-
 def angular_variation(profile):
     """Relative spread of sector averages of the scaled profile.
 

@@ -13,19 +13,19 @@ function of a unit circular vortex filament,
 
 which reduces to complete elliptic integrals. Both forms are provided: the
 quadrature form is the slow reference, the elliptic form the production
-path. `StreamOperator` evaluates psi0 = K zeta on a grid by FFT
-convolution in z: the z-translation invariance makes the cell-to-cell
-table block-Toeplitz, and its offset transform, built once per grid as a
-DCT-I, is stored frequency-major (frequency, source row, target row) so
-that one application is a single batched real matmul restricted to the
-source rows that hold vorticity. For a field even in z on a box centred
-at z = 0, `apply_even` works on the rows z > 0 alone by symmetric
-convolution (Martucci, IEEE Trans. Signal Process. 1994): a DCT-II, the
-same table, a DCT-III. `apply_direct` sums over source cells explicitly
-and is the oracle for both. `ring_velocity_z` is (1/r) dK/dr
-in closed form, for the far field. `fd_solve` solves L psi0 = zeta by
-finite differences on a much larger box; it is only an independent
-check on the kernel path, in the tests and demos.
+path. `StreamOperator` evaluates psi0 = K zeta for fields even in z on a
+box centred at z = 0, the only fields the solver holds: the
+z-translation invariance makes the cell-to-cell table block-Toeplitz,
+its offset transform is built once per grid as a DCT-I and stored
+frequency-major (frequency, source row, target row), and `apply_even`
+works on the rows z > 0 alone by symmetric convolution (Martucci, IEEE
+Trans. Signal Process. 1994): a DCT-II, one batched real matmul over the
+source rows that hold vorticity, a DCT-III. `apply_direct` sums over
+source cells explicitly, for any field, and is its oracle.
+`ring_velocity_z` is (1/r) dK/dr in closed form, for the far field.
+`fd_solve` solves L psi0 = zeta by finite differences on a much larger
+box; it is only an independent check on the kernel path, in the tests
+and demos.
 """
 
 import functools
@@ -312,14 +312,12 @@ def build_kernel_block(spec):
 
 
 class StreamOperator:
-    """psi0 = K zeta on a fixed grid, applied by FFT convolution in z.
+    """psi0 = K zeta on a fixed grid, for fields even in z.
 
     The weighted kernel table A[a, b, dj] = K[a, b, dj] * nu(cell b)
     (target row a, source row b, z-offset dj) is transformed once in the
-    offset index. Its even extension to length 2 n_z, zero at offset n_z,
-    makes each application a batch of circular convolutions that equal
-    the linear ones; the transform of an even sequence is real and is the
-    DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0]. It is stored
+    offset index: the DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0], the
+    real transform of its even extension to length 2 n_z. It is stored
     frequency-major as one C-contiguous float64 array T[f, b, a] of shape
     (n_z + 1, n_r, n_r), n_r^2 (n_z + 1) * 8 bytes, and built without a
     second copy: the kernel is symmetric in (r, r'), so for each offset
@@ -327,16 +325,11 @@ class StreamOperator:
     slab, corrected near the diagonal, weighted and written into T[dj];
     the DCT-I then runs in place.
 
-    `apply` transforms only the source rows [b0, b1) between the first and
-    the last row holding a nonzero cell, stacks the real and imaginary
-    parts of their transform as (f, 2, b1 - b0), and contracts them with
-    T[:, b0:b1, :] in one batched real matmul; a dense field is the range
-    [0, n_r).
-
     `apply_even` takes the rows z > 0 of a field even about z = 0 (an
     even n_z on a box centred at 0). Zero-padded to n_z, their half-sample
     symmetric extension is the field's 2 n_z-periodic sequence, so the
-    convolution is a DCT-II of rows [b0, b1), one real row per frequency
+    convolution is a DCT-II of the source rows [b0, b1) between the first
+    and the last row holding a nonzero cell, one real row per frequency
     against T[:n_z, b0:b1, :], and a DCT-III back, whose first n_z / 2
     samples are psi0 on the same rows.
     """
@@ -356,21 +349,6 @@ class StreamOperator:
             np.multiply(slab.T, w[:, None], out=table[dj])
         table[n_z] = 0.0
         self._table = dct(table, type=1, axis=0, overwrite_x=True)
-        self._nfft = 2 * n_z
-
-    def apply(self, values):
-        """Apply to an (n_r, n_z) array of cell values, returning psi0."""
-        n_r, n_z = self.spec.n_r, self.spec.n_z
-        rows = np.flatnonzero(np.any(values, axis=1))
-        if rows.size == 0:
-            return np.zeros((n_r, n_z))
-        b0, b1 = rows[0], rows[-1] + 1
-        vhat = np.fft.rfft(values[b0:b1], n=self._nfft, axis=1)
-        parts = np.stack((vhat.real.T, vhat.imag.T), axis=1)
-        phat = np.matmul(parts, self._table[:, b0:b1, :])
-        out = np.fft.irfft(phat[:, 0, :].T + 1j * phat[:, 1, :].T,
-                           n=self._nfft, axis=1)
-        return out[:, :n_z]
 
     def apply_even(self, upper):
         """psi0 on the rows z > 0 of a field even in z, from those rows:
@@ -408,16 +386,20 @@ def get_stream_operator(spec):
 
 
 def apply_stream_operator(zeta):
-    """psi0 = K zeta for a nonnegative vorticity field.
+    """psi0 = K zeta for a nonnegative vorticity field even in z.
 
     The returned field is strictly positive wherever zeta is not
-    identically zero.
+    identically zero. A field that is not exactly even in z, or a grid
+    that is not z-symmetric, raises ConfigurationError.
     """
     vals = zeta.values
     if np.any(vals < 0):
         raise ConfigurationError("stream operator expects zeta >= 0")
-    op = get_stream_operator(zeta.spec)
-    return ScalarField(zeta.spec, op.apply(vals))
+    if not np.array_equal(vals, vals[:, ::-1]):
+        raise ConfigurationError("stream operator expects a field even in z")
+    upper = get_stream_operator(zeta.spec).apply_even(
+        vals[:, zeta.spec.n_z // 2:])
+    return ScalarField(zeta.spec, np.hstack((upper[:, ::-1], upper)))
 
 
 # ---------------------------------------------------------------------------

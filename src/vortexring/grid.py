@@ -106,14 +106,6 @@ class ScalarField:
             raise ConfigurationError("field contains non-finite values")
 
 
-def field_from_function(spec, fn):
-    """Sample fn(r, z) at cell centers (fn must broadcast over arrays)."""
-    rr = spec.r_centers[:, None]
-    zz = spec.z_centers[None, :]
-    return ScalarField(spec, np.asarray(fn(rr, zz), dtype=float)
-                       * np.ones((spec.n_r, spec.n_z)))
-
-
 def bilinear_sample(f, r, z):
     """Bilinear interpolation of a cell-centered field at points (r, z).
 
@@ -159,11 +151,6 @@ def inner_nu(a, b):
     """The nu-weighted inner product integral of a*b."""
     _check_same_grid(a, b)
     return float(np.sum(a.values * b.values * a.spec.nu_weights()))
-
-
-def integrate_planar(f):
-    """Integral of f against the unweighted planar measure dr dz."""
-    return float(np.sum(f.values) * f.spec.cell_area)
 
 
 def dump_field_csv(f, path):

@@ -8,8 +8,8 @@ from vortexring.diagnostics import (DiagnosticsRecord, angular_variation,
                                     asymptotic_fit, center_of_vorticity,
                                     core_radius, diagnostics_record,
                                     far_field_check, kelvin_hicks_check,
-                                    predicted_slopes, radial_shell_profile,
-                                    scaled_profile, support_mask,
+                                    predicted_slopes, scaled_profile,
+                                    support_mask,
                                     support_on_edge, support_stats,
                                     topology_check, velocity_field)
 from vortexring.errors import ConfigurationError, NumericalError
@@ -98,23 +98,18 @@ def test_scaled_profile_disc_mass():
     expect = 3.0 * np.pi * 0.12 ** 2
     np.testing.assert_allclose(prof.planar_mass, expect, rtol=5e-2)
     assert prof.window_halfwidth >= 0.24 / eps
+    # eps^2 times the height at the center, zero well outside the core
+    spec = prof.field.spec
+    rho = np.hypot(spec.r_centers[:, None], spec.z_centers[None, :])
+    np.testing.assert_allclose(prof.field.values[rho < 0.5],
+                               3.0 * eps ** 2, rtol=1e-12)
+    assert np.all(prof.field.values[rho > 0.9 * prof.window_halfwidth] == 0.0)
 
 
 def test_scaled_profile_clip_error():
     zeta = _disc_field()
     with pytest.raises(NumericalError):
         scaled_profile(zeta, (1.9, 0.9), 0.1)
-
-
-def test_radial_shell_profile_of_disc():
-    prof = scaled_profile(_disc_field(), (1.1, 0.0), 0.1)
-    mids, means = radial_shell_profile(prof, n_shells=16)
-    assert mids.shape == means.shape == (16,)
-    # flat near the center, zero well outside the core
-    np.testing.assert_allclose(means[0], 3.0 * 0.1 ** 2 / 0.1 ** 2 * 0.01,
-                               rtol=0.1)
-    assert means[-1] == 0.0
-    assert np.all(np.diff(means) <= 1e-12)
 
 
 def test_angular_variation_radial_disc():

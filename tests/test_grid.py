@@ -7,8 +7,7 @@ import pytest
 
 from vortexring.errors import ConfigurationError, GridMismatchError
 from vortexring.grid import (ScalarField, build_grid, dump_field_csv,
-                             field_from_function, integrate_nu, inner_nu,
-                             integrate_planar, load_field_csv)
+                             integrate_nu, inner_nu, load_field_csv)
 
 
 def test_cell_centers_three_by_two():
@@ -57,7 +56,7 @@ def test_integrate_nu_linear_field_refinement():
     errs = []
     for n in (16, 32):
         spec = build_grid(0.5, 2.0, -1.0, 1.0, n, 8)
-        fld = field_from_function(spec, lambda r, z: r)
+        fld = ScalarField(spec, np.repeat(spec.r_centers[:, None], 8, axis=1))
         errs.append(abs(integrate_nu(fld) - 5.25))
     assert errs[0] < 5.25 * 1e-3
     assert errs[1] < 0.3 * errs[0]
@@ -66,7 +65,7 @@ def test_integrate_nu_linear_field_refinement():
 def test_inner_nu_examples():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 40, 12)
     ones = ScalarField(spec, np.ones((40, 12)))
-    rfld = field_from_function(spec, lambda r, z: r)
+    rfld = ScalarField(spec, np.repeat(spec.r_centers[:, None], 12, axis=1))
     zero = ScalarField(spec, np.zeros((40, 12)))
     assert inner_nu(rfld, zero) == 0.0
     assert inner_nu(rfld, rfld) >= 0.0
@@ -82,12 +81,6 @@ def test_inner_nu_symmetric_and_grid_checked(rng):
     c = ScalarField(other, np.zeros((10, 12)))
     with pytest.raises(GridMismatchError):
         inner_nu(a, c)
-
-
-def test_integrate_planar_vs_nu():
-    spec = build_grid(0.5, 2.0, -1.0, 1.0, 30, 30)
-    ones = ScalarField(spec, np.ones((30, 30)))
-    np.testing.assert_allclose(integrate_planar(ones), 3.0, rtol=1e-14)
 
 
 def test_scalar_field_validation():

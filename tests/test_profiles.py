@@ -264,13 +264,26 @@ def test_each_family_takes_its_own_parameter_only():
         GeneratorPair("turkington", alpha=-1.0)
 
 
-def test_profile_families_demo_runs():
-    # the demo calls every evaluator, the numeric conjugate and the checks
+def _run_demo(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", "profile_families.py")],
+        [sys.executable, os.path.join(ROOT, "demos", script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "all_pass = True" in proc.stdout
-    assert "all_pass = False" not in proc.stdout
+    return proc.stdout
+
+
+def test_profile_families_demo_runs():
+    # the demo calls every evaluator, the numeric conjugate and the checks
+    out = _run_demo("profile_families.py")
+    assert "all_pass = True" in out
+    assert "all_pass = False" not in out
+
+
+@pytest.mark.parametrize("script", sorted(
+    name for name in os.listdir(os.path.join(ROOT, "demos"))
+    if name.endswith(".py") and name != "profile_families.py"))
+def test_demo_runs(script):
+    # every other demo, so that an API change that breaks one fails here
+    _run_demo(script)
