@@ -243,6 +243,8 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "grid_sha256": _grid_hash(result.state.zeta.spec),
         "files": sorted(files) + ["manifest.json"],
         "wall_clock_seconds": {k: round(v, 6) for k, v in stages.items()},
+        "layer_seconds": {k: round(v, 6)
+                          for k, v in result.layer_seconds.items()},
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   _json_dumps(manifest))

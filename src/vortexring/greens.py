@@ -40,6 +40,7 @@ from scipy.special import ellipe, ellipkm1
 
 from .errors import (
     ConfigurationError,
+    GridMismatchError,
     NumericalError,
     QuadratureToleranceError,
     SingularEvaluationError,
@@ -350,19 +351,22 @@ class StreamOperator:
         table[n_z] = 0.0
         self._table = dct(table, type=1, axis=0, overwrite_x=True)
 
-    def apply_even(self, upper):
+    def apply_even(self, upper, idx=None):
         """psi0 on the rows z > 0 of a field even in z, from those rows:
-        (n_r, n_z / 2) arrays ordered outward from z = 0."""
-        n_r, n_z = self.spec.n_r, self.spec.n_z
+        (n_r, n_z / 2) arrays ordered outward from z = 0, else
+        GridMismatchError; idx, upper's sorted nonzero flat index, or None."""
+        n_r, n_z, half = self.spec.n_r, self.spec.n_z, self.spec.n_z // 2
         if not self.spec.z_symmetric():
             raise ConfigurationError("the even apply needs a z-symmetric grid")
-        rows = np.flatnonzero(np.any(upper, axis=1))
-        if rows.size == 0:
-            return np.zeros((n_r, n_z // 2))
-        b0, b1 = rows[0], rows[-1] + 1
+        if upper.shape != (n_r, half):
+            raise GridMismatchError("%s is not (n_r, n_z/2)" % (upper.shape,))
+        idx = np.flatnonzero(upper.ravel() != 0.0) if idx is None else idx
+        if idx.size == 0:
+            return np.zeros((n_r, half))
+        b0, b1 = idx[0] // half, idx[-1] // half + 1
         vhat = dct(upper[b0:b1].T, type=2, n=n_z, axis=0)
         phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, :])
-        return idct(phat[:, 0, :].T, type=2, axis=1)[:, : n_z // 2]
+        return idct(phat[:, 0, :].T, type=2, axis=1)[:, :half]
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells, on a

@@ -6,7 +6,7 @@ update: each cell i holds fill(h_i - mu, i) for a fill that is
 nondecreasing in t and vanishes for t <= 0, and mu is the smallest value
 >= 0 whose total weight fits the budget. Only cells with h_i > mu fill,
 so each mass evaluation calls fill on the prefix of the descending heads
-above the probed mu, and only a top band of the heads is sorted. The
+above the probed mu; only a top band (4x a warm start count) is sorted. The
 search starts at the head with a given count of cells above it (the last
 call's), brackets mu between two heads by a gallop and a regula falsi
 over the heads, growing the band 4x when it runs past the floor, and
@@ -60,7 +60,7 @@ class BathtubSolution:
     value: float
 
 
-# threshold_fill's first band is h.size // 8 heads, at least 64; it grows 4x
+# threshold_fill's first band: 4 start heads, h.size // 8 cold, at least 64
 _BAND_SHARE = 8
 _BAND_MIN = 64
 _BAND_GROWTH = 4
@@ -79,39 +79,40 @@ def threshold_fill(h, w, budget, fill, start=0):
     drops only at them. Only cells with h_i > mu fill at mu, so every mass
     evaluation calls fill on the cells above the probed mu alone.
 
-    Only a top band of the heads is sorted: the h.size // 8 largest (at
-    least 64), by one argpartition, less those on its floor, the largest
-    head left out (0 once that is <= 0). The search runs over the band's
-    distinct heads, from the top, where the mass is zero, to the floor,
-    where it is exact as no cell below the band fills. It probes the level
-    with start cells above it, gallops from there with doubling steps,
-    down while the mass fits and up while it does not, then probes the
-    level nearest the secant root of mass - budget (the middle one after
-    two probes on one side) until adjacent levels lo < hi hold mass(lo) >
-    budget >= mass(hi). If the mass at a floor of 0 fits, mu = 0; at a
-    positive floor, the band grows 4x downward and the gallop goes on:
+    Only a top band of the heads is sorted: the 4 start largest, or the
+    h.size // 8 largest cold (at least 64), by one argpartition, less those
+    on its floor, the largest head left out (0 once that is <= 0). Equal
+    heads sort by cell, so that every band orders them alike. The search
+    runs over the band's distinct heads, from the top, where the mass is
+    zero, to the floor, where it is exact as no cell below the band fills.
+    It probes the level with start cells above it, gallops from there with
+    doubling steps, down while the mass fits and up while it does not, then
+    probes the level nearest the secant root of mass - budget (the middle
+    one after two probes on one side) until adjacent levels lo < hi hold
+    mass(lo) > budget >= mass(hi). If the mass at a floor of 0 fits, mu = 0;
+    at a positive floor, the band grows 4x downward and the gallop goes on:
     levels above the old floor keep their indices and fills, and the old
     floor becomes a level with its cells on it. Each probe of a head also
-    hands fill the cells on that head with t = tiny, the left limit
-    t -> 0+, so the left-limit mass(hi-) costs no extra call. If it
-    exceeds the budget, mu = hi and the cells with h == hi share the rest
-    of the budget in proportion to their left-limit fill (the level set of
-    the bathtub); otherwise an Illinois regula falsi from mass(lo) and
-    mass(hi-) closes the crossing on the fixed prefix h >= hi, to a few
-    ulp of the budget or until the bracket collapses, and returns the
-    evaluated point closest to it: one call when the fill is linear in t.
+    hands fill the cells on that head with t = tiny, the left limit t -> 0+,
+    so the left-limit mass(hi-) costs no extra call. If it exceeds the
+    budget, mu = hi and the cells with h == hi share the rest of the budget
+    in proportion to their left-limit fill (the level set of the bathtub);
+    otherwise an Illinois regula falsi from mass(lo) and mass(hi-) closes
+    the crossing on the fixed prefix h >= hi, to a few ulp of the budget or
+    until the bracket collapses, and returns the evaluated point closest to
+    it: one call when the fill is linear in t.
     """
     out = np.zeros(h.shape)
-    size = max(h.size // _BAND_SHARE, _BAND_MIN)
+    size = max(_BAND_GROWTH * start or h.size // _BAND_SHARE, _BAND_MIN)
     order, rest, floor = _top_band(h, None, size)
 
     def band_levels():
         # level k is the k-th distinct head from the top, with above[k]
         # cells above it; the last level is the floor, with no cell on it
         hs = h[order]
-        above = np.flatnonzero(np.diff(hs, prepend=np.inf))
-        levels = np.append(hs[above], floor)
-        return hs, w[order], levels, np.append(above, [hs.size, hs.size])
+        above = np.flatnonzero(hs != np.concatenate(([np.inf], hs[:-1])))
+        levels = np.concatenate((hs[above], [floor]))
+        return hs, w[order], levels, np.concatenate((above, [hs.size] * 2))
 
     hs, ws, levels, above = band_levels()
 
@@ -216,9 +217,11 @@ def _top_band(h, rest, k):
         low, part, floor = np.empty(0, dtype=np.intp), np.arange(hr.size), 0.0
     up = hr[part] > floor
     top, tied = part[up], part[~up]
-    top = top[np.argsort(-hr[top])]
     if idx is not None:
         top, low, tied = idx[top], idx[low], idx[tied]
+    top = top[np.argsort(-h[top])]
+    if np.any(h[top[1:]] == h[top[:-1]]):  # ties in cell order, in any band
+        top = top[np.lexsort((top, -h[top]))]
     return top, (low, tied), floor
 
 

@@ -23,8 +23,11 @@ columns, and the update is nondecreasing in the head with r fixed along
 a column. run uses the evenness: it iterates on the rows z > 0 alone,
 applies K to them by the even apply (greens.StreamOperator.apply_even),
 and runs the multiplier search, the energy and the L1 change on those
-rows with each cell weighted for itself and its mirror image. The full
-field is built once, for the returned state, on which run checks the
+rows with each cell weighted for itself and its mirror image. It builds
+the search's grid constants once and scans each iterate once for the
+sorted flat index of its nonzero cells, on which the energy, the L1
+change, the support count and the even apply's row band are taken. The
+full field is built once, for the returned state, on which run checks the
 symmetry and raises NumericalError if it does not hold.
 
 The optimality profile of the converged state is
@@ -38,6 +41,7 @@ level set psi = 0 (the bathtub ledge), which is where generators with a
 jump at the origin place their fractional cells.
 """
 
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -141,6 +145,7 @@ class SolveResult:
     patch_measure: float = np.nan
     mass: float = np.nan
     degenerate_epsilon: bool = False
+    layer_seconds: dict = field(default_factory=dict, repr=False)
 
     @property
     def stop_reason(self):
@@ -156,14 +161,14 @@ def background_field(config, spec):
     return np.broadcast_to(b[:, None], (spec.n_r, spec.n_z))
 
 
-def energy(config, gen, zeta, psi0):
+def energy(config, gen, zeta, psi0, idx=None):
     """The three-term functional at (zeta, psi0 = K zeta), for a
-    nonnegative zeta. Each term is summed over the support of zeta alone,
-    with the nu weights r_i * cell_area of its cells."""
+    nonnegative zeta. Each term is summed over its support idx alone (the
+    sorted flat index, scanned for if None), with nu weights r_i * dr dz."""
     eps2 = config.epsilon ** 2
     spec = zeta.spec
     # nonzero over a float array is ~10x slower than over a boolean mask
-    idx = np.flatnonzero(zeta.values.ravel() != 0.0)
+    idx = np.flatnonzero(zeta.values.ravel() != 0.0) if idx is None else idx
     r = spec.r_centers[idx // spec.n_z]
     w = r * spec.cell_area
     z = zeta.values.ravel()[idx]
@@ -173,7 +178,14 @@ def energy(config, gen, zeta, psi0):
     return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
 
 
-def solve_mu(config, gen, psi0, start=0):
+def _grid_constants(config, gen, spec):
+    """The cap, eps^2 and each flat cell's radius, nu weight, background."""
+    return (config.resolved_lambda(gen), config.epsilon ** 2,
+            np.repeat(spec.r_centers, spec.n_z), spec.nu_weights().ravel(),
+            background_field(config, spec).ravel())
+
+
+def solve_mu(config, gen, psi0, start=0, grid=None):
     """Multiplier and updated vorticity of one outer step, the count of
     cells above mu (the next step's start; 0 is cold) and the fill calls.
 
@@ -187,34 +199,32 @@ def solve_mu(config, gen, psi0, start=0):
     (the ledge psi = 0) are filled fractionally; and a root between two
     heads, to a few ulp of the budget, otherwise. Each mass evaluation is
     one eval_i call on the cells whose head lies above the probed mu, with
-    their radii gathered by row: flat cell idx lies in row idx // n_z.
+    their radii taken from grid, run's per-run constants (built if None).
     """
     spec = psi0.spec
-    lam = config.resolved_lambda(gen)
-    eps2 = config.epsilon ** 2
-    head = (psi0.values - background_field(config, spec)).ravel()
-    rc, n_z = spec.r_centers, spec.n_z
+    lam, eps2, r, w, bg = grid or _grid_constants(config, gen, spec)
+    head = psi0.values.ravel() - bg
     evals = 0
 
     def fill(t, idx):
         nonlocal evals
         evals += 1
-        return np.minimum(lam, eval_i(gen, rc[idx // n_z], t))
+        return np.minimum(lam, eval_i(gen, r[idx], t))
 
-    mu, u, above = threshold_fill(head, spec.nu_weights().ravel(),
-                                  config.kappa * eps2, fill, start)
+    mu, u, above = threshold_fill(head, w, config.kappa * eps2, fill, start)
     zeta = ScalarField(spec, (u / eps2).reshape(psi0.values.shape))
-    mass = integrate_nu(zeta)
+    idx = np.flatnonzero(u != 0.0)
+    mass = float(np.sum(zeta.values.ravel()[idx] * r[idx])) * spec.cell_area
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
-    return mu, _capped(zeta, config, lam), above, evals
+    return mu, _capped(zeta, config, lam, mass), above, evals
 
 
-def _capped(zeta, config, lam):
+def _capped(zeta, config, lam, mass=None):
     """Clamp roundoff so admissibility holds exactly: mass <= kappa and
-    eps^2 zeta <= Lambda."""
-    mass = integrate_nu(zeta)
+    eps^2 zeta <= Lambda. mass is integrate_nu(zeta), when known."""
+    mass = integrate_nu(zeta) if mass is None else mass
     if mass > config.kappa:
         zeta.values *= (config.kappa / mass) * (1.0 - 1e-15)
     np.minimum(zeta.values, lam / config.epsilon ** 2, out=zeta.values)
@@ -255,10 +265,10 @@ def initialize(config, gen):
     raise ConfigurationError("could not place the initialization ball")
 
 
-def l1_change(spec, a, b):
+def l1_change(spec, a, b, idx=None):
     """Relative L1(nu) distance between successive iterates, summed over
-    the cells where either is nonzero."""
-    idx = np.flatnonzero((a != 0.0) | (b != 0.0))
+    idx, the sorted cells where either is nonzero (scanned for if None)."""
+    idx = np.flatnonzero((a != 0.0) | (b != 0.0)) if idx is None else idx
     w = spec.r_centers[idx // spec.n_z] * spec.cell_area
     a, b = a.ravel()[idx], b.ravel()[idx]
     denom = float(np.sum(np.abs(a) * w))
@@ -285,12 +295,13 @@ def run(config, gen):
     The energy trace is recorded per iterate and asserted nondecreasing
     (1e-9 relative slack); mu, the L1 change, the full field's count of
     nonzero cells and the multiplier search's mass evaluations are
-    recorded per iteration. Each search starts from the last one's count
-    of cells above mu. The returned vorticity must be a fixed point of
-    steiner_symmetrize_z, bit for bit, or NumericalError is raised. The
-    final state gets a fresh stream field so the reported optimality
-    residual and patch measure are self-consistent. check_problem runs
-    first.
+    recorded per iteration, and the seconds spent in apply_even, solve_mu
+    and energy over the run in layer_seconds. Each search starts from the
+    last one's count of cells above mu. The returned vorticity must be a
+    fixed point of steiner_symmetrize_z, bit for bit, or NumericalError is
+    raised. The final state gets a fresh stream field so the reported
+    optimality residual and patch measure are self-consistent.
+    check_problem runs first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -301,14 +312,23 @@ def run(config, gen):
     half = spec.n_z // 2
     pairs = replace(spec, n_z=half)
     zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
+    grid = _grid_constants(config, gen, pairs)
 
     trace, mus, changes, supports, evals = [], [], [], [], []
+    seconds = dict.fromkeys(("apply_even", "solve_mu", "energy"), 0.0)
 
-    def ascend(zeta, it):
-        """psi0 = K zeta; its energy joins the trace after the ascent
-        check. it is None for the final state."""
-        psi0 = ScalarField(pairs, op.apply_even(zeta.values))
-        e = energy(config, gen, zeta, psi0)
+    def timed(layer, f, *args):
+        t0 = time.perf_counter()
+        out = f(*args)
+        seconds[layer] += time.perf_counter() - t0
+        return out
+
+    def ascend(zeta, it, idx=None):
+        """psi0 = K zeta, for zeta nonzero on idx; its energy joins the
+        trace after the ascent check. it is None for the final state."""
+        psi0 = ScalarField(pairs, timed("apply_even", op.apply_even,
+                                        zeta.values, idx))
+        e = timed("energy", energy, config, gen, zeta, psi0, idx)
         if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
             if it is None:
                 raise NumericalError("final energy fell below the trace")
@@ -321,14 +341,20 @@ def run(config, gen):
     mu, above = 0.0, 0
     converged = False
     iterations = 0
+    idx = np.flatnonzero(zeta.values.ravel() != 0.0)
     for it in range(1, config.max_iterations + 1):
-        psi0 = ascend(zeta, it)
-        mu, zeta_next, above, n = solve_mu(config, gen, psi0, above)
+        psi0 = ascend(zeta, it, idx)
+        mu, zeta_next, above, n = timed("solve_mu", solve_mu, config, gen,
+                                        psi0, above, grid)
         mus.append(mu)
         evals.append(n)
-        changes.append(l1_change(pairs, zeta.values, zeta_next.values))
-        supports.append(2 * np.count_nonzero(zeta_next.values))
-        zeta = zeta_next
+        nxt = np.flatnonzero(zeta_next.values.ravel() != 0.0)
+        both = np.zeros(zeta.values.size, dtype=bool)
+        both[idx] = both[nxt] = True
+        changes.append(l1_change(pairs, zeta.values, zeta_next.values,
+                                 np.flatnonzero(both)))
+        supports.append(2 * nxt.size)
+        zeta, idx = zeta_next, nxt
         iterations = it
         if changes[-1] <= config.tol_zeta:
             converged = True
@@ -351,7 +377,7 @@ def run(config, gen):
         iterations=iterations, energy_trace=np.asarray(trace),
         mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
         support_trace=np.asarray(supports), mass_evals_trace=np.asarray(evals),
-        degenerate_epsilon=config.degenerate_epsilon,
+        degenerate_epsilon=config.degenerate_epsilon, layer_seconds=seconds,
     )
     result.mass = integrate_nu(zeta)
     result.patch_measure = patch_measure(config, gen, zeta)

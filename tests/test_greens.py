@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vortexring.errors import ConfigurationError, SingularEvaluationError
+from vortexring.errors import (ConfigurationError, GridMismatchError,
+                               SingularEvaluationError)
 from scipy.fft import dct
 
 from vortexring.greens import (apply_stream_operator, build_kernel_block,
@@ -202,6 +203,26 @@ def test_apply_even_needs_a_z_symmetric_grid(box):
     op = StreamOperator(build_grid(0.5, 2.0, z_min, z_max, 6, n_z))
     with pytest.raises(ConfigurationError):
         op.apply_even(np.ones((6, n_z // 2)))
+
+
+@pytest.mark.parametrize("shape", [(16, 20), (16, 7), (12, 10)],
+                         ids=["full width", "short rows", "short columns"])
+def test_apply_even_rejects_a_field_of_another_shape(shape):
+    # the rows z > 0 of a 16 x 20 grid are (16, 10): a full-width field
+    # must not be read as 20 half-rows, nor a short one drop source rows
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20))
+    with pytest.raises(GridMismatchError):
+        op.apply_even(np.ones(shape))
+
+
+def test_apply_even_band_from_a_given_index(rng):
+    # run passes the sorted flat index of the nonzero cells it already
+    # holds; the band of source rows it gives must match the scan's
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 13, 18))
+    for vals in _row_fields(13, 9, rng).values():
+        idx = np.flatnonzero(vals.ravel() != 0.0)
+        np.testing.assert_array_equal(op.apply_even(vals, idx),
+                                      op.apply_even(vals))
 
 
 def test_apply_stream_operator_needs_an_even_field():

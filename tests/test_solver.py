@@ -251,6 +251,58 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
     return sizes, int(np.count_nonzero(hump > 0.0))
 
 
+def _warm_band_checked(monkeypatch):
+    """Wrap solver.threshold_fill: each call runs cold, then again from the
+    cold call's count of cells above mu, whose band is 4x that count (at
+    least 64 heads), and from a start whose band covers every head. Both
+    must return the cold (mu, fills, count) bit for bit, the first with no
+    more fill calls than the cold call. Returns the list of cold calls."""
+    cold_calls = []
+
+    def checked(h, w, budget, fill, start=0):
+        calls = []
+
+        def counted(t, idx):
+            calls.append(idx.size)
+            return fill(t, idx)
+
+        mu, u, count = threshold_fill(h, w, budget, counted)
+        cold_calls.append(len(calls))
+        for warm in (count, h.size // 4 + 1):
+            del calls[:]
+            mu_w, u_w, count_w = threshold_fill(h, w, budget, counted, warm)
+            assert (mu_w, count_w) == (mu, count)
+            np.testing.assert_array_equal(u_w, u)
+            assert warm > count or len(calls) <= cold_calls[-1]
+        return mu, u, count
+
+    monkeypatch.setattr(solver, "threshold_fill", checked)
+    return cold_calls
+
+
+@pytest.mark.parametrize("family, params, n", [
+    pytest.param(family, params, n, id="%s-n%d" % (name, n))
+    for n in (32, 64, 96) for name, family, params in _HUMP_FAMILIES])
+def test_warm_band_on_the_hump(family, params, n, monkeypatch):
+    cold_calls = _warm_band_checked(monkeypatch)
+    _solve_mu_on_hump(n, family, params, monkeypatch)
+    assert len(cold_calls) == 1
+
+
+def test_warm_band_on_the_ledge(monkeypatch):
+    # the plateau of test_solve_mu_ledge_fill_for_jump_generator
+    cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32)
+    spec = cfg.domain_grid()
+    rr = spec.r_centers[:, None]
+    zz = spec.z_centers[None, :]
+    plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
+    cold_calls = _warm_band_checked(monkeypatch)
+    mu, _, _, _ = solve_mu(cfg, make_generator("turkington", alpha=1.0),
+                           ScalarField(spec, background_field(cfg, spec)
+                                       + plateau))
+    assert mu > 0.0 and len(cold_calls) == 1
+
+
 def test_solve_mu_ledge_fill_for_jump_generator():
     cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32)
     gen = make_generator("turkington", alpha=1.0)
@@ -291,6 +343,44 @@ def test_l1_change():
     a = np.ones((8, 8))
     assert l1_change(spec, a, a) == 0.0
     np.testing.assert_allclose(l1_change(spec, a, 1.5 * a), 0.5, rtol=1e-14)
+
+
+def test_energy_and_l1_change_on_the_support_index(rng):
+    # run hands energy the iterate's index and l1_change the union of two
+    # iterates' indices; both must match the scans they replace bit for bit
+    cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
+    spec = cfg.domain_grid()
+    gen = make_generator("power_law", p=1.0)
+    a, b = (np.where(rng.random((16, 16)) < 0.2,
+                     rng.uniform(0.0, 300.0, (16, 16)), 0.0) for _ in range(2))
+    ia, ib = (np.flatnonzero(v.ravel() != 0.0) for v in (a, b))
+    zeta = ScalarField(spec, a)
+    psi0 = ScalarField(spec, get_stream_operator(spec).apply_direct(a))
+    assert (energy(cfg, gen, zeta, psi0, ia)
+            == energy(cfg, gen, zeta, psi0))
+    assert (l1_change(spec, a, b, np.union1d(ia, ib))
+            == l1_change(spec, a, b))
+
+
+def test_support_trace_on_every_iteration(monkeypatch):
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=60)
+    counts = []
+
+    def counting(*args):
+        mu, zeta, *search = solve_mu(*args)
+        counts.append(2 * np.count_nonzero(zeta.values))
+        return mu, zeta, *search
+
+    monkeypatch.setattr(solver, "solve_mu", counting)
+    result = run(cfg, make_generator("power_law", p=1.0))
+    assert result.support_trace.tolist() == counts
+    assert len(counts) == result.iterations
+
+
+def test_layer_seconds(coarse_turkington):
+    seconds = coarse_turkington.layer_seconds
+    assert sorted(seconds) == ["apply_even", "energy", "solve_mu"]
+    assert all(s > 0.0 for s in seconds.values())
 
 
 def _admissibility_checks(result):
@@ -492,10 +582,10 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     spec = cfg.domain_grid()
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0, start):
+    def paired(config, gen, psi0, start, grid):
         # each half-plane search against a cold full-grid search on the
         # mirrored stream: the same multiplier and the mirrored update
-        mu, update, *search = solve_mu(config, gen, psi0, start)
+        mu, update, *search = solve_mu(config, gen, psi0, start, grid)
         full = ScalarField(spec, np.hstack((psi0.values[:, ::-1],
                                             psi0.values)))
         mu_full, update_full, _, _ = solve_mu(config, gen, full)
