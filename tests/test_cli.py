@@ -80,6 +80,18 @@ def test_solve_reruns_are_byte_identical(solved_dir):
         assert a == b, "%s differs between reruns" % name
 
 
+def test_manifest_holds_the_layer_seconds(solved_dir):
+    # timings differ between reruns, so they stay out of result.json
+    _, out, _, _ = solved_dir
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    layers = manifest["layer_seconds"]
+    assert sorted(layers) == ["apply_even", "energy", "solve_mu"]
+    assert 0.0 < sum(layers.values()) < manifest["wall_clock_seconds"]["solve"]
+    with open(os.path.join(out, "result.json")) as f:
+        assert "layer_seconds" not in f.read()
+
+
 def test_solve_nonconverged_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", max_iterations=1)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
