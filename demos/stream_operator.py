@@ -20,8 +20,9 @@ zz = spec.z_centers[None, :]
 patch = ScalarField(spec, np.where(np.hypot(rr - 1.0, zz) <= 0.25, 1.0, 0.0))
 
 # Fast path: the tabulated ring kernel, applied to the patch's rows z > 0
-# by symmetric convolution in z (DCT-II, one matmul per frequency,
-# DCT-III) and mirrored.
+# by symmetric convolution in z (a DCT-II cosine matrix over the z-rows
+# the patch occupies, one matmul per frequency over the source rows it
+# occupies, a DCT-III cosine matrix) and mirrored.
 psi_kernel = apply_stream_operator(patch)
 print("kernel apply:  max psi0 = %.6f" % np.max(psi_kernel.values))
 

@@ -434,14 +434,17 @@ def _validate_greens(seed):
 
     coarse, fine = rem_sup(100), rem_sup(400)
 
-    # the even apply against its explicit-summation oracle on a
-    # non-square grid, on the even part of a field on a band of source rows
+    # the even apply against its explicit-summation oracle on a non-square
+    # grid, on fields on a band of source rows: on every z-row, on two
     op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20))
-    upper = np.zeros((16, 10))
-    upper[3:11] = rng.uniform(0.0, 1.0, (8, 20))[:, 10:]
-    direct = op.apply_direct(np.hstack((upper[:, ::-1], upper)))[:, 10:]
-    op_diff = float(np.max(np.abs(op.apply_even(upper) - direct))
-                    / np.max(np.abs(direct)))
+    wide, narrow = np.zeros((2, 16, 10))
+    wide[3:11] = rng.uniform(0.0, 1.0, (8, 20))[:, 10:]
+    narrow[3:11, :2] = rng.uniform(0.0, 1.0, (8, 2))
+    op_diff = 0.0
+    for upper in (wide, narrow):
+        direct = op.apply_direct(np.hstack((upper[:, ::-1], upper)))[:, 10:]
+        err = np.max(np.abs(op.apply_even(upper) - direct))
+        op_diff = max(op_diff, float(err / np.max(np.abs(direct))))
     summary = {
         "pairs": len(rows),
         "max_rel_diff": worst,

@@ -19,9 +19,10 @@ z-translation invariance makes the cell-to-cell table block-Toeplitz,
 its offset transform is built once per grid as a DCT-I and stored
 frequency-major (frequency, source row, target row), and `apply_even`
 works on the rows z > 0 alone by symmetric convolution (Martucci, IEEE
-Trans. Signal Process. 1994): a DCT-II, one batched real matmul over the
-source rows that hold vorticity, a DCT-III. `apply_direct` sums over
-source cells explicitly, for any field, and is its oracle.
+Trans. Signal Process. 1994): a DCT-II and a DCT-III as products with
+cosine matrices, between them one batched real matmul over the source
+rows that hold vorticity. `apply_direct` sums over source cells
+explicitly, for any field, and is its oracle.
 `ring_velocity_z` is (1/r) dK/dr in closed form, for the far field.
 `fd_solve` solves L psi0 = zeta by finite differences on a much larger
 box; it is only an independent check on the kernel path, in the tests
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, sparse
-from scipy.fft import dct, idct
+from scipy.fft import dct
 from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipkm1
 
@@ -332,7 +333,9 @@ class StreamOperator:
     convolution is a DCT-II of the source rows [b0, b1) between the first
     and the last row holding a nonzero cell, one real row per frequency
     against T[:n_z, b0:b1, :], and a DCT-III back, whose first n_z / 2
-    samples are psi0 on the same rows.
+    samples are psi0 on the same rows. Both are products with cosine
+    matrices: the DCT-II reads only the z-rows up to the last nonzero cell,
+    and the DCT-III writes only the samples kept, C-contiguous.
     """
 
     def __init__(self, spec):
@@ -350,10 +353,15 @@ class StreamOperator:
             np.multiply(slab.T, w[:, None], out=table[dj])
         table[n_z] = 0.0
         self._table = dct(table, type=1, axis=0, overwrite_x=True)
+        # the DCT-II of the rows z > 0 zero-padded to n_z, and the first
+        # n_z / 2 samples of its inverse, as (n_z, n_z / 2) cosine matrices
+        k = np.arange(n_z)[:, None]
+        c = np.cos(np.pi * k * (2 * np.arange(n_z // 2) + 1) / (2 * n_z))
+        self._dct2, self._dct3 = 2.0 * c, np.where(k == 0, 0.5, 1.0) * c / n_z
 
     def apply_even(self, upper, idx=None):
-        """psi0 on the rows z > 0 of a field even in z, from those rows:
-        (n_r, n_z / 2) arrays ordered outward from z = 0, else
+        """psi0 on the rows z > 0 of a field even in z, C-contiguous, from
+        those rows: (n_r, n_z / 2) arrays ordered outward from z = 0, else
         GridMismatchError; idx, upper's sorted nonzero flat index, or None."""
         n_r, n_z, half = self.spec.n_r, self.spec.n_z, self.spec.n_z // 2
         if not self.spec.z_symmetric():
@@ -364,9 +372,10 @@ class StreamOperator:
         if idx.size == 0:
             return np.zeros((n_r, half))
         b0, b1 = idx[0] // half, idx[-1] // half + 1
-        vhat = dct(upper[b0:b1].T, type=2, n=n_z, axis=0)
+        j1 = int(np.max(idx % half)) + 1
+        vhat = self._dct2[:, :j1] @ upper[b0:b1, :j1].T
         phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, :])
-        return idct(phat[:, 0, :].T, type=2, axis=1)[:, :half]
+        return phat[:, 0, :].T @ self._dct3
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells, on a

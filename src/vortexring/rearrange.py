@@ -6,13 +6,13 @@ update: each cell i holds fill(h_i - mu, i) for a fill that is
 nondecreasing in t and vanishes for t <= 0, and mu is the smallest value
 >= 0 whose total weight fits the budget. Only cells with h_i > mu fill,
 so each mass evaluation calls fill on the prefix of the descending heads
-above the probed mu; only a top band (4x a warm start count) is sorted. The
-search starts at the head with a given count of cells above it (the last
-call's), brackets mu between two heads by a gallop and a regula falsi
-over the heads, growing the band 4x when it runs past the floor, and
-closes on the fixed prefix by an Illinois regula falsi. The solver's
-multiplier search is the case fill(t, i) = min(Lambda, i(r_i, t));
-the bathtub problem
+above the probed mu; only a top band is sorted (when warm, the heads
+above a given cut). The search starts at the head with a given count of
+cells above it (the last call's), brackets mu between two heads by a
+gallop and a regula falsi over the heads, growing the band 4x when it
+runs past the floor, and closes on the fixed prefix by an Illinois
+regula falsi. The solver's multiplier search is the case
+fill(t, i) = min(Lambda, i(r_i, t)); the bathtub problem
 
     maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap
 
@@ -60,17 +60,19 @@ class BathtubSolution:
     value: float
 
 
-# threshold_fill's first band: 4 start heads, h.size // 8 cold, at least 64
+# threshold_fill's first cold band: h.size // 8 heads, at least 64
 _BAND_SHARE = 8
 _BAND_MIN = 64
 _BAND_GROWTH = 4
 
 
-def threshold_fill(h, w, budget, fill, start=0):
+def threshold_fill(h, w, budget, fill, start=0, cut=None):
     """Smallest mu >= 0 with sum_i w_i fill(h_i - mu, i) <= budget, the
-    fills at it, with the budget met to a few ulp whenever mu > 0, and the
-    count of cells above mu, for a later call on nearby heads to take as
-    its start (0 searches cold).
+    fills at it, with the budget met to a few ulp whenever mu > 0, the
+    count of cells above mu, and the index of the cells handed to fill at
+    mu, which holds every nonzero fill. A later call on nearby heads takes
+    the count as its start (0 searches from the top) and a level below its
+    mu as its cut (None picks the band cold).
 
     h and w are matching 1-d float arrays of heads and weights. fill(t, idx)
     maps the arguments t of the cells idx (indices into h) to their fills;
@@ -79,12 +81,13 @@ def threshold_fill(h, w, budget, fill, start=0):
     drops only at them. Only cells with h_i > mu fill at mu, so every mass
     evaluation calls fill on the cells above the probed mu alone.
 
-    Only a top band of the heads is sorted: the 4 start largest, or the
-    h.size // 8 largest cold (at least 64), by one argpartition, less those
-    on its floor, the largest head left out (0 once that is <= 0). Equal
-    heads sort by cell, so that every band orders them alike. The search
-    runs over the band's distinct heads, from the top, where the mass is
-    zero, to the floor, where it is exact as no cell below the band fills.
+    Only a top band of the heads is sorted, less those on its floor, the
+    largest head left out (0 once that is <= 0): cold, the h.size // 8
+    largest (at least 64), by one argpartition; warm, the heads above
+    max(cut, 0), by one comparison, whose lowest is the floor. Equal heads
+    sort by cell, so that every band orders them alike. The search runs
+    over the band's distinct heads, from the top, where the mass is zero,
+    to the floor, where it is exact as no cell below the band fills.
     It probes the level with start cells above it, gallops from there with
     doubling steps, down while the mass fits and up while it does not, then
     probes the level nearest the secant root of mass - budget (the middle
@@ -103,8 +106,15 @@ def threshold_fill(h, w, budget, fill, start=0):
     it: one call when the fill is linear in t.
     """
     out = np.zeros(h.shape)
-    size = max(_BAND_GROWTH * start or h.size // _BAND_SHARE, _BAND_MIN)
-    order, rest, floor = _top_band(h, None, size)
+    if cut is None:
+        size = max(h.size // _BAND_SHARE, _BAND_MIN)
+        order, floor = _top_band(h, size)
+    else:  # the heads above the cut, less those on the lowest: the floor
+        order = np.flatnonzero(h > max(cut, 0.0))
+        order = order[np.argsort(-h[order], kind="stable")]
+        floor = max(float(h[order[-1]] if order.size else np.max(h)), 0.0)
+        order = order[h[order] > floor]
+        size = max(order.size, _BAND_MIN)
 
     def band_levels():
         # level k is the k-th distinct head from the top, with above[k]
@@ -150,9 +160,9 @@ def threshold_fill(h, w, budget, fill, start=0):
             # the floor fits: mu = 0 at a zero floor, else grow the band
             if floor == 0.0:
                 out[order] = evals[good][2] if order.size else 0.0
-                return 0.0, out, order.size
+                return 0.0, out, order.size, order
             size *= _BAND_GROWTH
-            more, rest, floor = _top_band(h, rest, size - order.size)
+            more, floor = _top_band(h, size - order.size, floor)
             order = np.concatenate((order, more))
             hs, ws, levels, above = band_levels()
             evals.pop(good, None)
@@ -178,7 +188,7 @@ def threshold_fill(h, w, budget, fill, start=0):
     if mass_hi + on_ledge > budget:
         u[top:] *= (budget - mass_hi) / on_ledge
         out[order[:m]] = u
-        return hi, out, top
+        return hi, out, top, order[:m]
 
     # Illinois regula falsi between lo and hi-, whose left-limit fills
     # stand for mu = hi; an end kept twice in a row has its excess halved
@@ -199,30 +209,22 @@ def threshold_fill(h, w, budget, fill, start=0):
         else:
             hi, f_hi, f_lo, side = mu, f, f_lo / (1 + (side < 0)), -1
     out[order[:m]] = best[2]
-    return float(best[1]), out, best[3]
+    return float(best[1]), out, best[3], order[:m]
 
 
-def _top_band(h, rest, k):
-    """Of the cells in the index arrays rest (all cells when None), those
-    among the k largest heads above the floor, by descending head; the
-    others, for the next band; and the floor, the largest head left out
-    or 0 once that is <= 0."""
-    idx = None if rest is None else np.concatenate(rest)
-    hr = h if idx is None else h[idx]
+def _top_band(h, k, below=np.inf):
+    """Of the cells whose heads are at most below, those among the k
+    largest heads above the floor, by descending head and then by cell,
+    and the floor, the largest head left out or 0 once that is <= 0."""
+    idx = np.flatnonzero(h <= below)
+    hr = h[idx]
+    floor = 0.0
     if k < hr.size:
         part = np.argpartition(hr, hr.size - k - 1)
         floor = max(float(hr[part[-k - 1]]), 0.0)
-        low, part = part[:-k], part[-k:]
-    else:
-        low, part, floor = np.empty(0, dtype=np.intp), np.arange(hr.size), 0.0
-    up = hr[part] > floor
-    top, tied = part[up], part[~up]
-    if idx is not None:
-        top, low, tied = idx[top], idx[low], idx[tied]
-    top = top[np.argsort(-h[top])]
-    if np.any(h[top[1:]] == h[top[:-1]]):  # ties in cell order, in any band
-        top = top[np.lexsort((top, -h[top]))]
-    return top, (low, tied), floor
+        idx = idx[np.sort(part[-k:])]
+    top = idx[h[idx] > floor]
+    return top[np.argsort(-h[top], kind="stable")], floor
 
 
 def bathtub_maximize(space):
@@ -235,7 +237,7 @@ def bathtub_maximize(space):
     the residual capacity in proportion to weight, and nothing at or below
     0 ever fills.
     """
-    level, omega, _ = threshold_fill(
+    level, omega, *_ = threshold_fill(
         space.values, space.weights, space.capacity,
         lambda t, idx: (t > 0.0).astype(float))
     value = float(np.sum(space.weights * space.values * omega))

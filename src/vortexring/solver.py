@@ -24,11 +24,12 @@ a column. run uses the evenness: it iterates on the rows z > 0 alone,
 applies K to them by the even apply (greens.StreamOperator.apply_even),
 and runs the multiplier search, the energy and the L1 change on those
 rows with each cell weighted for itself and its mirror image. It builds
-the search's grid constants once and scans each iterate once for the
-sorted flat index of its nonzero cells, on which the energy, the L1
-change, the support count and the even apply's row band are taken. The
-full field is built once, for the returned state, on which run checks the
-symmetry and raises NumericalError if it does not hold.
+the search's grid constants once, and takes the sorted flat index of each
+iterate's nonzero cells from the cells the search filled; the mass, the
+cap clamp, the energy, the L1 change, the support count and the even
+apply's band are taken on it. The full field is built once, for the
+returned state, on which run checks the symmetry and raises
+NumericalError if it does not hold.
 
 The optimality profile of the converged state is
 
@@ -185,9 +186,10 @@ def _grid_constants(config, gen, spec):
             background_field(config, spec).ravel())
 
 
-def solve_mu(config, gen, psi0, start=0, grid=None):
+def solve_mu(config, gen, psi0, start=0, grid=None, cut=None):
     """Multiplier and updated vorticity of one outer step, the count of
-    cells above mu (the next step's start; 0 is cold) and the fill calls.
+    cells above mu (the next step's start; 0 is cold), the fill calls and
+    the sorted flat index of the update's nonzero cells.
 
     The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
     with head = psi0 less the per-row background, and its mass is
@@ -199,7 +201,8 @@ def solve_mu(config, gen, psi0, start=0, grid=None):
     (the ledge psi = 0) are filled fractionally; and a root between two
     heads, to a few ulp of the budget, otherwise. Each mass evaluation is
     one eval_i call on the cells whose head lies above the probed mu, with
-    their radii taken from grid, run's per-run constants (built if None).
+    their radii taken from grid, run's per-run constants (built if None);
+    cut, a level below mu, picks its band (None: cold).
     """
     spec = psi0.spec
     lam, eps2, r, w, bg = grid or _grid_constants(config, gen, spec)
@@ -211,24 +214,25 @@ def solve_mu(config, gen, psi0, start=0, grid=None):
         evals += 1
         return np.minimum(lam, eval_i(gen, r[idx], t))
 
-    mu, u, above = threshold_fill(head, w, config.kappa * eps2, fill, start)
-    zeta = ScalarField(spec, (u / eps2).reshape(psi0.values.shape))
-    idx = np.flatnonzero(u != 0.0)
-    mass = float(np.sum(zeta.values.ravel()[idx] * r[idx])) * spec.cell_area
+    mu, u, above, filled = threshold_fill(head, w, config.kappa * eps2, fill,
+                                          start, cut)
+    idx = np.sort(filled[u[filled] != 0.0])
+    z = u[idx] / eps2
+    mass = float(np.sum(z * r[idx])) * spec.cell_area
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
-    return mu, _capped(zeta, config, lam, mass), above, evals
+    u[idx] = _capped(z, config, lam, mass)
+    zeta = ScalarField(spec, u.reshape(psi0.values.shape))
+    return mu, zeta, above, evals, idx
 
 
-def _capped(zeta, config, lam, mass=None):
-    """Clamp roundoff so admissibility holds exactly: mass <= kappa and
-    eps^2 zeta <= Lambda. mass is integrate_nu(zeta), when known."""
-    mass = integrate_nu(zeta) if mass is None else mass
+def _capped(vals, config, lam, mass):
+    """Clamp roundoff in place so admissibility holds exactly: mass <= kappa
+    and eps^2 zeta <= Lambda, for the values vals of a zeta of mass mass."""
     if mass > config.kappa:
-        zeta.values *= (config.kappa / mass) * (1.0 - 1e-15)
-    np.minimum(zeta.values, lam / config.epsilon ** 2, out=zeta.values)
-    return zeta
+        vals *= (config.kappa / mass) * (1.0 - 1e-15)
+    return np.minimum(vals, lam / config.epsilon ** 2, out=vals)
 
 
 def initialize(config, gen):
@@ -297,7 +301,8 @@ def run(config, gen):
     nonzero cells and the multiplier search's mass evaluations are
     recorded per iteration, and the seconds spent in apply_even, solve_mu
     and energy over the run in layer_seconds. Each search starts from the
-    last one's count of cells above mu. The returned vorticity must be a
+    last one's count of cells above mu, on the heads above the last mu less
+    twice its last move and mu / 20. The returned vorticity must be a
     fixed point of steiner_symmetrize_z, bit for bit, or NumericalError is
     raised. The final state gets a fresh stream field so the reported
     optimality residual and patch measure are self-consistent.
@@ -338,17 +343,17 @@ def run(config, gen):
         trace.append(e)
         return psi0
 
-    mu, above = 0.0, 0
+    mu, above, cut = 0.0, 0, None
     converged = False
     iterations = 0
     idx = np.flatnonzero(zeta.values.ravel() != 0.0)
     for it in range(1, config.max_iterations + 1):
         psi0 = ascend(zeta, it, idx)
-        mu, zeta_next, above, n = timed("solve_mu", solve_mu, config, gen,
-                                        psi0, above, grid)
+        mu, zeta_next, above, n, nxt = timed(
+            "solve_mu", solve_mu, config, gen, psi0, above, grid, cut)
+        cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
         evals.append(n)
-        nxt = np.flatnonzero(zeta_next.values.ravel() != 0.0)
         both = np.zeros(zeta.values.size, dtype=bool)
         both[idx] = both[nxt] = True
         changes.append(l1_change(pairs, zeta.values, zeta_next.values,
@@ -364,7 +369,8 @@ def run(config, gen):
         return ScalarField(spec, np.hstack((f.values[:, ::-1], f.values)))
 
     # the full field sums its mass in another order: clamp it once more
-    zeta = _capped(unfold(zeta), config, lam)
+    zeta = unfold(zeta)
+    _capped(zeta.values, config, lam, integrate_nu(zeta))
     if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
     psi0 = unfold(ascend(ScalarField(pairs, zeta.values[:, half:]), None))

@@ -177,8 +177,17 @@ def _row_fields(n_r, n_z, rng):
     last = np.zeros((n_r, n_z))
     last[-1] = rng.uniform(0.0, 1.0, n_z)
     dense = rng.uniform(0.0, 1.0, (n_r, n_z))
+    # fields on fewer z-rows than the box: the even apply transforms only
+    # the z-rows up to the last one holding vorticity
+    z_first = np.zeros((n_r, n_z))
+    z_first[:, 0] = rng.uniform(0.0, 1.0, n_r)
+    z_last = np.zeros((n_r, n_z))
+    z_last[:, -1] = rng.uniform(0.0, 1.0, n_r)
+    single = np.zeros((n_r, n_z))
+    single[n_r // 2, n_z // 2] = 1.0
     return {"band": band, "first row": first, "last row": last,
-            "dense": dense}
+            "dense": dense, "first z-row": z_first, "last z-row": z_last,
+            "single cell": single, "empty": np.zeros((n_r, n_z))}
 
 
 @pytest.mark.parametrize("n_r,n_z", [(13, 18), (20, 10), (16, 16)])
@@ -191,6 +200,10 @@ def test_apply_even_matches_direct_summation(n_r, n_z, rng):
         direct = op.apply_direct(even)[:, half:]
         got = op.apply_even(vals)
         assert got.shape == (n_r, half)
+        assert got.flags.c_contiguous, name
+        if name == "empty":
+            assert np.all(got == 0.0) and np.all(direct == 0.0)
+            continue
         err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
         assert err <= 1e-13, (name, err)
     assert np.all(op.apply_even(np.zeros((n_r, half))) == 0.0)

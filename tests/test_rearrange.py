@@ -72,32 +72,35 @@ def _fills(rng, n):
     ]
 
 
-def _check_against_oracle(h, w, budget, law, warm=False):
+def _check_against_oracle(h, w, budget, law, warm=False, cuts=()):
     """threshold_fill against the oracle, plus the prefix contract: every
     fill call gets a super-level set of the heads, with t > 0 throughout
     and the left-limit argument only on the lowest head of the call. The
-    search must return the count of cells above mu. With warm, it is
-    repeated from starts around that count, below it and past it, and
-    must give the same result from each. Returns mu and the fill calls of
-    the cold search."""
+    search must return the count of cells above mu, and cells to fill that
+    hold every nonzero fill. With warm, it is repeated from starts around
+    that count, below it and past it, and must give the same result from
+    each. Each of cuts picks the band of a call from the top and one from
+    the count, which must return the cold result bit for bit. Returns mu
+    and the fill calls of the cold search."""
     mu_ref, u_ref = _threshold_fill_oracle(
         h, w, budget, lambda t: law(t, np.arange(h.size)))
     scale = float(np.max(np.abs(u_ref))) if u_ref.size else 0.0
 
-    def check(start):
+    def check(start, cut=None):
         calls = []
 
         def fill(t, idx):
             calls.append((t.copy(), idx.copy()))
             return law(t, idx)
 
-        mu, u, count = threshold_fill(h, w, budget, fill, start)
+        mu, u, count, filled = threshold_fill(h, w, budget, fill, start, cut)
         assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
         np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * scale)
         if mu > 0.0:
             np.testing.assert_allclose(float(np.sum(w * u)), budget,
                                        rtol=1e-12)
         assert count == np.count_nonzero(h > mu)
+        assert np.all(u[np.setdiff1d(np.arange(h.size), filled)] == 0.0)
         for t, idx in calls:
             assert idx.size and np.all(t > 0.0)
             heads = h[idx]
@@ -105,16 +108,25 @@ def _check_against_oracle(h, w, budget, law, warm=False):
             np.testing.assert_array_equal(np.sort(idx),
                                           np.flatnonzero(h >= low))
             assert np.all(heads[t == TINY] == low)
-        return mu, calls
+        return (mu, u, count, filled), calls
 
-    mu, calls = check(0)
+    cold, calls = check(0)
+    count = cold[2]
     if warm:
-        count = int(np.count_nonzero(h > mu))
         band = max(h.size // 8, 64)
         for start in (1, count, count - 1, count + 1, 3 * count, 2 * band,
                       h.size):
             check(start)
-    return mu, calls
+    for cut in cuts:
+        for start in (0, count):
+            got, warm_calls = check(start, cut)
+            assert got[0] == cold[0] and got[2] == cold[2], cut
+            for a, b in zip(got[1::2], cold[1::2]):
+                np.testing.assert_array_equal(a, b)
+            if np.any((h > cold[0]) & (h <= cut)):
+                # a head between mu and the cut: the band grew past it
+                assert min(np.min(h[i]) for _, i in warm_calls) <= cut
+    return cold[0], calls
 
 
 def test_threshold_fill_matches_full_array_search(rng):
@@ -148,6 +160,26 @@ def test_threshold_fill_across_growing_bands(rng):
             assert max(idx.size for _, idx in calls) > n // 8
 
 
+def test_threshold_fill_value_band(rng):
+    # a warm call sorts only the heads above its cut. Cuts below mu, at
+    # it, on heads above it and above every head (the band must grow),
+    # and below 0 (every positive head); heads on a 0.1 lattice put ties
+    # exactly on the cuts
+    for _ in range(10):
+        n = int(rng.integers(600, 3001))
+        h = np.round(rng.uniform(-1.0, 3.0, n), 1)
+        w = rng.uniform(0.1, 2.0, n)
+        for _, law in _fills(rng, n):
+            full = float(np.sum(w * law(h, np.arange(n))))
+            budget = rng.uniform(0.3, 0.98) * full
+            mu, _ = _check_against_oracle(h, w, budget, law)
+            heads = np.unique(h)
+            below, above = heads[heads < mu], heads[heads > mu]
+            _check_against_oracle(h, w, budget, law, cuts=(
+                -1.0, 0.0, below[-3], below[-1], mu - 1e-3 * mu, mu,
+                above[0], above[above.size // 2], above[-1], above[-1] + 1.0))
+
+
 def test_threshold_fill_warm_start_on_a_ledge(rng):
     # a jump fill on heads of a 0.1 lattice, with a budget inside the jump
     # at the head 1.0 or at its top, the left-limit mass there: mu is that
@@ -161,10 +193,13 @@ def test_threshold_fill_warm_start_on_a_ledge(rng):
     full = float(np.sum(w[above] * law(h[above] - 1.0, None)))
     left = np.full(np.count_nonzero(on), TINY)
     jump = float(np.sum(w[on] * law(left, None)))
-    mu, _ = _check_against_oracle(h, w, full + 0.5 * jump, law, warm=True)
+    cuts = (-1.0, 0.9, 1.0 - 1e-3, 1.0, 1.1, 3.0)
+    mu, _ = _check_against_oracle(h, w, full + 0.5 * jump, law, warm=True,
+                                  cuts=cuts)
     assert mu == 1.0
     # at the top the oracle's root lies within roundoff below the head
-    mu, _ = _check_against_oracle(h, w, full + jump, law, warm=True)
+    mu, _ = _check_against_oracle(h, w, full + jump, law, warm=True,
+                                  cuts=cuts)
     assert abs(mu - 1.0) <= 1e-12
 
 
@@ -205,7 +240,7 @@ def test_threshold_fill_single_level(rng):
             else:
                 assert 0.0 < mu < 1.5, name
     # the step fill on one level is the bathtub ledge: fractions w-blind
-    mu, u, _ = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
+    mu, u, *_ = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
                               lambda t, idx: (t > 0.0).astype(float))
     np.testing.assert_allclose(u[on], 0.5, rtol=1e-14)
     assert np.all(u[~on] == 0.0)
@@ -223,7 +258,7 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        mu, _, _ = threshold_fill(h, w, budget, law)
+        mu, *_ = threshold_fill(h, w, budget, law)
         gc.collect()
         held = [r for o in gc.garbage for r in gc.get_referents(o)
                 if isinstance(r, np.ndarray)]
@@ -238,7 +273,7 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
 def test_solve_mu_matches_full_array_search(which, request):
     result = request.getfixturevalue(which)
     config, gen, psi0 = result.config, result.gen, result.state.psi0
-    mu, zeta, _, _ = solver.solve_mu(config, gen, psi0)
+    mu, zeta, *_ = solver.solve_mu(config, gen, psi0)
 
     # the full-array update of solve_mu, through the oracle search
     spec = psi0.spec
@@ -252,7 +287,8 @@ def test_solve_mu_matches_full_array_search(which, request):
         lambda t: np.minimum(lam, eval_i(gen, rc, t)))
     vals = np.zeros(head.shape)
     vals[cand] = uc / eps2
-    zeta_ref = solver._capped(ScalarField(spec, vals), config, lam)
+    zeta_ref = ScalarField(spec, vals)
+    solver._capped(vals, config, lam, integrate_nu(zeta_ref))
 
     assert mu > 0.0
     assert abs(mu - mu_ref) <= 1e-12 * mu_ref

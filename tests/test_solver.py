@@ -160,7 +160,7 @@ def test_solve_mu_pointwise_cases():
     head[1, 1] = 0.5
     head[2, 2] = 100.0
     psi0 = bg + head
-    mu, out, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, out, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
     eps2 = cfg.epsilon ** 2
     assert mu == 0.0
     assert out.values[0, 0] == 0.0
@@ -175,7 +175,7 @@ def test_solve_mu_zero_stream():
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
-    mu, zeta, _, _ = solve_mu(cfg, gen,
+    mu, zeta, *_ = solve_mu(cfg, gen,
                               ScalarField(spec, np.zeros((16, 16))))
     assert mu == 0.0
     assert np.all(zeta.values == 0.0)
@@ -241,7 +241,7 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
         return eval_i(gen, r, t)
 
     monkeypatch.setattr(solver, "eval_i", counted)
-    mu, zeta, _, _ = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
+    mu, zeta, *_ = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
     assert mu > 0.0
     mass = integrate_nu(zeta)
     assert mass <= cfg.kappa
@@ -253,28 +253,32 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
 
 def _warm_band_checked(monkeypatch):
     """Wrap solver.threshold_fill: each call runs cold, then again from the
-    cold call's count of cells above mu, whose band is 4x that count (at
-    least 64 heads), and from a start whose band covers every head. Both
-    must return the cold (mu, fills, count) bit for bit, the first with no
-    more fill calls than the cold call. Returns the list of cold calls."""
+    cold call's count of cells above mu with a cut mu / 20 below mu, the
+    band run picks after a step that left mu in place, and from a start past
+    every head with a cut below 0, whose band is every positive head. Both
+    must return the cold (mu, fills, count, filled cells) bit for bit, the
+    first with no more fill calls than the cold call. Returns the list of
+    cold calls."""
     cold_calls = []
 
-    def checked(h, w, budget, fill, start=0):
+    def checked(h, w, budget, fill, start=0, cut=None):
         calls = []
 
         def counted(t, idx):
             calls.append(idx.size)
             return fill(t, idx)
 
-        mu, u, count = threshold_fill(h, w, budget, counted)
+        mu, u, count, filled = threshold_fill(h, w, budget, counted)
         cold_calls.append(len(calls))
-        for warm in (count, h.size // 4 + 1):
+        for warm, cut in ((count, mu - 0.05 * mu), (h.size // 4 + 1, -1.0)):
             del calls[:]
-            mu_w, u_w, count_w = threshold_fill(h, w, budget, counted, warm)
+            mu_w, u_w, count_w, filled_w = threshold_fill(h, w, budget,
+                                                          counted, warm, cut)
             assert (mu_w, count_w) == (mu, count)
             np.testing.assert_array_equal(u_w, u)
+            np.testing.assert_array_equal(filled_w, filled)
             assert warm > count or len(calls) <= cold_calls[-1]
-        return mu, u, count
+        return mu, u, count, filled
 
     monkeypatch.setattr(solver, "threshold_fill", checked)
     return cold_calls
@@ -297,9 +301,8 @@ def test_warm_band_on_the_ledge(monkeypatch):
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     cold_calls = _warm_band_checked(monkeypatch)
-    mu, _, _, _ = solve_mu(cfg, make_generator("turkington", alpha=1.0),
-                           ScalarField(spec, background_field(cfg, spec)
-                                       + plateau))
+    mu, *_ = solve_mu(cfg, make_generator("turkington", alpha=1.0),
+                      ScalarField(spec, background_field(cfg, spec) + plateau))
     assert mu > 0.0 and len(cold_calls) == 1
 
 
@@ -317,7 +320,7 @@ def test_solve_mu_ledge_fill_for_jump_generator():
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     psi0 = bg + plateau
-    mu, zeta, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, zeta, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
     # (bg + 1) - bg leaves the plateau heads a few ulp apart
     head = psi0 - bg
     assert mu in set(head[plateau == 1.0])
@@ -505,7 +508,7 @@ def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
         psi0 = 0.5 * (vals + vals[:, ::-1])
         np.testing.assert_array_equal(psi0, psi0[:, ::-1])
         assert np.all(np.diff(psi0[:, 8:], axis=1) <= 0.0)
-        _, update, _, _ = solve_mu(cfg, gen, ScalarField(spec, psi0))
+        _, update, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
         assert np.any(update.values > 0.0)
         assert _is_steiner(update)
 
@@ -559,7 +562,7 @@ def _full_grid_run(cfg, gen):
         return psi0
 
     for it in range(1, cfg.max_iterations + 1):
-        mu, update, _, _ = solve_mu(cfg, gen, stream(zeta))
+        mu, update, *_ = solve_mu(cfg, gen, stream(zeta))
         mus.append(mu)
         change = l1_change(spec, zeta.values, update.values)
         zeta = update
@@ -582,13 +585,13 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     spec = cfg.domain_grid()
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0, start, grid):
+    def paired(config, gen, psi0, start, grid, cut):
         # each half-plane search against a cold full-grid search on the
         # mirrored stream: the same multiplier and the mirrored update
-        mu, update, *search = solve_mu(config, gen, psi0, start, grid)
+        mu, update, *search = solve_mu(config, gen, psi0, start, grid, cut)
         full = ScalarField(spec, np.hstack((psi0.values[:, ::-1],
                                             psi0.values)))
-        mu_full, update_full, _, _ = solve_mu(config, gen, full)
+        mu_full, update_full, *_ = solve_mu(config, gen, full)
         ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
         top = update_full.values[:, n // 2:]
         gaps.append(np.max(np.abs(update.values - top)) / np.max(top))
@@ -619,27 +622,30 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
 ])
 def test_warm_multiplier_search_matches_cold(family, params, monkeypatch):
     # run starts each search from the previous one's count of cells above
-    # mu; the same search from a cold start on the same heads must find
-    # mu to 4 ulp and close the mass at least as well, up to 2e-15
+    # mu, and from the second on with a band cut below the previous mu; the
+    # same search from a cold start on the same heads must find mu to 4 ulp
+    # and close the mass at least as well, up to 2e-15
     cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=150)
-    starts, counts, ulps = [], [], []
+    starts, cuts, counts, ulps = [], [], [], []
 
-    def compared(h, w, budget, fill, start):
-        mu, u, count = threshold_fill(h, w, budget, fill, start)
-        mu_cold, u_cold, _ = threshold_fill(h, w, budget, fill)
+    def compared(h, w, budget, fill, start, cut):
+        mu, u, count, filled = threshold_fill(h, w, budget, fill, start, cut)
+        mu_cold, u_cold, *_ = threshold_fill(h, w, budget, fill)
         starts.append(start)
+        cuts.append(cut)
         counts.append(count)
         ulps.append(abs(mu - mu_cold) / np.spacing(mu_cold))
         warm = abs(float(np.dot(w, u)) - budget)
         cold = abs(float(np.dot(w, u_cold)) - budget)
         assert warm <= max(cold, 2e-15 * budget)
-        return mu, u, count
+        return mu, u, count, filled
 
     monkeypatch.setattr(solver, "threshold_fill", compared)
     result = run(cfg, make_generator(family, **params))
     assert len(ulps) == result.iterations
     assert max(ulps) <= 4.0
     assert starts == [0] + counts[:-1]
+    assert cuts[0] is None and None not in cuts[1:]
 
 
 @pytest.mark.parametrize("breaks", [
