@@ -55,10 +55,9 @@ NCORR = 2
 
 @dataclass
 class KernelEval:
-    """One kernel evaluation with provenance."""
+    """One kernel evaluation and its estimated error."""
 
     value: float
-    method: str
     estimated_error: float
 
 
@@ -160,7 +159,7 @@ def kernel_closed_form(r, z, rp, zp):
         # logarithmic expansion K ~ (sqrt(r r')/2 pi) (log(4/k') - 2)
         kprime = max(np.sqrt(float(m1)), 1e-320)
         val = float(np.sqrt(r * rp) / TWO_PI * (np.log(4.0 / kprime) - 2.0))
-    return KernelEval(value=val, method="closed-form", estimated_error=1e-13 * abs(val))
+    return KernelEval(value=val, estimated_error=1e-13 * abs(val))
 
 
 def kernel_quadrature(r, z, rp, zp, tol=1e-10):
@@ -198,7 +197,7 @@ def kernel_quadrature(r, z, rp, zp, tol=1e-10):
             "kernel quadrature error %.3e exceeds tolerance at sigma=%.3e"
             % (err / abs(value), s)
         )
-    return KernelEval(value=value, method="quadrature", estimated_error=err)
+    return KernelEval(value=value, estimated_error=err)
 
 
 def expansion_remainder(r, z, rp, zp):

@@ -6,13 +6,12 @@ update: each cell i holds fill(h_i - mu, i) for a fill that is
 nondecreasing in t and vanishes for t <= 0, and mu is the smallest value
 >= 0 whose total weight fits the budget. Only cells with h_i > mu fill,
 so each mass evaluation calls fill on the prefix of the descending heads
-above the probed mu; only a top band is sorted (when warm, the heads
-above a given cut). The search starts at the head with a given count of
-cells above it (the last call's), brackets mu between two heads by a
-gallop and a regula falsi over the heads, growing the band 4x when it
-runs past the floor, and closes on the fixed prefix by an Illinois
-regula falsi. The solver's multiplier search is the case
-fill(t, i) = min(Lambda, i(r_i, t)); the bathtub problem
+above the probed mu; only the heads above a given cut are sorted
+(every positive head without one). The search starts at the head with a
+given count of cells above it (the last call's), brackets mu between two
+heads by a gallop and a regula falsi over the heads, and closes on the
+fixed prefix by an Illinois regula falsi. The solver's multiplier search
+is the case fill(t, i) = min(Lambda, i(r_i, t)); the bathtub problem
 
     maximize sum_i w_i h_i om_i  over 0 <= om_i <= 1, sum_i w_i om_i <= cap
 
@@ -60,19 +59,13 @@ class BathtubSolution:
     value: float
 
 
-# threshold_fill's first cold band: h.size // 8 heads, at least 64
-_BAND_SHARE = 8
-_BAND_MIN = 64
-_BAND_GROWTH = 4
-
-
 def threshold_fill(h, w, budget, fill, start=0, cut=None):
     """Smallest mu >= 0 with sum_i w_i fill(h_i - mu, i) <= budget, the
     fills at it, with the budget met to a few ulp whenever mu > 0, the
     count of cells above mu, and the index of the cells handed to fill at
     mu, which holds every nonzero fill. A later call on nearby heads takes
     the count as its start (0 searches from the top) and a level below its
-    mu as its cut (None picks the band cold).
+    mu as its cut (None, or a cut <= 0, sorts every positive head).
 
     h and w are matching 1-d float arrays of heads and weights. fill(t, idx)
     maps the arguments t of the cells idx (indices into h) to their fills;
@@ -81,50 +74,42 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
     drops only at them. Only cells with h_i > mu fill at mu, so every mass
     evaluation calls fill on the cells above the probed mu alone.
 
-    Only a top band of the heads is sorted, less those on its floor, the
-    largest head left out (0 once that is <= 0): cold, the h.size // 8
-    largest (at least 64), by one argpartition; warm, the heads above
-    max(cut, 0), by one comparison, whose lowest is the floor. Equal heads
-    sort by cell, so that every band orders them alike. The search runs
-    over the band's distinct heads, from the top, where the mass is zero,
-    to the floor, where it is exact as no cell below the band fills.
-    It probes the level with start cells above it, gallops from there with
-    doubling steps, down while the mass fits and up while it does not, then
-    probes the level nearest the secant root of mass - budget (the middle
-    one after two probes on one side) until adjacent levels lo < hi hold
-    mass(lo) > budget >= mass(hi). If the mass at a floor of 0 fits, mu = 0;
-    at a positive floor, the band grows 4x downward and the gallop goes on:
-    levels above the old floor keep their indices and fills, and the old
-    floor becomes a level with its cells on it. Each probe of a head also
-    hands fill the cells on that head with t = tiny, the left limit t -> 0+,
-    so the left-limit mass(hi-) costs no extra call. If it exceeds the
-    budget, mu = hi and the cells with h == hi share the rest of the budget
-    in proportion to their left-limit fill (the level set of the bathtub);
-    otherwise an Illinois regula falsi from mass(lo) and mass(hi-) closes
-    the crossing on the fixed prefix h >= hi, to a few ulp of the budget or
-    until the bracket collapses, and returns the evaluated point closest to
-    it: one call when the fill is linear in t.
+    Only a band of the heads is sorted: those above a positive cut, less
+    those on the lowest of them, which is the floor (the largest head if
+    none lies above the cut); with no positive cut, every positive head,
+    over a floor of 0. Equal heads sort by cell, so that every band orders
+    them alike. The search runs over the band's distinct heads, from the
+    top, where the mass is zero, to the floor, where it is exact as no cell
+    below the band fills. It probes the level with start cells above it,
+    gallops from there with doubling steps, down while the mass fits and up
+    while it does not, then probes the level nearest the secant root of
+    mass - budget (the middle one after two probes on one side) until
+    adjacent levels lo < hi hold mass(lo) > budget >= mass(hi). If the mass
+    at a floor of 0 fits, mu = 0; if it fits at a positive floor, the cut
+    lay above mu and the search runs again with no cut. Each probe of a head
+    also hands fill the cells on that head with t = tiny, the left limit
+    t -> 0+, so the left-limit mass(hi-) costs no extra call. If it exceeds
+    the budget, mu = hi and the cells with h == hi share the rest of the
+    budget in proportion to their left-limit fill (the level set of the
+    bathtub); otherwise an Illinois regula falsi from mass(lo) and mass(hi-)
+    closes the crossing on the fixed prefix h >= hi, to a few ulp of the
+    budget or until the bracket collapses, and returns the evaluated point
+    closest to it: one call when the fill is linear in t.
     """
     out = np.zeros(h.shape)
-    if cut is None:
-        size = max(h.size // _BAND_SHARE, _BAND_MIN)
-        order, floor = _top_band(h, size)
-    else:  # the heads above the cut, less those on the lowest: the floor
-        order = np.flatnonzero(h > max(cut, 0.0))
-        order = order[np.argsort(-h[order], kind="stable")]
+    warm = cut is not None and cut > 0.0
+    order = np.flatnonzero(h > (cut if warm else 0.0))
+    order = order[np.argsort(-h[order], kind="stable")]
+    floor = 0.0
+    if warm:  # the lowest head of the band is its floor
         floor = max(float(h[order[-1]] if order.size else np.max(h)), 0.0)
         order = order[h[order] > floor]
-        size = max(order.size, _BAND_MIN)
-
-    def band_levels():
-        # level k is the k-th distinct head from the top, with above[k]
-        # cells above it; the last level is the floor, with no cell on it
-        hs = h[order]
-        above = np.flatnonzero(hs != np.concatenate(([np.inf], hs[:-1])))
-        levels = np.concatenate((hs[above], [floor]))
-        return hs, w[order], levels, np.concatenate((above, [hs.size] * 2))
-
-    hs, ws, levels, above = band_levels()
+    # level k is the k-th distinct head from the top, with above[k] cells
+    # above it; the last level is the floor, with no cell on it
+    hs, ws = h[order], w[order]
+    above = np.flatnonzero(hs != np.concatenate(([np.inf], hs[:-1])))
+    levels = np.concatenate((hs[above], [floor]))
+    above = np.concatenate((above, [hs.size] * 2))
 
     def level_fill(k):
         """Mass at mu = levels[k], the left-limit mass of the cells on that
@@ -157,16 +142,11 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
             step *= 2
     while bad is None:  # gallop down
         if good == levels.size - 1:
-            # the floor fits: mu = 0 at a zero floor, else grow the band
-            if floor == 0.0:
-                out[order] = evals[good][2] if order.size else 0.0
-                return 0.0, out, order.size, order
-            size *= _BAND_GROWTH
-            more, floor = _top_band(h, size - order.size, floor)
-            order = np.concatenate((order, more))
-            hs, ws, levels, above = band_levels()
-            evals.pop(good, None)
-            continue
+            # the floor fits: mu = 0 at a zero floor, else the cut is above mu
+            if floor > 0.0:
+                return threshold_fill(h, w, budget, fill, start)
+            out[order] = evals[good][2] if order.size else 0.0
+            return 0.0, out, order.size, order
         probe(min(good + step, levels.size - 1))
         step *= 2
     sides = []
@@ -210,21 +190,6 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
             hi, f_hi, f_lo, side = mu, f, f_lo / (1 + (side < 0)), -1
     out[order[:m]] = best[2]
     return float(best[1]), out, best[3], order[:m]
-
-
-def _top_band(h, k, below=np.inf):
-    """Of the cells whose heads are at most below, those among the k
-    largest heads above the floor, by descending head and then by cell,
-    and the floor, the largest head left out or 0 once that is <= 0."""
-    idx = np.flatnonzero(h <= below)
-    hr = h[idx]
-    floor = 0.0
-    if k < hr.size:
-        part = np.argpartition(hr, hr.size - k - 1)
-        floor = max(float(hr[part[-k - 1]]), 0.0)
-        idx = idx[np.sort(part[-k:])]
-    top = idx[h[idx] > floor]
-    return top[np.argsort(-h[top], kind="stable")], floor
 
 
 def bathtub_maximize(space):

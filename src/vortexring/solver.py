@@ -202,7 +202,7 @@ def solve_mu(config, gen, psi0, start=0, grid=None, cut=None):
     heads, to a few ulp of the budget, otherwise. Each mass evaluation is
     one eval_i call on the cells whose head lies above the probed mu, with
     their radii taken from grid, run's per-run constants (built if None);
-    cut, a level below mu, picks its band (None: cold).
+    cut, a level below mu, picks its band (None: every positive head).
     """
     spec = psi0.spec
     lam, eps2, r, w, bg = grid or _grid_constants(config, gen, spec)

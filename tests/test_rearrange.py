@@ -113,9 +113,10 @@ def _check_against_oracle(h, w, budget, law, warm=False, cuts=()):
     cold, calls = check(0)
     count = cold[2]
     if warm:
-        band = max(h.size // 8, 64)
-        for start in (1, count, count - 1, count + 1, 3 * count, 2 * band,
-                      h.size):
+        # starts around the count, a quarter of the way into the heads (at
+        # least 128 cells) and past every head
+        for start in (1, count, count - 1, count + 1, 3 * count,
+                      2 * max(h.size // 8, 64), h.size):
             check(start)
     for cut in cuts:
         for start in (0, count):
@@ -124,7 +125,8 @@ def _check_against_oracle(h, w, budget, law, warm=False, cuts=()):
             for a, b in zip(got[1::2], cold[1::2]):
                 np.testing.assert_array_equal(a, b)
             if np.any((h > cold[0]) & (h <= cut)):
-                # a head between mu and the cut: the band grew past it
+                # a head between mu and the cut: the search ran again
+                # with no cut
                 assert min(np.min(h[i]) for _, i in warm_calls) <= cut
     return cold[0], calls
 
@@ -145,9 +147,9 @@ def test_threshold_fill_matches_full_array_search(rng):
 
 
 def test_threshold_fill_across_growing_bands(rng):
-    # the first band holds the n // 8 largest heads; heads on a 0.1 or 0.01
-    # lattice put ties on the band floors, and budgets of 0.3 to 0.98 of
-    # the full mass send the search past the first floor
+    # budgets of 0.3 to 0.98 of the full mass put mu low enough that the
+    # fill calls reach past the n // 8 largest heads; heads on a 0.1 or
+    # 0.01 lattice put ties on every level
     for _ in range(40):
         n = int(rng.integers(600, 3001))
         h = np.round(rng.uniform(-1.0, 3.0, n), int(rng.integers(1, 3)))
@@ -162,9 +164,9 @@ def test_threshold_fill_across_growing_bands(rng):
 
 def test_threshold_fill_value_band(rng):
     # a warm call sorts only the heads above its cut. Cuts below mu, at
-    # it, on heads above it and above every head (the band must grow),
-    # and below 0 (every positive head); heads on a 0.1 lattice put ties
-    # exactly on the cuts
+    # it, on heads above it and above every head (the search must run
+    # again with no cut), and below 0 (every positive head); heads on a
+    # 0.1 lattice put ties exactly on the cuts
     for _ in range(10):
         n = int(rng.integers(600, 3001))
         h = np.round(rng.uniform(-1.0, 3.0, n), 1)
@@ -183,8 +185,8 @@ def test_threshold_fill_value_band(rng):
 def test_threshold_fill_warm_start_on_a_ledge(rng):
     # a jump fill on heads of a 0.1 lattice, with a budget inside the jump
     # at the head 1.0 or at its top, the left-limit mass there: mu is that
-    # head from every start, and the ~half of the cells above it lie past
-    # the first band
+    # head from every start and under every cut, the cuts above it
+    # included
     n = 2000
     h = np.round(rng.uniform(-1.0, 3.0, n), 1)
     w = rng.uniform(0.1, 2.0, n)
@@ -249,24 +251,26 @@ def test_threshold_fill_single_level(rng):
 def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
     # arrays held by a closure in a reference cycle would outlive the call
     # until a cyclic collection; across solver iterations that raised the
-    # peak memory
+    # peak memory. A cut above every head makes the search run again with
+    # no cut, so the guard covers that call too
     n = 200
     h = rng.uniform(-1.0, 3.0, n)
     w = rng.uniform(0.1, 2.0, n)
     law = _fills(rng, n)[0][1]
     budget = 0.3 * float(np.sum(w * law(h, np.arange(n))))
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        mu, *_ = threshold_fill(h, w, budget, law)
+    for cut in (None, float(np.max(h)) + 1.0):
         gc.collect()
-        held = [r for o in gc.garbage for r in gc.get_referents(o)
-                if isinstance(r, np.ndarray)]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    assert 0.0 < mu < float(np.max(h))
-    assert held == []
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            mu, *_ = threshold_fill(h, w, budget, law, 0, cut)
+            gc.collect()
+            held = [r for o in gc.garbage for r in gc.get_referents(o)
+                    if isinstance(r, np.ndarray)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert 0.0 < mu < float(np.max(h))
+        assert held == []
 
 
 @pytest.mark.parametrize("which", ["coarse_turkington", "coarse_power_law"])

@@ -214,9 +214,9 @@ def test_solve_mu_active_mass_constraint(family, params, n, monkeypatch):
 ])
 def test_solve_mu_grows_the_band_without_restarting(family, params,
                                                     monkeypatch):
-    # 64^2 cells put the first band at 4096 // 8 = 512 heads, fewer than
-    # the ~700 cells above mu: the search runs past the band's floor and
-    # grows it without restarting, so the 32^2 call bound still holds
+    # 64^2 cells put ~700 cells above mu, more than 4096 // 8 = 512: a
+    # cold call sorts every positive head, so the search reaches them in
+    # its one band without restarting, and the 32^2 call bound still holds
     sizes, n_cand = _solve_mu_on_hump(64, family, params, monkeypatch)
     assert max(sizes) > 512
     assert len(sizes) <= math.ceil(math.log2(n_cand)) + 10
