@@ -102,7 +102,7 @@ class ScalarField:
                 "field shape %s does not match grid (%d, %d)"
                 % (self.values.shape, self.spec.n_r, self.spec.n_z)
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ConfigurationError("field contains non-finite values")
 
 
@@ -154,18 +154,17 @@ def inner_nu(a, b):
 
 
 def dump_field_csv(f, path):
-    """Write a field as CSV rows r,z,value (row-major over cells).
+    """Write a field as CSV rows r,z,value in %.17g, row-major over cells.
 
     path may be a filesystem path or an open text stream.
     """
-    rs = f.spec.r_centers
-    zs = f.spec.z_centers
+    # a row is one %-format: its r joined in front of each ",z,%.17g\n"
+    tail = [""] + [",%.17g,%%.17g\n" % z for z in f.spec.z_centers]
 
     def emit(fh):
         fh.write("r,z,value\n")
-        for i in range(f.spec.n_r):
-            for j in range(f.spec.n_z):
-                fh.write("%.17g,%.17g,%.17g\n" % (rs[i], zs[j], f.values[i, j]))
+        for r, row in zip(f.spec.r_centers.tolist(), f.values.tolist()):
+            fh.write(("%.17g" % r).join(tail) % tuple(row))
 
     if hasattr(path, "write"):
         emit(path)

@@ -160,16 +160,32 @@ def _pointwise(fn):
     return checked
 
 
+def cell_law(gen, r):
+    """i(r, t) for t > 0 and J(r, s) of gen on cells of radius r > 0,
+    unchecked, as functions of (x, idx) on the cells idx (all by default),
+    with r^2, c = a + b / r^2 and J's prefactor resolved here once."""
+    r2 = r * r
+    if gen.family == "table":
+        def i(t, idx=...):
+            gv, fv = gen._pair(t)
+            return gv + fv / r2[idx]
+
+        def J(s, idx=...):  # the Fenchel-Young line at t = dJds(r, s)
+            t = _invert_table(gen, r[idx], np.maximum(s, 0.0))
+            return np.maximum(s, 0.0) * t - eval_I.__wrapped__(gen, r[idx], t)
+        return i, J
+    jump, a, b, q = gen._law
+    c = a + b / r2
+    pre, power = q / (q + 1.0) * c ** (-1.0 / q), 1.0 + 1.0 / q
+    return (lambda t, idx=...: jump + c[idx] * t ** q,
+            lambda s, idx=...: pre[idx] * np.maximum(s - jump, 0.0) ** power)
+
+
 @_pointwise
 def eval_i(gen, r, t):
     """i(r, t) = g(t) + f(t)/r^2, zero for t <= 0, right-continuous
     branch for t > 0 when g jumps at the origin."""
-    if gen.family == "table":
-        gv, fv = gen._pair(t)
-        return np.where(t > 0, gv + fv / (r * r), 0.0)
-    jump, a, b, q = gen._law
-    return np.where(t > 0, jump + (a + b / (r * r)) * np.maximum(t, 0.0) ** q,
-                    0.0)
+    return np.where(t > 0, cell_law(gen, r)[0](np.maximum(t, 0.0)), 0.0)
 
 
 @_pointwise
@@ -188,13 +204,7 @@ def eval_J(gen, r, s):
     """The conjugate J(r, s): the closed form of the shared law, and for a
     table the Fenchel-Young line J = s t - I(r, t) at t = dJds(r, s),
     exact because the table's I is piecewise quadratic."""
-    if gen.family == "table":
-        sp = np.maximum(s, 0.0)
-        t = eval_dJds(gen, r, sp)
-        return np.asarray(sp * t - eval_I(gen, r, t))
-    jump, a, b, q = gen._law
-    return q / (q + 1.0) * (a + b / (r * r)) ** (-1.0 / q) \
-        * np.maximum(s - jump, 0.0) ** (1.0 + 1.0 / q)
+    return np.asarray(cell_law(gen, r)[1](s))
 
 
 def eval_J_numeric(gen, r, s):

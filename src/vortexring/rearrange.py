@@ -21,6 +21,7 @@ symmetrization redistributes each r-column of a field so it is even in z
 and nonincreasing in |z|, exactly preserving the column's value multiset.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
     """
     out = np.zeros(h.shape)
     warm = cut is not None and cut > 0.0
-    order = np.flatnonzero(h > (cut if warm else 0.0))
+    order = (h > (cut if warm else 0.0)).nonzero()[0]
     order = order[np.argsort(-h[order], kind="stable")]
     floor = 0.0
     if warm:  # the lowest head of the band is its floor
@@ -107,7 +108,7 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
     # level k is the k-th distinct head from the top, with above[k] cells
     # above it; the last level is the floor, with no cell on it
     hs, ws = h[order], w[order]
-    above = np.flatnonzero(hs != np.concatenate(([np.inf], hs[:-1])))
+    above = (hs != np.concatenate(([np.inf], hs[:-1]))).nonzero()[0]
     levels = np.concatenate((hs[above], [floor]))
     above = np.concatenate((above, [hs.size] * 2))
 
@@ -116,7 +117,7 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
         level (t -> 0+), and the fills of both, from one fill call."""
         c, e = above[k], above[k + 1]
         t = hs[:e] - levels[k]
-        t[c:] = np.finfo(float).tiny
+        t[c:] = 2.0 ** -1022  # the least normal float: t -> 0+
         u = fill(t, order[:e])
         return float(np.dot(ws[:c], u[:c])), float(np.dot(ws[c:e], u[c:])), u
 
@@ -134,7 +135,7 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
             good, bad = k, k + 1 if mass + on_level > budget else bad
         return mass <= budget
 
-    k = min(int(np.searchsorted(above, start, "right")) - 1, levels.size - 1)
+    k = min(int(above.searchsorted(start, "right")) - 1, levels.size - 1)
     step = 1
     if k > 0 and not probe(k):
         while good == 0 and bad > step:  # gallop up
@@ -176,9 +177,9 @@ def threshold_fill(h, w, budget, fill, start=0, cut=None):
     best = min((abs(f_hi), hi, u, top), (abs(f_lo), lo, evals[bad][2][:m], m),
                key=lambda p: p[0])
     side = 0
-    while best[0] > 4.0 * np.spacing(budget):
+    while best[0] > 4.0 * math.ulp(budget):
         mu = lo - f_lo * (lo - hi) / (f_lo - f_hi)
-        mu = min(max(mu, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        mu = min(max(mu, math.nextafter(lo, hi)), math.nextafter(hi, lo))
         if not lo < mu < hi:
             break  # the bracket has collapsed
         v = fill(hs[:m] - mu, order[:m])

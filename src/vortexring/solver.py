@@ -24,12 +24,13 @@ a column. run uses the evenness: it iterates on the rows z > 0 alone,
 applies K to them by the even apply (greens.StreamOperator.apply_even),
 and runs the multiplier search, the energy and the L1 change on those
 rows with each cell weighted for itself and its mirror image. It builds
-the search's grid constants once, and takes the sorted flat index of each
-iterate's nonzero cells from the cells the search filled; the mass, the
-cap clamp, the energy, the L1 change, the support count and the even
-apply's band are taken on it. The full field is built once, for the
-returned state, on which run checks the symmetry and raises
-NumericalError if it does not hold.
+once each cell's radius, nu weight, background, and i and J, resolved by
+profiles.cell_law so that the fills and the energy run unchecked; and it
+takes the sorted flat index of each iterate's nonzero cells from the
+cells the search filled, on which the mass, the cap clamp, the energy,
+the L1 change, the support count and the even apply's band are taken. A
+non-finite energy raises NumericalError, as does a returned state that
+is not symmetric; the full field is built once, for that state.
 
 The optimality profile of the converged state is
 
@@ -51,7 +52,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .grid import ScalarField, build_grid, integrate_nu
 from .greens import get_stream_operator
-from .profiles import check_assumptions, eval_dJds, eval_i, eval_J
+from .profiles import cell_law, check_assumptions, eval_dJds, eval_i
 from .rearrange import steiner_symmetrize_z, threshold_fill
 
 
@@ -162,28 +163,27 @@ def background_field(config, spec):
     return np.broadcast_to(b[:, None], (spec.n_r, spec.n_z))
 
 
-def energy(config, gen, zeta, psi0, idx=None):
+def energy(config, gen, zeta, psi0, idx=None, grid=None):
     """The three-term functional at (zeta, psi0 = K zeta), for a
-    nonnegative zeta. Each term is summed over its support idx alone (the
-    sorted flat index, scanned for if None), with nu weights r_i * dr dz."""
-    eps2 = config.epsilon ** 2
-    spec = zeta.spec
+    nonnegative zeta, summed over its sorted flat support idx (scanned for
+    if None) with the radii, nu weights and J of grid (built if None)."""
+    _, eps2, r, w, _, _, J = grid or _grid_constants(config, gen, zeta.spec)
     # nonzero over a float array is ~10x slower than over a boolean mask
     idx = np.flatnonzero(zeta.values.ravel() != 0.0) if idx is None else idx
-    r = spec.r_centers[idx // spec.n_z]
-    w = r * spec.cell_area
+    r, w = r[idx], w[idx]
     z = zeta.values.ravel()[idx]
-    kern = 0.5 * float(np.sum(z * psi0.values.ravel()[idx] * w))
-    impulse = float(np.sum(z * r ** 2 * w))
-    penalty = float(np.sum(np.asarray(eval_J(gen, r, eps2 * z)) * w))
+    kern = 0.5 * float((z * psi0.values.ravel()[idx] * w).sum())
+    impulse = float((z * r ** 2 * w).sum())
+    penalty = float((J(eps2 * z, idx) * w).sum())
     return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
 
 
 def _grid_constants(config, gen, spec):
-    """The cap, eps^2 and each flat cell's radius, nu weight, background."""
-    return (config.resolved_lambda(gen), config.epsilon ** 2,
-            np.repeat(spec.r_centers, spec.n_z), spec.nu_weights().ravel(),
-            background_field(config, spec).ravel())
+    """The cap, eps^2 and each flat cell's r, nu weight, background, i, J."""
+    r = np.repeat(spec.r_centers, spec.n_z)
+    return (config.resolved_lambda(gen), config.epsilon ** 2, r,
+            spec.nu_weights().ravel(), background_field(config, spec).ravel(),
+            *cell_law(gen, r))
 
 
 def solve_mu(config, gen, psi0, start=0, grid=None, cut=None):
@@ -200,25 +200,25 @@ def solve_mu(config, gen, psi0, start=0, grid=None, cut=None):
     with a jump at the origin, in which case the cells on that level set
     (the ledge psi = 0) are filled fractionally; and a root between two
     heads, to a few ulp of the budget, otherwise. Each mass evaluation is
-    one eval_i call on the cells whose head lies above the probed mu, with
-    their radii taken from grid, run's per-run constants (built if None);
-    cut, a level below mu, picks its band (None: every positive head).
+    one call of i on the cells above the probed mu, with i resolved on the
+    cells in grid, run's per-run constants (built if None); cut, a level
+    below mu, picks its band (None: every positive head).
     """
     spec = psi0.spec
-    lam, eps2, r, w, bg = grid or _grid_constants(config, gen, spec)
+    lam, eps2, r, w, bg, law_i, _ = grid or _grid_constants(config, gen, spec)
     head = psi0.values.ravel() - bg
     evals = 0
 
     def fill(t, idx):
         nonlocal evals
         evals += 1
-        return np.minimum(lam, eval_i(gen, r[idx], t))
+        return np.minimum(lam, law_i(t, idx))
 
     mu, u, above, filled = threshold_fill(head, w, config.kappa * eps2, fill,
                                           start, cut)
     idx = np.sort(filled[u[filled] != 0.0])
     z = u[idx] / eps2
-    mass = float(np.sum(z * r[idx])) * spec.cell_area
+    mass = float((z * r[idx]).sum()) * spec.cell_area
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
@@ -269,14 +269,14 @@ def initialize(config, gen):
     raise ConfigurationError("could not place the initialization ball")
 
 
-def l1_change(spec, a, b, idx=None):
-    """Relative L1(nu) distance between successive iterates, summed over
-    idx, the sorted cells where either is nonzero (scanned for if None)."""
+def l1_change(spec, a, b, idx=None, w=None):
+    """Relative L1(nu) change between iterates over idx, the sorted cells
+    where either is nonzero, with flat nu weights w (each found if None)."""
     idx = np.flatnonzero((a != 0.0) | (b != 0.0)) if idx is None else idx
-    w = spec.r_centers[idx // spec.n_z] * spec.cell_area
+    w = (spec.nu_weights().ravel() if w is None else w)[idx]
     a, b = a.ravel()[idx], b.ravel()[idx]
-    denom = float(np.sum(np.abs(a) * w))
-    return float(np.sum(np.abs(b - a) * w)) / max(denom, 1e-300)
+    denom = float((np.abs(a) * w).sum())
+    return float((np.abs(b - a) * w).sum()) / max(denom, 1e-300)
 
 
 def check_problem(config, gen):
@@ -294,19 +294,19 @@ def check_problem(config, gen):
 def run(config, gen):
     """Outer majorize-maximize loop.
 
-    Iterates psi0 = K zeta_k, (mu, zeta_{k+1}) = solve_mu until the
-    relative L1(nu) change drops below tol_zeta or max_iterations is hit.
-    The energy trace is recorded per iterate and asserted nondecreasing
+    Iterates psi0 = K zeta_k, (mu, zeta_{k+1}) = solve_mu until the relative
+    L1(nu) change drops below tol_zeta or max_iterations is hit. The energy
+    trace is recorded per iterate and asserted finite and nondecreasing
     (1e-9 relative slack); mu, the L1 change, the full field's count of
-    nonzero cells and the multiplier search's mass evaluations are
-    recorded per iteration, and the seconds spent in apply_even, solve_mu
-    and energy over the run in layer_seconds. Each search starts from the
-    last one's count of cells above mu, on the heads above the last mu less
-    twice its last move and mu / 20. The returned vorticity must be a
-    fixed point of steiner_symmetrize_z, bit for bit, or NumericalError is
-    raised. The final state gets a fresh stream field so the reported
-    optimality residual and patch measure are self-consistent.
-    check_problem runs first.
+    nonzero cells and the multiplier search's mass evaluations are recorded
+    per iteration, and the seconds spent in apply_even, solve_mu and energy
+    over the run in layer_seconds. Each search starts from the last one's
+    count of cells above mu, on the heads above the last mu less twice its
+    last move and mu / 20. The returned vorticity must be a fixed point of
+    steiner_symmetrize_z, bit for bit, or NumericalError is raised. The
+    final state gets a fresh stream field so the reported optimality
+    residual and patch measure are self-consistent. check_problem runs
+    first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -333,7 +333,9 @@ def run(config, gen):
         trace after the ascent check. it is None for the final state."""
         psi0 = ScalarField(pairs, timed("apply_even", op.apply_even,
                                         zeta.values, idx))
-        e = timed("energy", energy, config, gen, zeta, psi0, idx)
+        e = timed("energy", energy, config, gen, zeta, psi0, idx, grid)
+        if not np.isfinite(e):
+            raise NumericalError("energy is not finite: %r" % e)
         if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
             if it is None:
                 raise NumericalError("final energy fell below the trace")
@@ -344,8 +346,6 @@ def run(config, gen):
         return psi0
 
     mu, above, cut = 0.0, 0, None
-    converged = False
-    iterations = 0
     idx = np.flatnonzero(zeta.values.ravel() != 0.0)
     for it in range(1, config.max_iterations + 1):
         psi0 = ascend(zeta, it, idx)
@@ -357,13 +357,13 @@ def run(config, gen):
         both = np.zeros(zeta.values.size, dtype=bool)
         both[idx] = both[nxt] = True
         changes.append(l1_change(pairs, zeta.values, zeta_next.values,
-                                 np.flatnonzero(both)))
+                                 np.flatnonzero(both), grid[3]))
         supports.append(2 * nxt.size)
         zeta, idx = zeta_next, nxt
-        iterations = it
         if changes[-1] <= config.tol_zeta:
-            converged = True
             break
+    iterations = len(changes)
+    converged = iterations > 0 and changes[-1] <= config.tol_zeta
 
     def unfold(f):
         return ScalarField(spec, np.hstack((f.values[:, ::-1], f.values)))

@@ -30,3 +30,16 @@ def coarse_power_law():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def per_cell_csv():
+    """The text of a field as a per-cell writer puts it: the header, then
+    one "%.17g,%.17g,%.17g" row r,z,value per cell, row-major. The bytes
+    grid.dump_field_csv must write."""
+    def text(f):
+        rs, zs = f.spec.r_centers, f.spec.z_centers
+        return "r,z,value\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (rs[i], zs[j], f.values[i, j])
+            for i in range(f.spec.n_r) for j in range(f.spec.n_z))
+    return text

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, build_problem, main,
-                            validate_config)
+                            solve_to_dir, validate_config)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -78,6 +78,16 @@ def test_solve_reruns_are_byte_identical(solved_dir):
         a = open(os.path.join(out, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b, "%s differs between reruns" % name
+
+
+def test_field_files_match_the_per_cell_writer(tmp_path, per_cell_csv):
+    cfg = json.loads(open(_write_config(tmp_path / "cfg.json",
+                                        grid={"n_r": 24, "n_z": 24})).read())
+    problem, gen = build_problem(cfg)
+    result, _ = solve_to_dir(problem, gen, cfg["profile"], str(tmp_path))
+    for name, fld in (("zeta.csv", result.state.zeta),
+                      ("psi.csv", result.state.psi)):
+        assert (tmp_path / name).read_bytes() == per_cell_csv(fld).encode()
 
 
 def test_manifest_holds_the_layer_seconds(solved_dir):

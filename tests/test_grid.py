@@ -105,6 +105,22 @@ def test_field_csv_roundtrip(rng, tmp_path):
     assert len(text) == 1 + 7 * 5
 
 
+def test_dump_matches_the_per_cell_writer(rng, tmp_path, per_cell_csv):
+    # zeros of both signs, a subnormal, huge values of both signs, and
+    # random values over the whole exponent range
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, 7, 6)
+    vals = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-300, 300, (7, 6))
+    vals.flat[:6] = 0.0, -0.0, 5e-324, 1e300, -1e300, 3.3e-310
+    fld = ScalarField(spec, vals)
+    buf = io.StringIO()
+    dump_field_csv(fld, buf)
+    assert buf.getvalue() == per_cell_csv(fld)
+    assert "\n0.6071428571428571,-0.5,-0\n" in buf.getvalue()
+    path = tmp_path / "field.csv"
+    dump_field_csv(fld, str(path))
+    assert path.read_bytes() == per_cell_csv(fld).encode()
+
+
 def test_dump_accepts_stream():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 2, 2)
     fld = ScalarField(spec, np.ones((2, 2)))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from vortexring.errors import ConfigurationError
-from vortexring.profiles import (FAMILIES, GeneratorPair, check_assumptions,
-                                 eval_H, eval_I, eval_J, eval_J_numeric,
-                                 eval_dJds, eval_i, make_generator)
+from vortexring.profiles import (FAMILIES, GeneratorPair, cell_law,
+                                 check_assumptions, eval_H, eval_I, eval_J,
+                                 eval_J_numeric, eval_dJds, eval_i,
+                                 make_generator)
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -73,6 +74,48 @@ def test_eval_i_examples():
     for gen in ALL_FAMILIES:
         assert eval_i(gen, 1.3, -1.0) == 0.0
         assert eval_i(gen, 1.3, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cell_law_is_the_public_law_bit_for_bit(family, rng):
+    # the law the solve loop resolves once on its cells, taken on random
+    # cells (repeats and any order) at t > 0 (the least normal float too)
+    # and at any s, against the public evaluators and against the formulas
+    # written out in their order of operations; the table has a jump at 0
+    # and swirl
+    t40 = np.linspace(0.0, 40.0, 17)
+    f40, g40 = 0.5 * t40 ** 0.7, 1.0 + t40 ** 1.3
+    name, law = FAMILIES[family]
+    gen = make_generator(family, **({name: 1.7} if law
+                                    else {"table": (t40, f40, g40)}))
+    r = rng.uniform(0.3, 3.0, 400)
+    idx = rng.integers(0, r.size, 150)
+    ri = r[idx]
+    t = np.r_[2.0 ** -1022, rng.uniform(1e-9, 20.0, 149)]
+    s = rng.uniform(-1.0, 40.0, 150)
+    law_i, law_J = cell_law(gen, r)
+    got_i, got_J = law_i(t, idx), law_J(s, idx)
+    assert got_i.tobytes() == eval_i(gen, ri, t).tobytes()
+    assert got_J.tobytes() == eval_J(gen, ri, s).tobytes()
+    if law:
+        jump, a, b, q = law(1.7)
+        want_i = jump + (a + b / (ri * ri)) * t ** q
+        want_J = q / (q + 1.0) * (a + b / (ri * ri)) ** (-1.0 / q) \
+            * np.maximum(s - jump, 0.0) ** (1.0 + 1.0 / q)
+        assert got_J.tobytes() == want_J.tobytes()
+    else:
+        want_i = np.interp(t, t40, g40) + np.interp(t, t40, f40) / (ri * ri)
+    assert got_i.tobytes() == want_i.tobytes()
+    # every cell by default
+    s_all = rng.uniform(-1.0, 40.0, r.size)
+    assert law_J(s_all).tobytes() == eval_J(gen, r, s_all).tobytes()
+    # the public evaluators keep their check on r
+    for bad in (0.0, -1.0):
+        rb = np.r_[r[:3], bad]
+        for fn, x, tag in ((eval_i, t[:4], "i"), (eval_J, s[:4], "J")):
+            with pytest.raises(ConfigurationError,
+                               match=r"^%s\(r, \.\) needs r > 0$" % tag):
+                fn(gen, rb, x)
 
 
 def test_eval_J_examples():

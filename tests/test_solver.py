@@ -11,7 +11,8 @@ from vortexring import solver
 from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.grid import ScalarField, inner_nu, integrate_nu
 from vortexring.greens import apply_stream_operator, get_stream_operator
-from vortexring.profiles import eval_dJds, eval_i, eval_J, make_generator
+from vortexring.profiles import (cell_law, eval_dJds, eval_i, eval_J,
+                                 make_generator)
 from vortexring.rearrange import steiner_symmetrize_z, threshold_fill
 from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                energy, initialize, kkt_residual, l1_change,
@@ -226,7 +227,8 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
     """solve_mu on an n x n grid under a broad quadratic hump over the
     background, whose raw update holds far more than kappa; checks the
     mass constraint and the cap, and returns the cell count of every
-    eval_i call and the number of cells under the hump."""
+    call of the loop's law i (one per mass evaluation) and the number of
+    cells under the hump."""
     cfg = ProblemConfig(epsilon=0.1, n_r=n, n_z=n)
     gen = make_generator(family, **params)
     spec = cfg.domain_grid()
@@ -236,11 +238,15 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
     hump = 3.0 * np.maximum(0.25 - (rr - 1.0) ** 2 - zz ** 2, 0.0)
     sizes = []
 
-    def counted(gen, r, t):
-        sizes.append(np.size(t))
-        return eval_i(gen, r, t)
+    def counted_law(gen, r):
+        law_i, law_J = cell_law(gen, r)
 
-    monkeypatch.setattr(solver, "eval_i", counted)
+        def counted(t, idx=...):
+            sizes.append(np.size(t))
+            return law_i(t, idx)
+        return counted, law_J
+
+    monkeypatch.setattr(solver, "cell_law", counted_law)
     mu, zeta, *_ = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
     assert mu > 0.0
     mass = integrate_nu(zeta)
@@ -739,14 +745,20 @@ def test_run_rejects_odd_grid_with_symmetrization():
         run(ProblemConfig(epsilon=0.1, n_r=24, n_z=25), gen)
 
 
-@pytest.mark.parametrize("max_iterations, message", [
-    (3, "energy decreased at iteration 2: 1 -> 0"),
-    (1, "final energy fell below the trace"),
+@pytest.mark.parametrize("energies, max_iterations, message", [
+    pytest.param([1.0, 0.0], 3, "energy decreased at iteration 2: 1 -> 0",
+                 id="3-energy decreased at iteration 2: 1 -> 0"),
+    pytest.param([1.0, 0.0], 1, "final energy fell below the trace",
+                 id="1-final energy fell below the trace"),
+    pytest.param([1.0, 2.0, np.nan, 3.0, 4.0], 5, "energy is not finite: nan",
+                 id="5-energy is not finite: nan"),
 ])
-def test_run_rejects_energy_descent(max_iterations, message, monkeypatch):
-    # the second energy evaluation drops: inside the loop, or for the final
-    # state after a one-iteration loop
-    values = iter([1.0, 0.0])
+def test_run_rejects_energy_descent(energies, max_iterations, message,
+                                    monkeypatch):
+    # the second energy evaluation drops, inside the loop or for the final
+    # state after a one-iteration loop; or the third is NaN, which no
+    # comparison with the trace catches
+    values = iter(energies)
     monkeypatch.setattr(solver, "energy", lambda *args: next(values))
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16,
                         max_iterations=max_iterations)
