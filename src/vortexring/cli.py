@@ -227,6 +227,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "l1_change_trace": [float(x) for x in result.l1_change_trace],
         "support_trace": [int(x) for x in result.support_trace],
         "mass_evals_trace": [int(x) for x in result.mass_evals_trace],
+        "apply_rows_trace": [int(x) for x in result.apply_rows_trace],
     }
     files = {}
     for name, text in (
@@ -435,16 +436,21 @@ def _validate_greens(seed):
     coarse, fine = rem_sup(100), rem_sup(400)
 
     # the even apply against its explicit-summation oracle on a non-square
-    # grid, on fields on a band of source rows: on every z-row, on two
+    # grid, on fields on a band of source rows: on every z-row, on two; also
+    # on target rows across the band's edge, and the bound on every row
     op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 16, 20))
     wide, narrow = np.zeros((2, 16, 10))
     wide[3:11] = rng.uniform(0.0, 1.0, (8, 20))[:, 10:]
     narrow[3:11, :2] = rng.uniform(0.0, 1.0, (8, 2))
-    op_diff = 0.0
+    op_diff, window_diff, row_bound_ok = 0.0, 0.0, True
     for upper in (wide, narrow):
         direct = op.apply_direct(np.hstack((upper[:, ::-1], upper)))[:, 10:]
+        scale = np.max(np.abs(direct))
         err = np.max(np.abs(op.apply_even(upper) - direct))
-        op_diff = max(op_diff, float(err / np.max(np.abs(direct))))
+        op_diff = max(op_diff, float(err / scale))
+        err = np.max(np.abs(op.apply_even(upper, rows=(8, 14)) - direct)[8:14])
+        window_diff = max(window_diff, float(err / scale))
+        row_bound_ok &= bool(np.all(direct.max(axis=1) <= op.row_bound(upper)))
     summary = {
         "pairs": len(rows),
         "max_rel_diff": worst,
@@ -456,10 +462,13 @@ def _validate_greens(seed):
         "remainder_bounded": bool(fine <= 1.05 * max(coarse, 1e-12)),
         "operator_max_rel_diff": op_diff,
         "operator_vs_direct_ok": bool(op_diff <= 1e-12),
+        "window_max_rel_diff": window_diff,
+        "row_bound_ok": row_bound_ok,
     }
     summary["pass"] = bool(summary["closed_vs_quadrature_ok"]
                            and bound_ok and summary["remainder_bounded"]
-                           and summary["operator_vs_direct_ok"])
+                           and summary["operator_vs_direct_ok"]
+                           and window_diff <= 1e-12 and row_bound_ok)
     csv_lines = ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound"]
     for row in rows:
         csv_lines.append(",".join("%.17g" % v for v in row))

@@ -21,8 +21,9 @@ frequency-major (frequency, source row, target row), and `apply_even`
 works on the rows z > 0 alone by symmetric convolution (Martucci, IEEE
 Trans. Signal Process. 1994): a DCT-II and a DCT-III as products with
 cosine matrices, between them one batched real matmul over the source
-rows that hold vorticity. `apply_direct` sums over source cells
-explicitly, for any field, and is its oracle.
+rows that hold vorticity and a given range of target rows, which a row
+bound from each table entry's max over the z-offsets picks. `apply_direct`
+sums over source cells explicitly, for any field, and is its oracle.
 `ring_velocity_z` is (1/r) dK/dr in closed form, for the far field.
 `fd_solve` solves L psi0 = zeta by finite differences on a much larger
 box; it is only an independent check on the kernel path, in the tests
@@ -324,17 +325,19 @@ class StreamOperator:
     second copy: the kernel is symmetric in (r, r'), so for each offset
     the pairs a <= b are evaluated once, mirrored into one (n_r, n_r)
     slab, corrected near the diagonal, weighted and written into T[dj];
-    the DCT-I then runs in place.
+    the DCT-I then runs in place. Its trailing 0 row first holds `bound`[b,
+    a] = max_dj A[a, b, dj], kept apart (n_r^2 * 8 bytes) for `row_bound`.
 
     `apply_even` takes the rows z > 0 of a field even about z = 0 (an
     even n_z on a box centred at 0). Zero-padded to n_z, their half-sample
     symmetric extension is the field's 2 n_z-periodic sequence, so the
     convolution is a DCT-II of the source rows [b0, b1) between the first
     and the last row holding a nonzero cell, one real row per frequency
-    against T[:n_z, b0:b1, :], and a DCT-III back, whose first n_z / 2
-    samples are psi0 on the same rows. Both are products with cosine
-    matrices: the DCT-II reads only the z-rows up to the last nonzero cell,
-    and the DCT-III writes only the samples kept, C-contiguous.
+    against T[:n_z, b0:b1, a0:a1] for the target rows [a0, a1) asked for,
+    and a DCT-III back, whose first n_z / 2 samples are psi0 on those rows
+    (0 on the others). Both are products with cosine matrices: the DCT-II
+    reads only the z-rows up to the last nonzero cell, and the DCT-III
+    writes only the samples kept, C-contiguous.
     """
 
     def __init__(self, spec):
@@ -344,12 +347,15 @@ class StreamOperator:
         ia, ib = np.triu_indices(n_r)
         slab = np.empty((n_r, n_r))
         table = np.empty((n_z + 1, n_r, n_r))
+        table[n_z] = 0.0
         for dj in range(n_z):
             val, _ = _elliptic_kernel(r[ia], 0.0, r[ib], dj * spec.dz)
             slab[ia, ib] = val
             slab[ib, ia] = val
             _correct_near(slab, spec, dj)
             np.multiply(slab.T, w[:, None], out=table[dj])
+            np.maximum(table[n_z], table[dj], out=table[n_z])
+        self.bound = table[n_z].copy()
         table[n_z] = 0.0
         self._table = dct(table, type=1, axis=0, overwrite_x=True)
         # the DCT-II of the rows z > 0 zero-padded to n_z, and the first
@@ -358,23 +364,32 @@ class StreamOperator:
         c = np.cos(np.pi * k * (2 * np.arange(n_z // 2) + 1) / (2 * n_z))
         self._dct2, self._dct3 = 2.0 * c, np.where(k == 0, 0.5, 1.0) * c / n_z
 
-    def apply_even(self, upper, idx=None):
+    def apply_even(self, upper, idx=None, rows=None):
         """psi0 on the rows z > 0 of a field even in z, C-contiguous, from
         those rows: (n_r, n_z / 2) arrays ordered outward from z = 0, else
-        GridMismatchError; idx, upper's sorted nonzero flat index, or None."""
+        GridMismatchError; idx, upper's sorted nonzero flat index, or None;
+        rows, the target rows [a0, a1) computed (None: all), 0 elsewhere."""
         n_r, n_z, half = self.spec.n_r, self.spec.n_z, self.spec.n_z // 2
         if not self.spec.z_symmetric():
             raise ConfigurationError("the even apply needs a z-symmetric grid")
         if upper.shape != (n_r, half):
             raise GridMismatchError("%s is not (n_r, n_z/2)" % (upper.shape,))
         idx = np.flatnonzero(upper.ravel() != 0.0) if idx is None else idx
+        out = np.zeros((n_r, half))
         if idx.size == 0:
-            return np.zeros((n_r, half))
+            return out
+        a0, a1 = (0, n_r) if rows is None else rows
         b0, b1 = idx[0] // half, idx[-1] // half + 1
         j1 = int(np.max(idx % half)) + 1
         vhat = self._dct2[:, :j1] @ upper[b0:b1, :j1].T
-        phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, :])
-        return phat[:, 0, :].T @ self._dct3
+        phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, a0:a1])
+        np.matmul(phat[:, 0, :].T, self._dct3, out=out[a0:a1])
+        return out
+
+    def row_bound(self, upper):
+        """U(a) = sum_b bound[b, a] * (row b's full-field sum), from the rows
+        z > 0 of a nonnegative even field: max_j psi0(a, j) <= U(a)."""
+        return 2.0 * upper.sum(axis=1) @ self.bound
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells, on a

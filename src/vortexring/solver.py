@@ -28,9 +28,11 @@ once each cell's radius, nu weight, background, and i and J, resolved by
 profiles.cell_law so that the fills and the energy run unchecked; and it
 takes the sorted flat index of each iterate's nonzero cells from the
 cells the search filled, on which the mass, the cap clamp, the energy,
-the L1 change, the support count and the even apply's band are taken. A
-non-finite energy raises NumericalError, as does a returned state that
-is not symmetric; the full field is built once, for that state.
+the L1 change, the support count and the even apply's band are taken;
+and it applies K only on the target rows whose bound can reach the cut
+of the search (step). A non-finite energy raises NumericalError, as does
+a returned state that is not symmetric; the full field is built once,
+for that state.
 
 The optimality profile of the converged state is
 
@@ -143,6 +145,7 @@ class SolveResult:
     l1_change_trace: np.ndarray = field(repr=False)
     support_trace: np.ndarray = field(repr=False)
     mass_evals_trace: np.ndarray = field(repr=False)
+    apply_rows_trace: np.ndarray = field(repr=False)
     kkt: float = np.nan
     patch_measure: float = np.nan
     mass: float = np.nan
@@ -279,6 +282,38 @@ def l1_change(spec, a, b, idx=None, w=None):
     return float((np.abs(b - a) * w).sum()) / max(denom, 1e-300)
 
 
+def _window(op, upper, idx, bg, cut):
+    """Target rows [a0, a1) holding each row whose heads psi0 - bg (bg per
+    cell) can pass cut less a margin far above roundoff, as psi0 <=
+    op.row_bound, joined with the source band of upper's support idx."""
+    half, bound = upper.shape[1], op.row_bound(upper)
+    hit = np.flatnonzero(bound - bg[::half] > cut - 1e-9 * bound.max())
+    a0, a1 = idx[0] // half, idx[-1] // half + 1
+    return (min(a0, hit[0]), max(a1, hit[-1] + 1)) if hit.size else (a0, a1)
+
+
+def step(op, config, gen, zeta, idx, grid, start, cut, timed):
+    """One outer step: psi0 = K zeta, then solve_mu from start with cut,
+    for zeta the rows z > 0 of an even iterate nonzero on idx. A positive
+    cut applies _window's rows alone, and all if mu ends below the cut, as
+    that search read rows left 0. Returns psi0, solve_mu's values with both
+    searches' fill calls, and the rows applied; timed(layer, f, *args)
+    calls f (run's timer, or a plain call)."""
+    full = rows = (0, zeta.values.shape[0])
+    if cut is not None and cut > 0.0:
+        rows = timed("apply_even", _window, op, zeta.values, idx, grid[4], cut)
+    applied = evals = 0
+    while True:
+        psi0 = ScalarField(zeta.spec, timed("apply_even", op.apply_even,
+                                            zeta.values, idx, rows))
+        mu, update, above, n, nxt = timed(
+            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut)
+        applied, evals = applied + rows[1] - rows[0], evals + n
+        if rows == full or mu >= cut:
+            return psi0, mu, update, above, evals, nxt, applied
+        rows = full
+
+
 def check_problem(config, gen):
     """Reject what run cannot solve before any work is done: a generator
     that fails its structural checks, or a cap at or below max(1, g(0+)).
@@ -298,15 +333,15 @@ def run(config, gen):
     L1(nu) change drops below tol_zeta or max_iterations is hit. The energy
     trace is recorded per iterate and asserted finite and nondecreasing
     (1e-9 relative slack); mu, the L1 change, the full field's count of
-    nonzero cells and the multiplier search's mass evaluations are recorded
-    per iteration, and the seconds spent in apply_even, solve_mu and energy
-    over the run in layer_seconds. Each search starts from the last one's
-    count of cells above mu, on the heads above the last mu less twice its
-    last move and mu / 20. The returned vorticity must be a fixed point of
-    steiner_symmetrize_z, bit for bit, or NumericalError is raised. The
-    final state gets a fresh stream field so the reported optimality
-    residual and patch measure are self-consistent. check_problem runs
-    first.
+    nonzero cells, the multiplier search's mass evaluations and the target
+    rows applied are recorded per iteration, and the seconds spent in
+    apply_even, solve_mu and energy over the run in layer_seconds. Each
+    step (see step) starts from the last one's count of cells above mu, on
+    the heads above the last mu less twice its last move and mu / 20. The
+    returned vorticity must be a fixed point of steiner_symmetrize_z, bit
+    for bit, or NumericalError is raised. The final state gets a fresh
+    stream field from a full apply so the reported optimality residual and
+    patch measure are self-consistent. check_problem runs first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -319,7 +354,7 @@ def run(config, gen):
     zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
     grid = _grid_constants(config, gen, pairs)
 
-    trace, mus, changes, supports, evals = [], [], [], [], []
+    trace, mus, changes, supports, evals, applied = [], [], [], [], [], []
     seconds = dict.fromkeys(("apply_even", "solve_mu", "energy"), 0.0)
 
     def timed(layer, f, *args):
@@ -328,11 +363,9 @@ def run(config, gen):
         seconds[layer] += time.perf_counter() - t0
         return out
 
-    def ascend(zeta, it, idx=None):
-        """psi0 = K zeta, for zeta nonzero on idx; its energy joins the
+    def ascend(zeta, psi0, idx, it):
+        """The energy of zeta (nonzero on idx, psi0 = K zeta) joins the
         trace after the ascent check. it is None for the final state."""
-        psi0 = ScalarField(pairs, timed("apply_even", op.apply_even,
-                                        zeta.values, idx))
         e = timed("energy", energy, config, gen, zeta, psi0, idx, grid)
         if not np.isfinite(e):
             raise NumericalError("energy is not finite: %r" % e)
@@ -348,12 +381,13 @@ def run(config, gen):
     mu, above, cut = 0.0, 0, None
     idx = np.flatnonzero(zeta.values.ravel() != 0.0)
     for it in range(1, config.max_iterations + 1):
-        psi0 = ascend(zeta, it, idx)
-        mu, zeta_next, above, n, nxt = timed(
-            "solve_mu", solve_mu, config, gen, psi0, above, grid, cut)
+        psi0, mu, zeta_next, above, n, nxt, m = step(
+            op, config, gen, zeta, idx, grid, above, cut, timed)
+        ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
         evals.append(n)
+        applied.append(m)
         both = np.zeros(zeta.values.size, dtype=bool)
         both[idx] = both[nxt] = True
         changes.append(l1_change(pairs, zeta.values, zeta_next.values,
@@ -373,7 +407,9 @@ def run(config, gen):
     _capped(zeta.values, config, lam, integrate_nu(zeta))
     if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
-    psi0 = unfold(ascend(ScalarField(pairs, zeta.values[:, half:]), None))
+    upper = ScalarField(pairs, zeta.values[:, half:])
+    psi0 = unfold(ascend(upper, ScalarField(pairs, timed(
+        "apply_even", op.apply_even, upper.values)), None, None))
     bg = background_field(config, spec)
     psi = ScalarField(spec, psi0.values - bg - mu)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
@@ -383,6 +419,7 @@ def run(config, gen):
         iterations=iterations, energy_trace=np.asarray(trace),
         mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
         support_trace=np.asarray(supports), mass_evals_trace=np.asarray(evals),
+        apply_rows_trace=np.asarray(applied),
         degenerate_epsilon=config.degenerate_epsilon, layer_seconds=seconds,
     )
     result.mass = integrate_nu(zeta)

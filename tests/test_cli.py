@@ -63,6 +63,13 @@ def test_solve_converged_writes_all_outputs(solved_dir):
     evals = payload["mass_evals_trace"]
     assert len(evals) == payload["outcome"]["iterations"]
     assert all(isinstance(n, int) and n >= 1 for n in evals)
+    # the target rows each iteration applied: all 48 before the first cut,
+    # then a window of them, or a window and all 48 when a search fell back
+    rows = payload["apply_rows_trace"]
+    assert len(rows) == payload["outcome"]["iterations"]
+    assert rows[0] == 48
+    assert all(isinstance(n, int) and 1 <= n < 2 * 48 for n in rows)
+    assert min(rows) < 48
     manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
     assert "grid_sha256" in manifest
     assert sorted(manifest["files"]) == ["manifest.json", "psi.csv",
@@ -389,6 +396,9 @@ def test_validate_greens_writes_pair_table(tmp_path):
     assert summary["greens"]["closed_vs_quadrature_ok"] is True
     assert summary["greens"]["operator_vs_direct_ok"] is True
     assert 0.0 <= summary["greens"]["operator_max_rel_diff"] <= 1e-12
+    assert 0.0 <= summary["greens"]["window_max_rel_diff"] <= 1e-12
+    assert summary["greens"]["row_bound_ok"] is True
+    assert summary["greens"]["pass"] is True
 
 
 def test_validate_profiles_passes(tmp_path):

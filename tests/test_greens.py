@@ -238,6 +238,44 @@ def test_apply_even_band_from_a_given_index(rng):
                                       op.apply_even(vals))
 
 
+@pytest.mark.parametrize("n_r,n_z", [(13, 18), (20, 10), (16, 16)])
+def test_apply_even_on_a_row_range(n_r, n_z, rng):
+    # the solver applies only the target rows whose heads can reach its
+    # cut: those rows must be the full apply's, to roundoff, and the
+    # others exactly zero
+    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z))
+    ranges = [(0, n_r), (0, 1), (n_r - 1, n_r), (2, n_r - 4), (n_r // 2, n_r)]
+    for name, vals in _row_fields(n_r, n_z // 2, rng).items():
+        full = op.apply_even(vals)
+        scale = max(np.max(full), 1e-300)
+        for a0, a1 in ranges:
+            got = op.apply_even(vals, rows=(a0, a1))
+            assert got.shape == full.shape and got.flags.c_contiguous
+            err = np.max(np.abs(got[a0:a1] - full[a0:a1])) / scale
+            assert err <= 1e-14, (name, a0, a1, err)
+            assert not got[:a0].any() and not got[a1:].any(), (name, a0, a1)
+        assert np.array_equal(op.apply_even(vals, rows=(0, n_r)), full)
+
+
+@pytest.mark.parametrize("box", [
+    (0.5, 2.0, 0.1, 13, 18), (0.5, 2.0, 0.1, 20, 10), (0.5, 2.0, 0.1, 16, 16),
+    (1.21, 1.81, 0.3, 16, 16)], ids=["13x18", "20x10", "16x16", "inner box"])
+def test_row_bound_holds_every_row(box, rng):
+    # psi0(a, .) <= U(a) = sum_b bound[b, a] * (row b's full-field sum) for
+    # any nonnegative field: the solver skips the rows whose U less the
+    # background lies below its cut
+    r_min, r_max, z_half, n_r, n_z = box
+    op = StreamOperator(build_grid(r_min, r_max, -z_half, z_half, n_r, n_z))
+    fields = dict(_row_fields(n_r, n_z // 2, rng))
+    fields.update({"Steiner " + name: -np.sort(-vals, axis=1)
+                   for name, vals in list(fields.items())})
+    for name, vals in fields.items():
+        bound = op.row_bound(vals)
+        assert bound.shape == (n_r,)
+        assert np.all(np.max(op.apply_even(vals), axis=1) <= bound), name
+    assert np.all(op.bound > 0.0)
+
+
 def test_apply_stream_operator_needs_an_even_field():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 8, 10)
     vals = np.zeros((8, 10))

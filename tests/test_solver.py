@@ -386,6 +386,101 @@ def test_support_trace_on_every_iteration(monkeypatch):
     assert len(counts) == result.iterations
 
 
+def _captured_step(result):
+    """The operator, the rows z > 0 of result's final vorticity on the box
+    of mirror pairs run iterates on, their support and run's constants."""
+    cfg = result.config
+    spec = cfg.domain_grid()
+    half = spec.n_z // 2
+    pairs = dataclasses.replace(spec, n_z=half)
+    zeta = ScalarField(pairs, result.state.zeta.values[:, half:].copy())
+    return (get_stream_operator(spec), zeta,
+            np.flatnonzero(zeta.values.ravel() != 0.0),
+            solver._grid_constants(cfg, result.gen, pairs))
+
+
+def test_window_holds_every_row_that_can_reach_the_cut(coarse_power_law):
+    # each row whose bound less the background passes the cut, and the
+    # source rows energy reads, lie in the window; from a cut just under
+    # the top row's to one far below mu
+    op, zeta, idx, grid = _captured_step(coarse_power_law)
+    half = zeta.values.shape[1]
+    reach = op.row_bound(zeta.values) - grid[4][::half]
+    band = idx[0] // half, idx[-1] // half + 1
+    top, mu = float(np.max(reach)), coarse_power_law.state.mu
+    assert 0.0 < mu < top
+    for cut in (top * (1.0 - 1e-6), 0.5 * (top + mu), mu, 0.9 * mu, 0.1 * mu):
+        a0, a1 = solver._window(op, zeta.values, idx, grid[4], cut)
+        hit = np.flatnonzero(reach > cut)
+        assert a0 <= min(hit[0], band[0]) and a1 >= max(hit[-1] + 1, band[1])
+        outside = np.r_[reach[:a0], reach[a1:]]
+        assert np.all(outside <= cut), cut
+
+
+def _recorded_step(result, cut):
+    """solver.step on result's final state from a cold start with cut, the
+    full-apply search it must match, and the layers it timed."""
+    cfg, gen = result.config, result.gen
+    op, zeta, idx, grid = _captured_step(result)
+    layers = []
+
+    def timed(layer, f, *args):
+        layers.append(layer)
+        return f(*args)
+
+    got = solver.step(op, cfg, gen, zeta, idx, grid, 0, cut, timed)
+    full = ScalarField(zeta.spec, op.apply_even(zeta.values))
+    return got, full, solve_mu(cfg, gen, full, 0, grid, cut), layers
+
+
+@pytest.mark.parametrize("share", [None, -1.0, 0.9])
+def test_step_applies_the_rows_that_can_reach_the_cut(coarse_power_law,
+                                                      share):
+    # no cut, or one <= 0, applies every target row; a cut below mu only
+    # the rows whose heads can pass it, and the search finds the same mu
+    result = coarse_power_law
+    n_r = result.config.n_r
+    cut = None if share is None else share * result.state.mu
+    (psi0, mu, update, above, n, nxt, rows), full, want, layers = \
+        _recorded_step(result, cut)
+    mu_f, update_f, above_f, n_f, nxt_f = want
+    if share is not None and share > 0.0:
+        assert layers == ["apply_even", "apply_even", "solve_mu"]
+        assert 0 < rows < n_r
+        assert abs(mu - mu_f) <= 4.0 * np.spacing(mu_f)
+        np.testing.assert_allclose(update.values, update_f.values,
+                                   rtol=1e-13, atol=0.0)
+        assert (above, n) == (above_f, n_f)
+        np.testing.assert_array_equal(nxt, nxt_f)
+        return
+    assert layers == ["apply_even", "solve_mu"] and rows == n_r
+    np.testing.assert_array_equal(psi0.values, full.values)
+    assert (mu, above, n) == (mu_f, above_f, n_f)
+    np.testing.assert_array_equal(update.values, update_f.values)
+
+
+def test_step_falls_back_to_a_full_apply(coarse_power_law):
+    # with a cut above every head the windowed search has no band and
+    # returns mu below the cut, having read rows the window left at 0: the
+    # step applies the full field and searches again, and must match a
+    # full-apply search bit for bit, counting both applies and searches
+    result = coarse_power_law
+    n_r = result.config.n_r
+    op, zeta, _, _ = _captured_step(result)
+    cut = 2.0 * float(np.max(op.apply_even(zeta.values)))
+    (psi0, mu, update, above, n, nxt, rows), full, want, layers = \
+        _recorded_step(result, cut)
+    mu_f, update_f, above_f, n_f, nxt_f = want
+    assert mu == mu_f < cut
+    np.testing.assert_array_equal(update.values, update_f.values)
+    assert above == above_f
+    np.testing.assert_array_equal(nxt, nxt_f)
+    np.testing.assert_array_equal(psi0.values, full.values)
+    assert layers == ["apply_even", "apply_even", "solve_mu",
+                      "apply_even", "solve_mu"]
+    assert n_r < rows < 2 * n_r and n > n_f
+
+
 def test_layer_seconds(coarse_turkington):
     seconds = coarse_turkington.layer_seconds
     assert sorted(seconds) == ["apply_even", "energy", "solve_mu"]
