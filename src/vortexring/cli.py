@@ -22,6 +22,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.fft import dct
 
 from . import __version__
 from .errors import ConfigurationError
@@ -400,8 +401,9 @@ def cmd_report(args):
 
 
 def _validate_greens(seed):
-    from .greens import (StreamOperator, kernel_bound, kernel_closed_form,
-                         kernel_quadrature, expansion_remainder, sigma)
+    from .greens import (StreamOperator, build_kernel_block, kernel_bound,
+                         kernel_closed_form, kernel_quadrature,
+                         expansion_remainder, sigma)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -443,6 +445,12 @@ def _validate_greens(seed):
     wide[3:11] = rng.uniform(0.0, 1.0, (8, 20))[:, 10:]
     narrow[3:11, :2] = rng.uniform(0.0, 1.0, (8, 2))
     op_diff, window_diff, row_bound_ok = 0.0, 0.0, True
+    # the table against the weighted DCT-I of the block of ordered pairs
+    block = build_kernel_block(op.spec)
+    symmetric = bool(np.array_equal(block, block.transpose(1, 0, 2)))
+    ref = dct(np.concatenate((block.T, np.zeros((1, 16, 16)))), type=1, axis=0)
+    ref *= (op.spec.r_centers * op.spec.cell_area)[:, None]
+    table_diff = float(np.max(np.abs(op._table - ref)) / np.max(np.abs(ref)))
     for upper in (wide, narrow):
         direct = op.apply_direct(np.hstack((upper[:, ::-1], upper)))[:, 10:]
         scale = np.max(np.abs(direct))
@@ -464,11 +472,14 @@ def _validate_greens(seed):
         "operator_vs_direct_ok": bool(op_diff <= 1e-12),
         "window_max_rel_diff": window_diff,
         "row_bound_ok": row_bound_ok,
+        "kernel_symmetric_ok": symmetric,
+        "table_vs_block_max_rel_diff": table_diff,
     }
     summary["pass"] = bool(summary["closed_vs_quadrature_ok"]
                            and bound_ok and summary["remainder_bounded"]
                            and summary["operator_vs_direct_ok"]
-                           and window_diff <= 1e-12 and row_bound_ok)
+                           and window_diff <= 1e-12 and row_bound_ok
+                           and symmetric and table_diff <= 1e-15)
     csv_lines = ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound"]
     for row in rows:
         csv_lines.append(",".join("%.17g" % v for v in row))

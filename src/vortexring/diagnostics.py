@@ -295,8 +295,8 @@ def diagnostics_record(result):
     tm, tp, diam, dist = support_stats(zeta, r_star=config.r_star)
     cr, cz = center_of_vorticity(zeta)
     far = far_field_check(result)
-    _, v_theta, _ = velocity_field(result.state.psi, result.gen,
-                                   config.epsilon)
+    v_theta = eval_H(result.gen, result.state.psi.values) / (
+        config.epsilon * zeta.spec.r_centers[:, None])
     rec = DiagnosticsRecord(
         epsilon=config.epsilon,
         theta_minus=tm,
@@ -310,7 +310,7 @@ def diagnostics_record(result):
         simply_connected=topology_check(zeta),
         far_field_vz=far["far_vz"],
         far_field_rel_dev=far["worst_rel_dev"],
-        swirl_max=float(np.max(np.abs(v_theta.values))),
+        swirl_max=float(np.max(np.abs(v_theta))),
         core_radius=core_radius(zeta),
         mass=result.mass,
         kkt_residual=result.kkt,

@@ -16,7 +16,8 @@ quadrature form is the slow reference, the elliptic form the production
 path. `StreamOperator` evaluates psi0 = K zeta for fields even in z on a
 box centred at z = 0, the only fields the solver holds: the
 z-translation invariance makes the cell-to-cell table block-Toeplitz,
-its offset transform is built once per grid as a DCT-I and stored
+its offset transform is built once per grid, a DCT-I along the offset
+line of each pair r <= r' of the symmetric kernel, and stored
 frequency-major (frequency, source row, target row), and `apply_even`
 works on the rows z > 0 alone by symmetric convolution (Martucci, IEEE
 Trans. Signal Process. 1994): a DCT-II and a DCT-III as products with
@@ -35,8 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, sparse
-from scipy.fft import dct
+from scipy import fftpack, integrate, sparse
 from scipy.sparse.linalg import spsolve
 from scipy.special import ellipe, ellipkm1
 
@@ -95,7 +95,7 @@ def kernel_bound(r, z, rp, zp, coef=0.25):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _elliptic_kernel(r, z, rp, zp):
+def _elliptic_kernel(r, z, rp, zp, work=None):
     """Vectorized kernel via complete elliptic integrals.
 
     With m = k^2 = 4 r r' / ((r+r')^2 + (z-z')^2),
@@ -104,21 +104,26 @@ def _elliptic_kernel(r, z, rp, zp):
 
     The complementary parameter m1 = 1 - m is formed cancellation-free
     from ((r-r')^2 + (z-z')^2) so K(m) stays accurate arbitrarily close
-    to coincidence.
+    to coincidence. Every step writes into `work`, five arrays of the
+    broadcast shape (new ones if None) whose first two are the (K, m1)
+    returned, so a caller that passes the same work allocates nothing.
     """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    zp = np.asarray(zp, dtype=float)
+    r, z, rp, zp = (np.asarray(x, dtype=float) for x in (r, z, rp, zp))
+    shape = np.broadcast(r, z, rp, zp).shape
+    val, m1, m, k, two_k = work or [np.empty(shape) for _ in range(5)]
     dz2 = (z - zp) ** 2
-    den = (r + rp) ** 2 + dz2
-    m = 4.0 * r * rp / den
-    m1 = ((r - rp) ** 2 + dz2) / den
+    np.add((r - rp) ** 2, dz2, out=m1)
+    m1 /= np.add((r + rp) ** 2, dz2, out=m)
+    np.divide(4.0 * (r * rp), m, out=m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kk = ellipkm1(m1)
-        ee = ellipe(m)
-        k = np.sqrt(m)
-        val = (np.sqrt(r * rp) / TWO_PI) * ((2.0 / k - k) * kk - (2.0 / k) * ee)
+        ellipkm1(m1, out=val)
+        np.sqrt(m, out=k)
+        ellipe(m, out=m)
+        np.divide(2.0, k, out=two_k)
+        val *= np.subtract(two_k, k, out=k)
+        m *= two_k
+        val -= m
+        val *= np.sqrt(r * rp) / TWO_PI
     return val, m1
 
 
@@ -267,33 +272,32 @@ def _log_mean_rect(x0, x1, y0, y1):
     return float(out) if out.ndim == 0 else out
 
 
-def _correct_near(slab, spec, dj):
-    """Correct the (target, source) kernel slab of z-offset dj in place.
-
-    Entries with source and target within NCORR cells of each other
-    replace the midpoint value of the logarithmic part by its exact
-    average over the source cell, which is what keeps the near-diagonal
-    of the discretized operator second-order despite the log singularity.
-    At dj = 0 the diagonal becomes the self-cell value.
-    """
-    if dj > NCORR:
-        return
-    r, dr, dz, n_r = spec.r_centers, spec.dr, spec.dz, spec.n_r
-    for di in range(-NCORR, NCORR + 1):
-        if abs(di) > n_r - 1 or di == dj == 0:
-            continue
-        x0 = di * dr - 0.5 * dr
-        y0 = dj * dz - 0.5 * dz
-        avg = _log_mean_rect(x0, x0 + dr, y0, y0 + dz)
+def _near_corrector(spec):
+    """correct(lines, t, s) corrects in place the kernel lines K[t, s, :]
+    of the pairs (t, s) within NCORR rows: the midpoint value of the log
+    part becomes its exact average over the source cell, which keeps the
+    operator's near-diagonal second-order despite the singularity, and the
+    self cell (t = s, offset 0) the near-coincidence law averaged over the
+    cell. Each correction is computed once per |t - s| and offset, so a
+    symmetric set of pairs stays symmetric bit for bit."""
+    r, dr, dz = spec.r_centers, spec.dr, spec.dz
+    di, dj = np.mgrid[:NCORR + 1, :min(NCORR + 1, spec.n_z)]
+    x0, y0 = di * dr - 0.5 * dr, dj * dz - 0.5 * dz
+    avg = _log_mean_rect(x0, x0 + dr, y0, y0 + dz)
+    with np.errstate(divide="ignore"):
         corr = (avg - np.log(1.0 / np.hypot(di * dr, dj * dz))) / TWO_PI
-        idx_t = np.arange(max(0, -di), n_r - max(0, di))
-        idx_s = idx_t + di
-        slab[idx_t, idx_s] += np.sqrt(r[idx_t] * r[idx_s]) * corr
-    if dj == 0:
-        # self cell: near-coincidence law K ~ (r/2 pi)(log(8 r / rho) - 2)
-        # averaged exactly in rho over the cell
-        avg = _log_mean_rect(-0.5 * dr, 0.5 * dr, -0.5 * dz, 0.5 * dz)
-        np.fill_diagonal(slab, (r / TWO_PI) * (avg + np.log(8.0 * r) - 2.0))
+    corr[0, 0] = 0.0  # the self cell is replaced, not corrected
+    # K ~ (r/2 pi)(log(8 r / rho) - 2) near coincidence
+    self_cell = (r / TWO_PI) * (avg[0, 0] + np.log(8.0 * r) - 2.0)
+
+    def correct(lines, t, s):
+        near = np.flatnonzero(np.abs(s - t) <= NCORR)
+        t, s = t[near], s[near]
+        lines[near, :corr.shape[1]] += (np.sqrt(r[t] * r[s])[:, None]
+                                        * corr[np.abs(s - t)])
+        lines[near[t == s], 0] = self_cell[t[t == s]]
+
+    return correct
 
 
 def build_kernel_block(spec):
@@ -301,32 +305,31 @@ def build_kernel_block(spec):
 
     The z-translation invariance of the kernel collapses the table to the
     z-offset magnitude. Every ordered pair is evaluated, so the block is
-    an independent check on the symmetric build of `StreamOperator`; the
-    near-diagonal entries are corrected by `_correct_near`.
+    an independent check on the triangle build of `StreamOperator`, and
+    its symmetry in (i_target, i_source) a check on the kernel's; the
+    near-diagonal entries are corrected as there.
     """
-    r = spec.r_centers
-    block = np.empty((spec.n_r, spec.n_r, spec.n_z))
-    for dj in range(spec.n_z):
-        block[:, :, dj], _ = _elliptic_kernel(r[:, None], 0.0, r[None, :],
-                                              dj * spec.dz)
-        _correct_near(block[:, :, dj], spec, dj)
-    return block
+    r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
+    t, s = np.indices((n_r, n_r)).reshape(2, -1)
+    block, _ = _elliptic_kernel(r[t, None], 0.0, r[s, None],
+                                spec.dz * np.arange(n_z))
+    _near_corrector(spec)(block, t, s)
+    return block.reshape(n_r, n_r, n_z)
 
 
 class StreamOperator:
     """psi0 = K zeta on a fixed grid, for fields even in z.
 
-    The weighted kernel table A[a, b, dj] = K[a, b, dj] * nu(cell b)
-    (target row a, source row b, z-offset dj) is transformed once in the
-    offset index: the DCT-I of [A[..., 0], ..., A[..., n_z - 1], 0], the
-    real transform of its even extension to length 2 n_z. It is stored
-    frequency-major as one C-contiguous float64 array T[f, b, a] of shape
-    (n_z + 1, n_r, n_r), n_r^2 (n_z + 1) * 8 bytes, and built without a
-    second copy: the kernel is symmetric in (r, r'), so for each offset
-    the pairs a <= b are evaluated once, mirrored into one (n_r, n_r)
-    slab, corrected near the diagonal, weighted and written into T[dj];
-    the DCT-I then runs in place. Its trailing 0 row first holds `bound`[b,
-    a] = max_dj A[a, b, dj], kept apart (n_r^2 * 8 bytes) for `row_bound`.
+    The kernel table K[a, b, dj] (target row a, source row b, z-offset dj)
+    is transformed once in the offset index, the DCT-I of [K[a, b, 0], ...,
+    K[a, b, n_z - 1], 0] (the real transform of its even extension to
+    length 2 n_z), then weighted by nu(cell b), and stored frequency-major
+    as one C-contiguous float64 array T[f, b, a] of shape (n_z + 1, n_r,
+    n_r), n_r^2 (n_z + 1) * 8 bytes. The kernel is symmetric in (r, r'), so
+    the build transforms the lines of the triangle b >= a, rows a and
+    n_r - 1 - a at a time, writes them as rows T[:, a, a:], and then
+    mirrors and weights each frequency in place. `bound`[b, a] = nu(cell b)
+    max_dj K[a, b, dj] is kept apart (n_r^2 * 8 bytes) for `row_bound`.
 
     `apply_even` takes the rows z > 0 of a field even about z = 0 (an
     even n_z on a box centred at 0). Zero-padded to n_z, their half-sample
@@ -343,21 +346,32 @@ class StreamOperator:
     def __init__(self, spec):
         self.spec = spec
         r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
-        w = r * spec.cell_area
-        ia, ib = np.triu_indices(n_r)
-        slab = np.empty((n_r, n_r))
-        table = np.empty((n_z + 1, n_r, n_r))
-        table[n_z] = 0.0
-        for dj in range(n_z):
-            val, _ = _elliptic_kernel(r[ia], 0.0, r[ib], dj * spec.dz)
-            slab[ia, ib] = val
-            slab[ib, ia] = val
-            _correct_near(slab, spec, dj)
-            np.multiply(slab.T, w[:, None], out=table[dj])
-            np.maximum(table[n_z], table[dj], out=table[n_z])
-        self.bound = table[n_z].copy()
-        table[n_z] = 0.0
-        self._table = dct(table, type=1, axis=0, overwrite_x=True)
+        w, zs = r * spec.cell_area, spec.dz * np.arange(n_z + 1)
+        correct = _near_corrector(spec)
+        table, peak = np.empty((n_z + 1, n_r, n_r)), np.empty((n_r, n_r))
+        work = list(np.empty((5, n_r + 1, n_z + 1)))
+        p = np.arange(n_r + 1)
+        for a in range((n_r + 1) // 2):
+            # the pairs (t, s), s >= t, of rows a and n_r - 1 - a (an odd
+            # n_r's middle row twice), over one offset more than the grid's:
+            # its column becomes the DCT-I's trailing 0
+            in_a = p < n_r - a
+            t, s = np.where(in_a, a, n_r - 1 - a), np.where(in_a, a + p, p - 1)
+            lines, _ = _elliptic_kernel(r[t, None], 0.0, r[s, None], zs, work)
+            correct(lines, t, s)
+            peak[t, s] = lines[:, :n_z].max(axis=1)
+            lines[:, n_z] = 0.0
+            # scipy.fft.dct's transform bit for bit, without the ~100 B
+            # per call that its dispatch layer leaves allocated
+            lines = fftpack.dct(lines, type=1, axis=1, overwrite_x=True)
+            table[:, a, a:] = lines[:n_r - a].T
+            table[:, n_r - 1 - a, n_r - 1 - a:] = lines[n_r - a:].T
+        # mirror the triangle's transpose below it, then weight source row b
+        lower = np.tri(n_r, k=-1, dtype=bool)
+        for f in (peak, *table):
+            np.copyto(f, f.T, where=lower)
+            f *= w[:, None]
+        self.bound, self._table = peak, table
         # the DCT-II of the rows z > 0 zero-padded to n_z, and the first
         # n_z / 2 samples of its inverse, as (n_z, n_z / 2) cosine matrices
         k = np.arange(n_z)[:, None]

@@ -398,6 +398,8 @@ def test_validate_greens_writes_pair_table(tmp_path):
     assert 0.0 <= summary["greens"]["operator_max_rel_diff"] <= 1e-12
     assert 0.0 <= summary["greens"]["window_max_rel_diff"] <= 1e-12
     assert summary["greens"]["row_bound_ok"] is True
+    assert summary["greens"]["kernel_symmetric_ok"] is True
+    assert 0.0 <= summary["greens"]["table_vs_block_max_rel_diff"] <= 1e-15
     assert summary["greens"]["pass"] is True
 
 

@@ -255,6 +255,14 @@ def test_diagnostics_record_assembly(coarse_turkington):
     assert rec.mu > 0.0
 
 
+def test_record_swirl_max_is_the_velocity_field_max(coarse_turkington):
+    res = coarse_turkington
+    _, v_theta, _ = velocity_field(res.state.psi, res.gen, res.config.epsilon)
+    swirl_max = diagnostics_record(res).swirl_max
+    assert swirl_max > 0.0
+    assert swirl_max == float(np.max(np.abs(v_theta.values)))
+
+
 def test_record_invariant_guard():
     rec = DiagnosticsRecord(
         epsilon=0.1, theta_minus=1.5, theta_plus=1.6, diam_supp=0.1,

@@ -15,7 +15,8 @@ from vortexring.errors import (ConfigurationError, GridMismatchError,
                                SingularEvaluationError)
 from scipy.fft import dct
 
-from vortexring.greens import (apply_stream_operator, build_kernel_block,
+from vortexring.greens import (_elliptic_kernel, apply_stream_operator,
+                               build_kernel_block,
                                default_extended_box,
                                expansion_remainder, fd_solve,
                                StreamOperator, get_stream_operator,
@@ -64,6 +65,20 @@ def test_kernel_symmetry_and_z_translation(rng):
         assert abs(a - b) <= 1e-12 * a
         c = kernel_closed_form(r, z + 0.37, rp, zp + 0.37).value
         assert abs(a - c) <= 1e-12 * a
+
+
+def test_elliptic_kernel_is_symmetric_and_pointwise(rng):
+    # the in-place evaluation on broadcast arrays, as the table build calls
+    # it: bitwise symmetric under (r, z) <-> (r', z') and, pair by pair,
+    # the scalar evaluation of kernel_closed_form
+    r, rp = rng.uniform(0.5, 2.0, (2, 12, 1))
+    z, zp = rng.uniform(-1.0, 1.0, (12, 1)), rng.uniform(-1.0, 1.0, 9)
+    val, _ = _elliptic_kernel(r, z, rp, zp)
+    assert val.shape == (12, 9)
+    assert np.array_equal(val, _elliptic_kernel(rp, zp, r, z)[0])
+    pointwise = [[kernel_closed_form(r[i, 0], z[i, 0], rp[i, 0], zp[j]).value
+                  for j in range(9)] for i in range(12)]
+    assert np.array_equal(val, pointwise)
 
 
 def test_closed_form_matches_quadrature(rng):
@@ -305,13 +320,16 @@ def test_operator_build_holds_one_table():
 
 @pytest.mark.parametrize("n_r,n_z", [(13, 17), (20, 9), (48, 40), (3, 2)])
 def test_stream_table_matches_block_build(n_r, n_z):
-    # the symmetric build against the block of every ordered pair; at
-    # (3, 2) the near-diagonal band is wider than the grid
+    # the triangle build against the block of every ordered pair, in the
+    # build's order: the DCT-I over the offsets, then the source-row
+    # weight; at (3, 2) the near-diagonal band is wider than the grid
     spec = build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z)
     w = spec.r_centers * spec.cell_area
-    weighted = build_kernel_block(spec).transpose(2, 1, 0) * w[None, :, None]
-    ref = dct(np.concatenate((weighted, np.zeros((1, n_r, n_r)))),
-              type=1, axis=0)
+    block = build_kernel_block(spec)
+    assert np.array_equal(block, block.transpose(1, 0, 2))
+    ref = dct(np.concatenate((block.transpose(2, 1, 0),
+                              np.zeros((1, n_r, n_r)))), type=1, axis=0)
+    ref *= w[None, :, None]
     table = StreamOperator(spec)._table
     assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert np.array_equal(table, ref)
