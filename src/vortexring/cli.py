@@ -16,7 +16,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -29,31 +28,16 @@ from .errors import ConfigurationError
 from .grid import build_grid, dump_field_csv
 from .profiles import (FAMILIES, check_assumptions, eval_I, eval_J,
                        eval_J_numeric, eval_dJds, eval_i, make_generator)
-from .solver import ProblemConfig, check_problem, run
+from .solver import FIELDS, ProblemConfig, check_problem, complaint, run
 from . import diagnostics as dg
 
 
-# Each numeric config key ("section.key" inside a section): the
-# ProblemConfig field it sets, its lower bound (exclusive for a number,
-# inclusive for an integer), its upper bound, and whether it is an
-# integer. Validation, build_problem and the result.json echo all read it.
-_FIELDS = {
-    "epsilon": ("epsilon", 0.0, 1.0, False),
-    "kappa": ("kappa", 0.0, None, False),
-    "W": ("W", 0.0, None, False),
-    "Lambda": ("lambda_cap", 0.0, None, False),
-    "grid.n_r": ("n_r", 2, None, True),
-    "grid.n_z": ("n_z", 2, None, True),
-    "tol.zeta": ("tol_zeta", 0.0, None, False),
-    "tol.mu": ("tol_mu", 0.0, None, False),
-    "max_iterations": ("max_iterations", 1, None, True),
-}
-# each family's parameter key; the numeric ones get rows as above, with
+# each family's parameter key; the numeric ones get rows like FIELDS', with
 # no ProblemConfig field: they are passed on to make_generator as given
 _PARAMETERS = {"profile." + name: law for name, law in FAMILIES.values()}
 _PROFILE_NUMBERS = {key: (None, 0.0, None, False)
                     for key, law in _PARAMETERS.items() if law}
-_SOLVE_KEYS = {*_FIELDS, *_PARAMETERS, "profile.family"}
+_SOLVE_KEYS = {*FIELDS, *_PARAMETERS, "profile.family"}
 _SWEEP_KEYS = (_SOLVE_KEYS - {"epsilon"}) | {"epsilons"}
 _SECTIONS = {key.partition(".")[0] for key in _SOLVE_KEYS if "." in key}
 
@@ -62,10 +46,8 @@ class CliError(Exception):
     """Configuration or usage problem; carries all messages at once."""
 
     def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
+        self.messages = messages
+        super().__init__("; ".join(messages))
 
 
 def _flatten(cfg):
@@ -80,22 +62,6 @@ def _flatten(cfg):
     return flat
 
 
-def _complaint(v, lo, hi, integer):
-    """Why v is not a finite number above lo (an integral one at least lo,
-    when integer) and below hi; None when it is."""
-    if (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and (isinstance(v, int) or math.isfinite(v))
-            and ((v >= lo and (isinstance(v, int) or v.is_integer()))
-                 if integer else v > lo)
-            and (hi is None or v < hi)):
-        return None
-    bounds = (" in (%g, %g)" % (lo, hi) if hi is not None
-              else " %s %g" % (">=" if integer else ">", lo))
-    return "must be %s%s, got %r" % ("an integer" if integer
-                                     else "a finite number",
-                                     bounds, v)
-
-
 def validate_config(cfg, allowed, require):
     """Schema check collecting every offending key before raising."""
     if not isinstance(cfg, dict):
@@ -108,18 +74,18 @@ def validate_config(cfg, allowed, require):
               for key in sorted(unknown)]
     errors += ["%s: required key is missing" % key
                for key in require if key not in flat]
-    rows = {**_FIELDS, **_PROFILE_NUMBERS}
+    rows = {**FIELDS, **_PROFILE_NUMBERS}
     for key, (field, lo, hi, integer) in rows.items():
         # null stands for a field whose default is None (Lambda)
         null_ok = field and getattr(ProblemConfig, field, 0) is None
         if key in flat and not (flat[key] is None and null_ok):
-            why = _complaint(flat[key], lo, hi, integer)
+            why = complaint(flat[key], lo, hi, integer)
             if why:
                 errors.append("%s: %s" % (key, why))
     if "epsilons" in flat:
         eps = flat["epsilons"]
         if (not isinstance(eps, list) or not eps
-                or any(_complaint(e, *_FIELDS["epsilon"][1:]) for e in eps)):
+                or any(complaint(e, *FIELDS["epsilon"][1:]) for e in eps)):
             errors.append("epsilons: must be a nonempty list of numbers in "
                           "(0, 1), got %r" % (eps,))
         else:
@@ -155,7 +121,7 @@ def build_problem(cfg, epsilon=None):
     overrides the config's."""
     flat = _flatten(cfg)
     kwargs = {field: int(flat[key]) if integer else flat[key]
-              for key, (field, _, _, integer) in _FIELDS.items()
+              for key, (field, _, _, integer) in FIELDS.items()
               if key in flat}
     if epsilon is not None:
         kwargs["epsilon"] = epsilon
@@ -167,7 +133,7 @@ def build_problem(cfg, epsilon=None):
 def _config_echo(problem, gen, profile_cfg):
     """The solve config that rebuilds problem and gen."""
     echo = {"profile": {**profile_cfg, "family": gen.family}}
-    for key, (field, *_) in _FIELDS.items():
+    for key, (field, *_) in FIELDS.items():
         section, _, name = key.rpartition(".")
         into = echo.setdefault(section, {}) if section else echo
         into[name] = getattr(problem, field)
@@ -220,7 +186,7 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
             "kkt_residual": result.kkt,
             "patch_measure": result.patch_measure,
             "mass": result.mass,
-            "degenerate_epsilon": result.degenerate_epsilon,
+            "degenerate_epsilon": problem.degenerate_epsilon,
         },
         "diagnostics": vars(record),
         "energy_trace": [float(x) for x in result.energy_trace],
@@ -317,14 +283,10 @@ def cmd_sweep(args):
     cfg = _load_config(args.config)
     validate_config(cfg, _SWEEP_KEYS, require=("epsilons",))
     eps_list = [float(e) for e in cfg["epsilons"]]
-    seen = []
-    for e in eps_list:
-        if e in seen:
-            print("warning: duplicate epsilon %g dropped" % e,
-                  file=sys.stderr)
-        else:
-            seen.append(e)
-    eps_list = sorted(seen, reverse=True)
+    for i, e in enumerate(eps_list):
+        if e in eps_list[:i]:
+            print("warning: duplicate epsilon %g dropped" % e, file=sys.stderr)
+    eps_list = sorted(set(eps_list), reverse=True)
     # reject what run would before any file is written, as solve does
     check_problem(*build_problem(cfg, epsilon=eps_list[0]))
     out_dir = resolve_out_dir(args.out)

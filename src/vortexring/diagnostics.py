@@ -42,10 +42,8 @@ def support_stats(zeta, r_star=1.0):
     """
     mask = support_mask(zeta)
     spec = zeta.spec
-    rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    zz = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
-    pts_r = rr[mask]
-    pts_z = zz[mask]
+    i, j = np.nonzero(mask)
+    pts_r, pts_z = spec.r_centers[i], spec.z_centers[j]
 
     j_mid = int(np.argmin(np.abs(spec.z_centers)))
     near = np.abs(np.abs(spec.z_centers) - np.abs(spec.z_centers[j_mid])) \
@@ -62,7 +60,8 @@ def support_stats(zeta, r_star=1.0):
     # neighbours in the support is the midpoint of two of them
     edge = mask & ~ndimage.binary_erosion(mask, structure=np.array(
         [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
-    er, ez = rr[edge], zz[edge]
+    i, j = np.nonzero(edge)
+    er, ez = spec.r_centers[i], spec.z_centers[j]
     dr2 = (er[:, None] - er[None, :]) ** 2
     dz2 = (ez[:, None] - ez[None, :]) ** 2
     diam = float(np.sqrt(np.max(dr2 + dz2)))
@@ -114,15 +113,12 @@ def scaled_profile(zeta, center, epsilon):
     integrals of the profile are meaningful.
     """
     spec = zeta.spec
-    mask = support_mask(zeta)
-    rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    zz = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
+    i, j = np.nonzero(support_mask(zeta))
     cr, cz = center
-    sup_r = rr[mask]
-    sup_z = zz[mask]
     diam = support_stats(zeta)[2]
     halfwidth = 2.0 * max(diam, 4.0 * max(spec.dr, spec.dz)) / epsilon
-    far = np.max(np.maximum(np.abs(sup_r - cr), np.abs(sup_z - cz))) / epsilon
+    far = np.max(np.maximum(np.abs(spec.r_centers[i] - cr),
+                            np.abs(spec.z_centers[j] - cz))) / epsilon
     if far > halfwidth:
         raise NumericalError(
             "scaled-profile window clips the support: %.3g > %.3g"
@@ -148,20 +144,15 @@ def angular_variation(profile):
     """
     n_sectors = 8
     fld = profile.field
-    spec = fld.spec
-    xx = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    yy = np.repeat(spec.z_centers[None, :], spec.n_r, axis=0)
-    rho = np.hypot(xx, yy)
-    inside = rho <= 0.5 * profile.window_halfwidth
+    xx, yy = fld.spec.r_centers[:, None], fld.spec.z_centers[None, :]
+    inside = np.hypot(xx, yy) <= 0.5 * profile.window_halfwidth
     ang = np.mod(np.arctan2(yy, xx), 2.0 * np.pi)
     sector = np.minimum((ang / (2.0 * np.pi) * n_sectors).astype(int),
-                        n_sectors - 1)
-    means = np.zeros(n_sectors)
-    for k in range(n_sectors):
-        sel = inside & (sector == k)
-        if not np.any(sel):
-            raise NumericalError("empty angular sector in profile check")
-        means[k] = float(np.mean(fld.values[sel]))
+                        n_sectors - 1)[inside]
+    counts = np.bincount(sector, minlength=n_sectors)
+    if not np.all(counts):
+        raise NumericalError("empty angular sector in profile check")
+    means = np.bincount(sector, fld.values[inside], n_sectors) / counts
     mean_all = float(np.mean(means))
     if mean_all <= 0.0:
         raise NumericalError("profile vanishes on the core disc")
@@ -180,9 +171,7 @@ def topology_check(zeta):
     _, n_comp = ndimage.label(mask, structure=cross)
     if n_comp != 1:
         return False
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    _, n_holes = ndimage.label(~padded, structure=cross)
+    _, n_holes = ndimage.label(~np.pad(mask, 1), structure=cross)
     return n_holes == 1
 
 

@@ -13,7 +13,8 @@ function of a unit circular vortex filament,
 
 which reduces to complete elliptic integrals. Both forms are provided: the
 quadrature form is the slow reference, the elliptic form the production
-path. `StreamOperator` evaluates psi0 = K zeta for fields even in z on a
+path, alone down to the closest separation a float resolves.
+`StreamOperator` evaluates psi0 = K zeta for fields even in z on a
 box centred at z = 0, the only fields the solver holds: the
 z-translation invariance makes the cell-to-cell table block-Toeplitz,
 its offset transform is built once per grid, a DCT-I along the offset
@@ -27,8 +28,8 @@ bound from each table entry's max over the z-offsets picks. `apply_direct`
 sums over source cells explicitly, for any field, and is its oracle.
 `ring_velocity_z` is (1/r) dK/dr in closed form, for the far field.
 `fd_solve` solves L psi0 = zeta by finite differences on a much larger
-box; it is only an independent check on the kernel path, in the tests
-and demos.
+box, the Kronecker sum of a tridiagonal r part and z part; it is only an
+independent check on the kernel path, in the tests and demos.
 """
 
 import functools
@@ -150,21 +151,21 @@ def ring_velocity_z(r, z, rp, zp):
 
 
 def kernel_closed_form(r, z, rp, zp):
-    """Production kernel evaluation at a single point pair.
+    """Production kernel evaluation at a single point pair, by the
+    elliptic form alone.
 
     Agrees with kernel_quadrature to better than 1e-10 relative (observed
-    1e-13 worst case); raises SingularEvaluationError at coincidence.
+    1e-13 worst case). The cancellation-free m1 keeps it exact to the last
+    separation a float resolves: with m1 subnormal it still equals the
+    near-coincidence law (sqrt(r r')/2 pi)(log(4/k') - 2). Raises
+    SingularEvaluationError at coincidence or on a value that is not finite.
     """
     s = sigma(r, z, rp, zp)
     if s == 0.0:
         raise SingularEvaluationError("kernel evaluated at coincident points")
-    val, m1 = _elliptic_kernel(r, z, rp, zp)
-    val = float(val)
-    if not np.isfinite(val) or float(m1) < 1e-300:
-        # so close to coincidence that the elliptic route degrades: use the
-        # logarithmic expansion K ~ (sqrt(r r')/2 pi) (log(4/k') - 2)
-        kprime = max(np.sqrt(float(m1)), 1e-320)
-        val = float(np.sqrt(r * rp) / TWO_PI * (np.log(4.0 / kprime) - 2.0))
+    val = float(_elliptic_kernel(r, z, rp, zp)[0])
+    if not np.isfinite(val):
+        raise SingularEvaluationError("kernel is not finite at sigma=%.3e" % s)
     return KernelEval(value=val, estimated_error=1e-13 * abs(val))
 
 
@@ -239,8 +240,8 @@ def _log_mean_rect(x0, x1, y0, y1):
                   + x^2/2 atan(y/x) + y^2/2 atan(x/y)
 
     whose mixed second derivative is log sqrt(x^2+y^2); the singularity at
-    the origin is integrable and F extends continuously by 0. All inputs
-    may be arrays of matching shape.
+    the origin is integrable and F extends continuously by 0. The inputs
+    may be scalars or arrays that broadcast together.
     """
 
     def atan_ratio(num, den):
@@ -263,9 +264,6 @@ def _log_mean_rect(x0, x1, y0, y1):
                 + 0.5 * x * x * atan_ratio(y, x)
                 + 0.5 * y * y * atan_ratio(x, y))
 
-    x0, x1, y0, y1 = np.broadcast_arrays(
-        np.asarray(x0, dtype=float), np.asarray(x1, dtype=float),
-        np.asarray(y0, dtype=float), np.asarray(y1, dtype=float))
     area = (x1 - x0) * (y1 - y0)
     integral = F(x1, y1) - F(x1, y0) - F(x0, y1) + F(x0, y0)
     out = -integral / area
@@ -471,20 +469,12 @@ def _resample_conservative(zeta, ext):
     """Piecewise-constant transfer of zeta onto the extended grid with a
     global rescale that preserves the nu-integral exactly."""
     src = zeta.spec
-    vals = np.zeros((ext.n_r, ext.n_z))
-    rs = ext.r_centers
-    zs = ext.z_centers
-    ri = np.floor((rs - src.r_min) / src.dr).astype(int)
-    zj = np.floor((zs - src.z_min) / src.dz).astype(int)
-    ok_r = (ri >= 0) & (ri < src.n_r)
-    ok_z = (zj >= 0) & (zj < src.n_z)
-    ir = np.where(ok_r)[0]
-    jz = np.where(ok_z)[0]
-    if ir.size and jz.size:
-        vals[np.ix_(ir, jz)] = zeta.values[np.ix_(ri[ir], zj[jz])]
-    total_src = integrate_nu(zeta)
-    out = ScalarField(ext, vals)
-    total_ext = integrate_nu(out)
+    # cells outside the source grid read the zero border of the padded field
+    ri = np.floor((ext.r_centers - src.r_min) / src.dr).astype(int)
+    zj = np.floor((ext.z_centers - src.z_min) / src.dz).astype(int)
+    out = ScalarField(ext, np.pad(zeta.values, 1)[np.ix_(
+        np.clip(ri, -1, src.n_r) + 1, np.clip(zj, -1, src.n_z) + 1)])
+    total_src, total_ext = integrate_nu(zeta), integrate_nu(out)
     if total_ext > 0.0 and total_src > 0.0:
         out.values *= total_src / total_ext
     return out
@@ -496,49 +486,34 @@ def fd_solve(zeta, box):
 
     zeta lives on the (small) solve grid and is extended by zero; box, for
     instance from default_extended_box, must strictly contain that grid.
-    Returns psi0 on box. Independent of the kernel table in every
-    respect, which is what makes it useful as a cross-check.
+    The r^2-scaled operator -r d/dr((1/r) d/dr) - d^2/dz^2, an M-matrix,
+    is the Kronecker sum of its tridiagonal r and z parts. Returns psi0 on
+    box. Independent of the kernel table in every respect, which is what
+    makes it useful as a cross-check.
     """
     if not (box.r_min < zeta.spec.r_min and box.r_max > zeta.spec.r_max
             and box.z_min < zeta.spec.z_min and box.z_max > zeta.spec.z_max):
         raise ConfigurationError("extended box must strictly contain the source domain")
     src = _resample_conservative(zeta, box)
-
-    n_r, n_z = box.n_r, box.n_z
-    hr, hz = box.dr, box.dz
-    r = box.r_centers
+    hr, b, r = box.dr, 1.0 / (box.dz * box.dz), box.r_centers
     a_plus = r / ((r + 0.5 * hr) * hr * hr)
     a_minus = r / ((r - 0.5 * hr) * hr * hr)
-    b = 1.0 / (hz * hz)
-
-    # unknowns ordered row-major (i * n_z + j); the r^2-scaled operator
-    # -r d/dr((1/r) d/dr psi) - d^2 psi/dz^2 = r^2 zeta gives an M-matrix
-    diag = np.repeat(a_plus + a_minus, n_z) + 2.0 * b
-    # ghost-cell Dirichlet: reflected ghost adds the face coefficient back
-    # onto the diagonal
-    diag_2d = diag.reshape(n_r, n_z)
-    diag_2d[0, :] += a_minus[0]
-    diag_2d[-1, :] += a_plus[-1]
-    diag_2d[:, 0] += b
-    diag_2d[:, -1] += b
-
-    off_rp = np.repeat(-a_plus[:-1], n_z)
-    off_rm = np.repeat(-a_minus[1:], n_z)
-    off_z = np.full(n_r * n_z - 1, -b)
-    off_z[n_z - 1::n_z] = 0.0  # no coupling across the row boundary
-
-    A = sparse.diags(
-        [diag, off_rp, off_rm, off_z, off_z],
-        [0, n_z, -n_z, 1, -1],
-        format="csc",
-    )
+    # ghost-cell Dirichlet: the reflected ghost adds the face coefficient
+    # back onto the diagonal of the first and last row of each part
+    d_r, d_z = a_plus + a_minus, np.full(box.n_z, 2.0 * b)
+    d_r[[0, -1]] += a_minus[0], a_plus[-1]
+    d_z[[0, -1]] += b
+    part_r = sparse.diags([d_r, -a_plus[:-1], -a_minus[1:]], [0, 1, -1])
+    part_z = sparse.diags([d_z, -b, -b], [0, 1, -1], shape=(box.n_z,) * 2)
+    # unknowns row-major (i * n_z + j): z is the inner index
+    A = sparse.kronsum(part_z, part_r, format="csc")
     rhs = (src.values * (r * r)[:, None]).ravel()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         psi = spsolve(A, rhs)
     if not np.all(np.isfinite(psi)):
         raise NumericalError("finite-difference solve produced non-finite values")
-    return ScalarField(box, psi.reshape(n_r, n_z))
+    return ScalarField(box, psi.reshape(box.n_r, box.n_z))
 
 
 def restrict_to_grid(fext, spec):

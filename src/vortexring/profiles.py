@@ -72,8 +72,8 @@ class GeneratorPair:
 
     family is a key of FAMILIES: power_law(p), turkington(alpha),
     beltrami(p) and mixed(p) share one closed-form law (see the module
-    docstring), and table holds piecewise-linear f, g given on a t-grid,
-    constant past its last node.
+    docstring) of a finite positive parameter, and table holds
+    piecewise-linear f, g given on a t-grid, constant past its last node.
     g0plus is the jump of g at 0+, nonzero only for turkington-type
     generators; it sets the lower edge of the admissible cap parameter.
     """
@@ -90,7 +90,7 @@ class GeneratorPair:
             raise ConfigurationError("unknown generator family %r" % self.family)
         name, law = FAMILIES[self.family]
         if law:
-            if not getattr(self, name) > 0:
+            if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError("%s %s must be positive"
                                          % (self.family, name))
             self._law = law(getattr(self, name))

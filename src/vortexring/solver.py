@@ -45,6 +45,8 @@ level set psi = 0 (the bathtub ledge), which is where generators with a
 jump at the origin place their fractional cells.
 """
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -58,14 +60,51 @@ from .profiles import cell_law, check_assumptions, eval_dJds, eval_i
 from .rearrange import steiner_symmetrize_z, threshold_fill
 
 
+# Each numeric config key ("section.key" inside a section of a CLI config):
+# the ProblemConfig field it sets, its lower bound (exclusive for a number,
+# inclusive for an integer), its upper bound, and whether it is an integer.
+# ProblemConfig's own check, the CLI's schema check, build_problem and the
+# result.json echo all read it.
+FIELDS = {
+    "epsilon": ("epsilon", 0.0, 1.0, False),
+    "kappa": ("kappa", 0.0, None, False),
+    "W": ("W", 0.0, None, False),
+    "Lambda": ("lambda_cap", 0.0, None, False),
+    "grid.n_r": ("n_r", 2, None, True),
+    "grid.n_z": ("n_z", 2, None, True),
+    "tol.zeta": ("tol_zeta", 0.0, None, False),
+    "tol.mu": ("tol_mu", 0.0, None, False),
+    "max_iterations": ("max_iterations", 1, None, True),
+}
+
+
+def complaint(v, lo, hi, integer):
+    """Why v is not a finite number above lo (an integral one at least lo,
+    when integer) and below hi; None when it is. Python and numpy integers
+    and floats count as numbers, booleans do not."""
+    if (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v))
+            and ((v >= lo and (isinstance(v, numbers.Integral)
+                               or v.is_integer())) if integer else v > lo)
+            and (hi is None or v < hi)):
+        return None
+    bounds = (" in (%g, %g)" % (lo, hi) if hi is not None
+              else " %s %g" % (">=" if integer else ">", lo))
+    return "must be %s%s, got %r" % ("an integer" if integer
+                                     else "a finite number",
+                                     bounds, v)
+
+
 @dataclass
 class ProblemConfig:
     """Physical and numerical parameters of one solve.
 
     The ring radius scale is r_star = kappa / (4 pi W) and the domain is
     D = (r_star/2, 2 r_star) x (-1, 1). lambda_cap = None means
-    40 * max(1, g(0+)), resolved once the generator is known. n_z must be
-    even, so that cells pair under z -> -z.
+    40 * max(1, g(0+)), resolved once the generator is known. Each field
+    is checked against its FIELDS row, as the CLI checks a config, so the
+    API accepts exactly what the CLI accepts; n_z must also be even, so
+    that cells pair under z -> -z.
     """
 
     epsilon: float
@@ -79,13 +118,12 @@ class ProblemConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ConfigurationError(
-                "epsilon must lie in (0, 1), got %r" % (self.epsilon,))
-        if self.kappa <= 0 or self.W <= 0:
-            raise ConfigurationError("kappa and W must be positive")
-        if self.lambda_cap is not None and self.lambda_cap <= 0:
-            raise ConfigurationError("lambda_cap must be positive")
+        for name, lo, hi, integer in FIELDS.values():
+            v = getattr(self, name)
+            why = (v is not None or name != "lambda_cap") and complaint(
+                v, lo, hi, integer)
+            if why:
+                raise ConfigurationError("%s %s" % (name, why))
         if self.n_z % 2:
             raise ConfigurationError("the solver needs an even n_z")
 
@@ -128,7 +166,6 @@ class SolveState:
     mu: float
     psi: ScalarField
     energy: float
-    iteration: int
 
 
 @dataclass
@@ -149,7 +186,6 @@ class SolveResult:
     kkt: float = np.nan
     patch_measure: float = np.nan
     mass: float = np.nan
-    degenerate_epsilon: bool = False
     layer_seconds: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -413,14 +449,13 @@ def run(config, gen):
     bg = background_field(config, spec)
     psi = ScalarField(spec, psi0.values - bg - mu)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
-                       energy=trace[-1], iteration=iterations)
+                       energy=trace[-1])
     result = SolveResult(
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),
         mu_trace=np.asarray(mus), l1_change_trace=np.asarray(changes),
         support_trace=np.asarray(supports), mass_evals_trace=np.asarray(evals),
-        apply_rows_trace=np.asarray(applied),
-        degenerate_epsilon=config.degenerate_epsilon, layer_seconds=seconds,
+        apply_rows_trace=np.asarray(applied), layer_seconds=seconds,
     )
     result.mass = integrate_nu(zeta)
     result.patch_measure = patch_measure(config, gen, zeta)
@@ -462,24 +497,20 @@ def kkt_residual(result):
     psi = state.psi.values
     spec = state.zeta.spec
     rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    scale_psi = float(np.max(np.abs(psi)))
-    if scale_psi == 0.0:
-        scale_psi = 1.0
+    scale_psi = float(np.max(np.abs(psi))) or 1.0
 
     target = np.minimum(lam, eval_i(gen, rr, psi))
     a_form = np.abs(u - target) / lam
     b_form = np.empty_like(u)
     pos = u > 0.0
     b_form[~pos] = np.maximum(psi[~pos], 0.0) / scale_psi
-    if np.any(pos):
-        b_form[pos] = np.abs(psi[pos] - eval_dJds(gen, rr[pos], u[pos])) / scale_psi
+    b_form[pos] = np.abs(psi[pos] - eval_dJds(gen, rr[pos], u[pos])) / scale_psi
     below = u < lam * (1.0 - 1e-12)
     viol = np.zeros_like(u)
     viol[below] = np.minimum(a_form[below], b_form[below])
     capped = ~below
-    if np.any(capped):
-        thresh = eval_dJds(gen, rr[capped], np.full(np.count_nonzero(capped), lam))
-        viol[capped] = np.maximum(thresh - psi[capped], 0.0) / scale_psi
+    thresh = eval_dJds(gen, rr[capped], lam)
+    viol[capped] = np.maximum(thresh - psi[capped], 0.0) / scale_psi
     neg_on_support = np.maximum(-psi, 0.0) / scale_psi
     viol[pos] = np.maximum(viol[pos], neg_on_support[pos])
     return float(np.max(viol)) if viol.size else 0.0

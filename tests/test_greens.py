@@ -101,6 +101,17 @@ def test_singular_evaluation_raises():
         kernel_quadrature(1.0, 0.3, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("d", [1e-155, 1e-160])
+def test_closed_form_at_subnormal_m1(d):
+    # m1 = d^2 / 4 is subnormal (2.5e-311, 2.5e-321), and the elliptic form
+    # still gives the near-coincidence law (log(4/k') - 2) / (2 pi) there
+    m1 = d * d / 4.0
+    assert 0.0 < m1 < 1e-300
+    law = (np.log(4.0 / np.sqrt(m1)) - 2.0) / (2.0 * np.pi)
+    np.testing.assert_allclose(kernel_closed_form(1.0, 0.0, 1.0, d).value,
+                               law, rtol=1e-15)
+
+
 def test_log_leading_behavior_bounded():
     # K * 2 pi / sqrt(r r') - log(1/sigma) stays bounded as sigma -> 0
     vals = []

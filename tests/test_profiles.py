@@ -307,6 +307,13 @@ def test_each_family_takes_its_own_parameter_only():
         GeneratorPair("turkington", alpha=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_law_parameter_must_be_finite(value):
+    # the CLI rejects profile.p: Infinity; the API does too
+    with pytest.raises(ConfigurationError, match="p must be positive"):
+        make_generator("power_law", p=value)
+
+
 def _run_demo(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))

@@ -31,6 +31,23 @@ def test_problem_config_validation():
         ProblemConfig(epsilon=0.1, lambda_cap=-3.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tol_zeta": math.inf}, {"max_iterations": 0}, {"n_r": 24.5},
+    {"kappa": math.inf}, {"W": math.inf}, {"tol_mu": 0.0},
+], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+def test_problem_config_rejects_what_the_cli_rejects(bad):
+    # each of these used to build a config that run then solved wrongly
+    # or failed on deep inside
+    with pytest.raises(ConfigurationError, match=next(iter(bad))):
+        ProblemConfig(**dict(dict(epsilon=0.1, n_r=24, n_z=24), **bad))
+
+
+def test_problem_config_accepts_numpy_scalars():
+    cfg = ProblemConfig(epsilon=np.float64(0.1), n_r=np.int64(24),
+                        n_z=np.int64(24))
+    assert cfg.domain_grid().n_r == 24
+
+
 def test_problem_config_derived_quantities():
     cfg = ProblemConfig(epsilon=0.1)
     np.testing.assert_allclose(cfg.r_star, 1.0, rtol=1e-15)
@@ -776,8 +793,7 @@ def test_kkt_residual_detects_perturbation(coarse_turkington):
     vals[i, j] *= 1.1
     zeta = ScalarField(base.state.zeta.spec, vals)
     state = SolveState(zeta=zeta, psi0=base.state.psi0, mu=base.state.mu,
-                       psi=base.state.psi, energy=base.state.energy,
-                       iteration=base.state.iteration)
+                       psi=base.state.psi, energy=base.state.energy)
     bumped = dataclasses.replace(base, state=state)
     res = kkt_residual(bumped)
     assert res > 100.0 * base.kkt
@@ -830,7 +846,7 @@ def test_run_warns_in_degenerate_regime():
     gen = make_generator("power_law", p=1.0)
     with pytest.warns(RuntimeWarning):
         result = run(cfg, gen)
-    assert result.degenerate_epsilon
+    assert result.config.degenerate_epsilon
 
 
 def test_run_rejects_odd_grid_with_symmetrization():
