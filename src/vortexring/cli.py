@@ -21,14 +21,12 @@ import sys
 import time
 
 import numpy as np
-from scipy.fft import dct
 
 from . import __version__
-from .errors import ConfigurationError
-from .grid import build_grid, dump_field_csv
-from .profiles import (FAMILIES, check_assumptions, eval_I, eval_J,
-                       eval_J_numeric, eval_dJds, eval_i, make_generator)
-from .solver import FIELDS, ProblemConfig, check_problem, complaint, run
+from .errors import ConfigurationError, complaint
+from .grid import dump_field_csv
+from .profiles import FAMILIES, make_generator
+from .solver import FIELDS, ProblemConfig, check_problem, run
 from . import diagnostics as dg
 
 
@@ -363,9 +361,11 @@ def cmd_report(args):
 
 
 def _validate_greens(seed):
+    from scipy.fftpack import dct
     from .greens import (StreamOperator, build_kernel_block, kernel_bound,
                          kernel_closed_form, kernel_quadrature,
                          expansion_remainder, sigma)
+    from .grid import build_grid
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -449,6 +449,8 @@ def _validate_greens(seed):
 
 
 def _validate_profiles(seed):
+    from .profiles import (check_assumptions, eval_I, eval_J, eval_J_numeric,
+                           eval_dJds, eval_i)
     rng = np.random.default_rng(seed)
     t13 = np.linspace(0.0, 60.0, 13)
     families = [("%s(%s=%g)" % (fam, FAMILIES[fam][0], v),

@@ -99,7 +99,6 @@ class ScaledProfile:
     field: ScalarField
     planar_mass: float
     window_halfwidth: float
-    center: tuple
 
 
 def scaled_profile(zeta, center, epsilon):
@@ -132,7 +131,7 @@ def scaled_profile(zeta, center, epsilon):
     fld = ScalarField(win, phi)
     pmass = float(np.sum(phi)) * win.cell_area
     return ScaledProfile(field=fld, planar_mass=pmass,
-                         window_halfwidth=halfwidth, center=(cr, cz))
+                         window_halfwidth=halfwidth)
 
 
 def angular_variation(profile):

@@ -37,8 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fftpack, integrate, sparse
-from scipy.sparse.linalg import spsolve
+from scipy import fftpack
 from scipy.special import ellipe, ellipkm1
 
 from .errors import (
@@ -177,6 +176,7 @@ def kernel_quadrature(r, z, rp, zp, tol=1e-10):
     points coincide and QuadratureToleranceError when the requested
     relative tolerance is not reached.
     """
+    from scipy import integrate
     if tol <= 0:
         raise ConfigurationError("quadrature tolerance must be positive")
     s = sigma(r, z, rp, zp)
@@ -232,7 +232,8 @@ def expansion_remainder(r, z, rp, zp):
 
 
 def _log_mean_rect(x0, x1, y0, y1):
-    """Exact mean of log(1/rho) over the rectangle [x0,x1] x [y0,y1].
+    """Exact mean of log(1/rho) over each rectangle [x0,x1] x [y0,y1], for
+    arrays of corners off the axes, as _near_corrector's are.
 
     rho is the distance to the origin. Uses the antiderivative
 
@@ -240,46 +241,32 @@ def _log_mean_rect(x0, x1, y0, y1):
                   + x^2/2 atan(y/x) + y^2/2 atan(x/y)
 
     whose mixed second derivative is log sqrt(x^2+y^2); the singularity at
-    the origin is integrable and F extends continuously by 0. The inputs
-    may be scalars or arrays that broadcast together.
+    the origin is integrable and F extends continuously by 0 there. Plain
+    atan, not arctan2, keeps one branch for negative x or y.
     """
 
-    def atan_ratio(num, den):
-        # plain arctan(num/den) with the vertical-line limit at den = 0;
-        # arctan2 would pick the wrong branch for negative den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.arctan(num / den)
-        out = np.where(den == 0.0, np.sign(num) * (0.5 * np.pi), out)
-        return np.where((num == 0.0) & (den == 0.0), 0.0, out)
-
     def F(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rho2 = x * x + y * y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = x * y * 0.5 * np.log(rho2)
-        # 0 * log rho = 0 on the axes and at the origin
-        logterm = np.where(x * y == 0.0, 0.0, logterm)
-        return (logterm - 1.5 * x * y
-                + 0.5 * x * x * atan_ratio(y, x)
-                + 0.5 * y * y * atan_ratio(x, y))
+        return (x * y * 0.5 * np.log(x * x + y * y) - 1.5 * x * y
+                + 0.5 * x * x * np.arctan(y / x)
+                + 0.5 * y * y * np.arctan(x / y))
 
     area = (x1 - x0) * (y1 - y0)
-    integral = F(x1, y1) - F(x1, y0) - F(x0, y1) + F(x0, y0)
-    out = -integral / area
-    return float(out) if out.ndim == 0 else out
+    return -(F(x1, y1) - F(x1, y0) - F(x0, y1) + F(x0, y0)) / area
 
 
 def _near_corrector(spec):
     """correct(lines, t, s) corrects in place the kernel lines K[t, s, :]
-    of the pairs (t, s) within NCORR rows: the midpoint value of the log
+    of the pairs (t, s) within NCORR rows, on NCORR + 1 offsets or, when
+    dr >= 1.5 dz, on those within NCORR row widths, so that wide cells keep
+    each line decreasing in the offset: the midpoint value of the log
     part becomes its exact average over the source cell, which keeps the
     operator's near-diagonal second-order despite the singularity, and the
     self cell (t = s, offset 0) the near-coincidence law averaged over the
     cell. Each correction is computed once per |t - s| and offset, so a
     symmetric set of pairs stays symmetric bit for bit."""
     r, dr, dz = spec.r_centers, spec.dr, spec.dz
-    di, dj = np.mgrid[:NCORR + 1, :min(NCORR + 1, spec.n_z)]
+    n_off = min(int(NCORR * max(dr / dz, 1.0)) + 1, spec.n_z)
+    di, dj = np.mgrid[:NCORR + 1, :n_off]
     x0, y0 = di * dr - 0.5 * dr, dj * dz - 0.5 * dz
     avg = _log_mean_rect(x0, x0 + dr, y0, y0 + dz)
     with np.errstate(divide="ignore"):
@@ -491,6 +478,8 @@ def fd_solve(zeta, box):
     box. Independent of the kernel table in every respect, which is what
     makes it useful as a cross-check.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
     if not (box.r_min < zeta.spec.r_min and box.r_max > zeta.spec.r_max
             and box.z_min < zeta.spec.z_min and box.z_max > zeta.spec.z_max):
         raise ConfigurationError("extended box must strictly contain the source domain")

@@ -129,11 +129,6 @@ def bilinear_sample(f, r, z):
     return np.where(inside, val, 0.0)
 
 
-def _check_same_grid(a, b):
-    if a.spec != b.spec:
-        raise GridMismatchError("fields live on different grids")
-
-
 def integrate_nu(f):
     """Midpoint-rule integral of f against nu = r dr dz.
 
@@ -149,7 +144,8 @@ def integrate_nu(f):
 
 def inner_nu(a, b):
     """The nu-weighted inner product integral of a*b."""
-    _check_same_grid(a, b)
+    if a.spec != b.spec:
+        raise GridMismatchError("fields live on different grids")
     return float(np.sum(a.values * b.values * a.spec.nu_weights()))
 
 

@@ -44,9 +44,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, complaint
 
 # family -> (the parameter it takes, its (jump, a, b, q) row of the shared
 # law g = jump + a t^q, f = b t^q as a function of that parameter). The
@@ -72,7 +71,7 @@ class GeneratorPair:
 
     family is a key of FAMILIES: power_law(p), turkington(alpha),
     beltrami(p) and mixed(p) share one closed-form law (see the module
-    docstring) of a finite positive parameter, and table holds
+    docstring) of a finite positive number (errors.complaint), and table holds
     piecewise-linear f, g given on a t-grid, constant past its last node.
     g0plus is the jump of g at 0+, nonzero only for turkington-type
     generators; it sets the lower edge of the admissible cap parameter.
@@ -90,10 +89,10 @@ class GeneratorPair:
             raise ConfigurationError("unknown generator family %r" % self.family)
         name, law = FAMILIES[self.family]
         if law:
-            if not 0 < getattr(self, name) < np.inf:
+            if complaint(v := getattr(self, name), 0.0, None, False):
                 raise ConfigurationError("%s %s must be positive"
                                          % (self.family, name))
-            self._law = law(getattr(self, name))
+            self._law = law(float(v))
             return
         t, f, g = (np.asarray(v, dtype=float)
                    for v in (self.table_t, self.table_f, self.table_g))
@@ -217,6 +216,7 @@ def eval_J_numeric(gen, r, s):
     scipy's bounded Brent search (minimize_scalar, method="bounded") finds
     it on that interval.
     """
+    from scipy.optimize import minimize_scalar
     if s <= 0:
         return 0.0
     t_end = 1.0
@@ -286,9 +286,9 @@ def make_generator(family, **params):
     """Construct a GeneratorPair.
 
     family is a key of FAMILIES, and params holds at most the one
-    parameter FAMILIES names for it, a number. The table family takes
-    table=(t, f, g) arrays or table_path, a CSV with header t,f,g; any
-    other keyword raises ConfigurationError.
+    parameter FAMILIES names for it, a number (not a string or a bool).
+    The table family takes table=(t, f, g) arrays or table_path, a CSV
+    with header t,f,g; any other keyword raises ConfigurationError.
     """
     if family not in FAMILIES:
         raise ConfigurationError("unknown generator family %r" % (family,))
@@ -298,7 +298,7 @@ def make_generator(family, **params):
         raise ConfigurationError("family %s takes no %s"
                                  % (family, ", ".join(sorted(extra))))
     if law:
-        return GeneratorPair(family, **{k: float(v) for k, v in params.items()})
+        return GeneratorPair(family, **params)
     table = params.get("table")
     if table is None:
         if params.get("table_path") is None:
@@ -308,7 +308,7 @@ def make_generator(family, **params):
     return GeneratorPair("table", table_t=t, table_f=f, table_g=g)
 
 
-def check_assumptions(gen, r_max=2.0, t_max=50.0, n_sample=200):
+def check_assumptions(gen, r_max=2.0, n_sample=200):
     """Sampled verification of the structural assumptions on (f, g).
 
     (a1) f, g nonnegative and nondecreasing; (a2) i strictly increasing in
@@ -316,14 +316,13 @@ def check_assumptions(gen, r_max=2.0, t_max=50.0, n_sample=200):
     delta1 >= 0 with I <= delta0 * i * t + delta1 * i on the sample; (a4)
     i(r, t) e^{-tau t} eventually decreasing to 0 along geometric t.
 
-    t is sampled on (0, t_max), and for a table on (0, t_end) below its
+    t is sampled on (0, 50), and for a table on (0, t_end) below its
     last node instead, since its i is flat past t_end. Sampling cannot
     prove the universal statements; the report says which sampled checks
     passed and with which witnesses.
     """
     rng = np.random.default_rng(7)
-    if gen.family == "table":
-        t_max = float(gen._knots[-1])
+    t_max = float(gen._knots[-1]) if gen.family == "table" else 50.0
     ts = np.sort(rng.uniform(1e-6, t_max, n_sample))
     rs = rng.uniform(1e-3, r_max, 16)[:, None]
     report = {}

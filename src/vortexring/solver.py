@@ -20,19 +20,20 @@ Steiner symmetry in z (each r-column even and nonincreasing in |z|) is a
 loop invariant, not a step: the starting ball has it, the kernel table
 is strictly decreasing in the z-offset so K maps such columns to such
 columns, and the update is nondecreasing in the head with r fixed along
-a column. run uses the evenness: it iterates on the rows z > 0 alone,
-applies K to them by the even apply (greens.StreamOperator.apply_even),
-and runs the multiplier search, the energy and the L1 change on those
-rows with each cell weighted for itself and its mirror image. It builds
-once each cell's radius, nu weight, background, and i and J, resolved by
-profiles.cell_law so that the fills and the energy run unchecked; and it
-takes the sorted flat index of each iterate's nonzero cells from the
-cells the search filled, on which the mass, the cap clamp, the energy,
-the L1 change, the support count and the even apply's band are taken;
-and it applies K only on the target rows whose bound can reach the cut
-of the search (step). A non-finite energy raises NumericalError, as does
-a returned state that is not symmetric; the full field is built once,
-for that state.
+a column. On cells over 1.5 times wider than tall the table decreases
+because its near-field correction spans NCORR row widths in z; an
+8 x 400 default box still keeps one line rising by 2e-5. run uses the
+evenness: it iterates on the rows z > 0 alone, each cell weighted for
+itself and its mirror image, and applies K to them by
+greens.StreamOperator.apply_even. It builds each cell's radius, nu
+weight, background, and i and J (profiles.cell_law) once, so the fills
+and the energy run unchecked; it takes each iterate's sorted nonzero
+flat index from the cells the search filled, for the mass, the cap
+clamp, the energy, the L1 change, the support count and the apply's
+band; and it applies K only on the target rows whose bound can reach
+the search's cut (step). A non-finite energy raises NumericalError, as
+does a returned state that is not symmetric; the full field is built
+once, for that state.
 
 The optimality profile of the converged state is
 
@@ -45,15 +46,13 @@ level set psi = 0 (the bathtub ledge), which is where generators with a
 jump at the origin place their fractional cells.
 """
 
-import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, complaint
 from .grid import ScalarField, build_grid, integrate_nu
 from .greens import get_stream_operator
 from .profiles import cell_law, check_assumptions, eval_dJds, eval_i
@@ -76,23 +75,6 @@ FIELDS = {
     "tol.mu": ("tol_mu", 0.0, None, False),
     "max_iterations": ("max_iterations", 1, None, True),
 }
-
-
-def complaint(v, lo, hi, integer):
-    """Why v is not a finite number above lo (an integral one at least lo,
-    when integer) and below hi; None when it is. Python and numpy integers
-    and floats count as numbers, booleans do not."""
-    if (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and (isinstance(v, numbers.Integral) or math.isfinite(v))
-            and ((v >= lo and (isinstance(v, numbers.Integral)
-                               or v.is_integer())) if integer else v > lo)
-            and (hi is None or v < hi)):
-        return None
-    bounds = (" in (%g, %g)" % (lo, hi) if hi is not None
-              else " %s %g" % (">=" if integer else ">", lo))
-    return "must be %s%s, got %r" % ("an integer" if integer
-                                     else "a finite number",
-                                     bounds, v)
 
 
 @dataclass

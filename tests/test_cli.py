@@ -5,14 +5,17 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, build_problem, main,
-                            solve_to_dir, validate_config)
+from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, _SWEEP_KEYS, CliError,
+                            build_problem, main, solve_to_dir, validate_config)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _write_config(path, **overrides):
@@ -186,6 +189,49 @@ def test_table_path_needs_the_table_family(tmp_path, capsys):
     assert rc == 1
     assert "profile.table_path" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([0.1], "config root must be a JSON object"),
+    ({"epsilons": []}, "epsilons: must be a nonempty list"),
+    ({"epsilons": [0.1], "profile": {"family": "table"}},
+     "profile.table_path: required for the table family"),
+    ({"epsilons": [0.1], "profile": {"family": "table", "table_path": 3}},
+     "profile.table_path: must be a string"),
+], ids=["root", "empty epsilons", "no table_path", "table_path type"])
+def test_sweep_config_errors(cfg, message):
+    with pytest.raises(CliError) as info:
+        validate_config(cfg, _SWEEP_KEYS, require=("epsilons",))
+    assert any(m.startswith(message) for m in info.value.messages)
+
+
+def test_failed_solve_prints_one_error_line(tmp_path, capsys):
+    # a table_path that does not exist passes the schema and fails in the
+    # loader: main reports it on one line instead of a traceback
+    path = _write_config(tmp_path / "cfg.json", profile={
+        "family": "table", "table_path": str(tmp_path / "none.csv")})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FileNotFoundError: ")
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
+    # kernel quadrature, the FD solve and the numeric conjugate load their
+    # scipy modules on demand: a solve through the CLI loads none of them
+    path = _write_config(tmp_path / "cfg.json", grid={"n_r": 24, "n_z": 24})
+    oracles = ["scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"]
+    code = ("import sys, vortexring.cli as cli; "
+            "rc = cli.main(['solve', '--config', %r, '--out', %r]); "
+            "print(rc, *[m for m in %r if m in sys.modules])"
+            % (path, str(tmp_path / "o"), oracles))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0"]
 
 
 def test_parameter_of_another_family_is_rejected(tmp_path, capsys):
@@ -453,6 +499,22 @@ def test_report_fits_sweep_table(tmp_path):
     np.testing.assert_allclose(rep["predicted"]["slope_mu"], 1.5, rtol=1e-12)
     assert rep["relative_error"]["slope_mu"] < 1e-9
     assert rep["kelvin_hicks"]["difference_spread"] < 1e-9
+
+
+def test_report_reads_kappa_and_w_from_its_config(tmp_path):
+    out = str(tmp_path / "rep")
+    _synthetic_sweep_csv(out, [0.2, 0.1, 0.05, 0.025])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kappa": 2.0 * np.pi, "W": 0.5,
+                                "epsilons": [0.2, 0.1]}))
+    assert main(["report", "--config", str(path), "--out", out]) == 0
+    rep = json.loads(open(os.path.join(out, "report.json")).read())
+    assert (rep["kappa"], rep["W"]) == (2.0 * np.pi, 0.5)
+    # 3 kappa^2 / (32 pi^2 W) and kappa^3 / (32 pi^2 W)
+    np.testing.assert_allclose(rep["predicted"]["slope_mu"], 0.75,
+                               rtol=1e-14)
+    np.testing.assert_allclose(rep["predicted"]["slope_E"], 0.5 * np.pi,
+                               rtol=1e-14)
 
 
 def test_report_needs_three_converged_rows(tmp_path, capsys):

@@ -36,6 +36,27 @@ def test_support_stats_single_cell():
     assert (tm, tp, diam, dist) == (c, c, 0.0, 0.0)
 
 
+def test_support_stats_off_the_middle_rows():
+    # a support clear of the rows nearest z = 0 takes its radii from
+    # every support row
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, 6, 8)
+    vals = np.zeros((6, 8))
+    vals[1, 6] = vals[4, 7] = 1.0
+    tm, tp, _, _ = support_stats(ScalarField(spec, vals))
+    assert (tm, tp) == (spec.r_centers[1], spec.r_centers[4])
+
+
+def test_center_of_vorticity_on_an_asymmetric_grid():
+    spec = build_grid(0.5, 2.0, -1.0, 0.5, 6, 10)
+    assert not spec.z_symmetric()
+    vals = np.zeros((6, 10))
+    vals[2, 3] = vals[2, 7] = 1.0
+    r, z = center_of_vorticity(ScalarField(spec, vals))
+    np.testing.assert_allclose(r, spec.r_centers[2], rtol=1e-15)
+    np.testing.assert_allclose(
+        z, 0.5 * (spec.z_centers[3] + spec.z_centers[7]), rtol=1e-14)
+
+
 def test_support_diameter_matches_all_pairs(rng):
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 30, 26)
     vals = np.where(rng.uniform(size=(30, 26)) < 0.3, 1.0, 0.0)

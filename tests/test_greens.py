@@ -329,6 +329,19 @@ def test_operator_build_holds_one_table():
     assert peak <= 1.25 * table_bytes
 
 
+@pytest.mark.parametrize("box", [
+    (0.5, 2.0, 16, 200), (6.25, 25.0, 96, 96), (25.0, 100.0, 64, 128),
+    (0.5, 2.0, 200, 16)],
+    ids=["default 16x200", "W=0.08 96x96", "W=0.02 64x128", "default 200x16"])
+def test_kernel_lines_do_not_rise_with_the_offset(box):
+    # the solver's Steiner invariant needs K[a, b, dj] nonincreasing in dj;
+    # on cells 9-75 times wider than tall (the first three boxes) that
+    # needs the near-field correction to reach as far in z as in r
+    r_min, r_max, n_r, n_z = box
+    block = build_kernel_block(build_grid(r_min, r_max, -1.0, 1.0, n_r, n_z))
+    assert np.all(np.diff(block, axis=2) <= 0.0)
+
+
 @pytest.mark.parametrize("n_r,n_z", [(13, 17), (20, 9), (48, 40), (3, 2)])
 def test_stream_table_matches_block_build(n_r, n_z):
     # the triangle build against the block of every ordered pair, in the
@@ -362,6 +375,14 @@ def test_single_cell_matches_pointwise_kernel():
     k = (kernel_closed_form(r1, z1, r0, z0).value
          + kernel_closed_form(r1, z1, r0, -z0).value)
     np.testing.assert_allclose(psi[i1, j1], k * mass, rtol=5e-13)
+
+
+def test_extended_box_has_an_even_n_z():
+    # 2 z_half * cells_per_unit = 714 cells, capped at an odd 301: the box
+    # takes 302 so that it stays z-symmetric
+    box = default_extended_box(build_grid(0.5, 2.0, -1.0, 1.0, 8, 8),
+                               max_cells=301)
+    assert (box.n_r, box.n_z) == (301, 302) and box.z_symmetric()
 
 
 def test_fd_solve_zero_and_maximum_principle(rng):

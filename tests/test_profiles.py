@@ -286,6 +286,9 @@ def test_make_generator_validation(tmp_path):
         make_generator("power_law", p=-1.0)
     with pytest.raises(ConfigurationError):
         make_generator("turkington", alpha=0.0)
+    # integer and numpy parameters are numbers, as in ProblemConfig
+    for p in (2, np.float64(2.0)):
+        assert eval_i(make_generator("power_law", p=p), 1.0, 3.0) == 9.0
     path = tmp_path / "tab.csv"
     path.write_text("t,f,g\n0,0,0\n1,0,1\n2,0,2\n")
     gen = make_generator("table", table_path=str(path))
@@ -307,9 +310,9 @@ def test_each_family_takes_its_own_parameter_only():
         GeneratorPair("turkington", alpha=-1.0)
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("value", [np.inf, np.nan, "2", True])
 def test_law_parameter_must_be_finite(value):
-    # the CLI rejects profile.p: Infinity; the API does too
+    # the CLI rejects profile.p: Infinity, "2" and true; the API does too
     with pytest.raises(ConfigurationError, match="p must be positive"):
         make_generator("power_law", p=value)
 

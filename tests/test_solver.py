@@ -94,6 +94,21 @@ def test_initialize_ball_geometry():
     np.testing.assert_allclose(cfg.epsilon ** 2 * c, 1.0, rtol=0.1)
 
 
+def test_initialize_grows_a_ball_that_holds_no_cell():
+    # at eps = 0.01 on 48^2 the ball of radius eps * sqrt(kappa / pi) =
+    # 0.02 misses every cell centre; two 25% steps reach the four nearest
+    cfg = ProblemConfig(epsilon=0.01, n_r=48, n_z=48)
+    zeta = initialize(cfg, make_generator("power_law", p=1.0))
+    spec = zeta.spec
+    dist = np.hypot(spec.r_centers[:, None] - cfg.r_star,
+                    spec.z_centers[None, :])
+    radius = cfg.epsilon * np.sqrt(cfg.kappa / (np.pi * cfg.r_star))
+    assert np.all(dist > radius)
+    assert np.count_nonzero(zeta.values) == 4
+    assert np.all(zeta.values[dist <= 1.25 ** 2 * radius] > 0.0)
+    np.testing.assert_allclose(integrate_nu(zeta), cfg.kappa, rtol=1e-12)
+
+
 def test_initialize_rejects_oversized_ball():
     gen = make_generator("power_law", p=1.0)
     with pytest.raises(ConfigurationError):
