@@ -11,7 +11,6 @@ a support reaching the grid edge is flagged (`support_on_edge`).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, NumericalError
 from .greens import ring_velocity_z
@@ -29,6 +28,14 @@ def support_mask(zeta):
     if peak <= 0.0:
         raise NumericalError("field has empty support")
     return zeta.values > DEFAULT_SUPPORT_FRACTION * peak
+
+
+def _edge_cells(mask):
+    """The cells of mask with one of their four neighbours outside it, the
+    grid's outside included."""
+    pad = np.pad(mask, 1)
+    return mask & ~(pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2]
+                    & pad[1:-1, 2:])
 
 
 def support_stats(zeta, r_star=1.0):
@@ -58,9 +65,7 @@ def support_stats(zeta, r_star=1.0):
 
     # the farthest pair are hull vertices, and a cell with all four
     # neighbours in the support is the midpoint of two of them
-    edge = mask & ~ndimage.binary_erosion(mask, structure=np.array(
-        [[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool))
-    i, j = np.nonzero(edge)
+    i, j = np.nonzero(_edge_cells(mask))
     er, ez = spec.r_centers[i], spec.z_centers[j]
     dr2 = (er[:, None] - er[None, :]) ** 2
     dz2 = (ez[:, None] - ez[None, :]) ** 2
@@ -158,6 +163,48 @@ def angular_variation(profile):
     return float((np.max(means) - np.min(means)) / mean_all)
 
 
+def _count_pieces(mask):
+    """Number of 4-connected pieces of a boolean mask with an all-False
+    border.
+
+    Each cell of the mask starts with its own flat index as its label.
+    Each round gives it the smallest label among itself and its four
+    neighbours, then points every label at the label of the cell it names
+    until none moves. At the fixed point each piece carries the index of
+    one of its cells, the one cell that carries its own.
+    """
+    size = mask.size
+    inside = mask.ravel()
+    label = np.where(inside, np.arange(size), size)  # size: not in the mask
+    while True:
+        grid = label.reshape(mask.shape)
+        low = grid.copy()
+        inner = low[1:-1, 1:-1]
+        for nb in (grid[:-2, 1:-1], grid[2:, 1:-1], grid[1:-1, :-2],
+                   grid[1:-1, 2:]):
+            np.minimum(inner, nb, out=inner)
+        low = np.where(inside, low.ravel(), size)
+        while not np.array_equal(jump := np.append(low, size)[low], low):
+            low = jump
+        if np.array_equal(low, label):
+            return int(np.count_nonzero(label == np.arange(size)))
+        label = low
+
+
+def _pieces_and_holes(mask):
+    """(pieces, holes) of a nonempty boolean mask, both 4-connected.
+
+    The complement is examined inside the mask's one-cell-padded bounding
+    box, whose padding ring is one piece of it: every other piece is a
+    hole. A piece of the complement that reaches the grid edge therefore
+    counts as a hole only when the mask closes it off inside the box.
+    """
+    i, j = np.nonzero(mask)
+    box = np.zeros((np.ptp(i) + 3, np.ptp(j) + 3), dtype=bool)
+    box[i - i.min() + 1, j - j.min() + 1] = True
+    return _count_pieces(box), _count_pieces(np.pad(~box, 1)) - 1
+
+
 def topology_check(zeta):
     """True when the support is one 4-connected piece with no holes.
 
@@ -165,13 +212,7 @@ def topology_check(zeta):
     support region touching the grid edge still counts as hole-free as
     long as its complement stays connected.
     """
-    mask = support_mask(zeta)
-    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    _, n_comp = ndimage.label(mask, structure=cross)
-    if n_comp != 1:
-        return False
-    _, n_holes = ndimage.label(~np.pad(mask, 1), structure=cross)
-    return n_holes == 1
+    return _pieces_and_holes(support_mask(zeta)) == (1, 0)
 
 
 def velocity_field(psi, gen, epsilon):

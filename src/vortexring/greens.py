@@ -11,21 +11,25 @@ function of a unit circular vortex filament,
     K(r, z, r', z') = (r r' / 4 pi) * integral_{-pi}^{pi}
         cos t dt / sqrt((z - z')^2 + r^2 + r'^2 - 2 r r' cos t),
 
-which reduces to complete elliptic integrals. Both forms are provided: the
-quadrature form is the slow reference, the elliptic form the production
-path, alone down to the closest separation a float resolves.
-`StreamOperator` evaluates psi0 = K zeta for fields even in z on a
-box centred at z = 0, the only fields the solver holds: the
+which reduces to complete elliptic integrals: with r1 and r2 the nearest
+and farthest distances to the filament, K = (r1 + r2)(K(l) - E(l)) / 2 pi
+at the modulus l = (r2 - r1) / (r2 + r1) (Lamb, Hydrodynamics, section
+161). Both forms are provided: the quadrature form is the slow reference,
+Lamb's form the production path, evaluated in numpy alone by the
+arithmetic-geometric mean of r2 and r1, down to the closest separation a
+float resolves. `StreamOperator` evaluates psi0 = K zeta for fields even
+in z on a box centred at z = 0, the only fields the solver holds: the
 z-translation invariance makes the cell-to-cell table block-Toeplitz,
-its offset transform is built once per grid, a DCT-I along the offset
-line of each pair r <= r' of the symmetric kernel, and stored
-frequency-major (frequency, source row, target row), and `apply_even`
-works on the rows z > 0 alone by symmetric convolution (Martucci, IEEE
-Trans. Signal Process. 1994): a DCT-II and a DCT-III as products with
-cosine matrices, between them one batched real matmul over the source
-rows that hold vorticity and a given range of target rows, which a row
-bound from each table entry's max over the z-offsets picks. `apply_direct`
-sums over source cells explicitly, for any field, and is its oracle.
+its offset transform is built once per grid, a DCT-I (the real FFT of the
+even extension) along the offset line of each pair r <= r' of the
+symmetric kernel, and stored frequency-major (frequency, source row,
+target row), and `apply_even` works on the rows z > 0 alone by symmetric
+convolution (Martucci, IEEE Trans. Signal Process. 1994): a DCT-II and a
+DCT-III as products with cosine matrices, between them one batched real
+matmul over the source rows that hold vorticity and a given range of
+target rows, which a row bound from each table entry's max over the
+z-offsets picks. `apply_direct` sums over source cells explicitly, for
+any field, and is its oracle.
 `ring_velocity_z` is (1/r) dK/dr in closed form, for the far field.
 `fd_solve` solves L psi0 = zeta by finite differences on a much larger
 box, the Kronecker sum of a tridiagonal r part and z part; it is only an
@@ -37,8 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fftpack
-from scipy.special import ellipe, ellipkm1
+from numpy.fft import rfft
 
 from .errors import (
     ConfigurationError,
@@ -95,69 +98,130 @@ def kernel_bound(r, z, rp, zp, coef=0.25):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _elliptic_kernel(r, z, rp, zp, work=None):
-    """Vectorized kernel via complete elliptic integrals.
+def _agm_steps(r2_max, r1_min):
+    """AGM steps that converge every pair with r2 / r1 <= r2_max / r1_min.
 
-    With m = k^2 = 4 r r' / ((r+r')^2 + (z-z')^2),
+    Each step squares the relative gap c_n / a_n, after the first
+    log2 log2(4 r2 / r1) or so have brought it below one; three more take
+    it from there to below 2^-39 (measured over r2 / r1 from 1 to 1e150),
+    past the 2^-26.5 at which `_elliptic_kernel` holds a pair fixed.
+    """
+    return 3 + np.ceil(np.log2(np.log2(4.0 * r2_max / r1_min))).astype(int)
 
-        K = (sqrt(r r') / 2 pi) * ((2/k - k) K(m) - (2/k) E(m)).
 
-    The complementary parameter m1 = 1 - m is formed cancellation-free
-    from ((r-r')^2 + (z-z')^2) so K(m) stays accurate arbitrarily close
-    to coincidence. Every step writes into `work`, five arrays of the
-    broadcast shape (new ones if None) whose first two are the (K, m1)
-    returned, so a caller that passes the same work allocates nothing.
+def _elliptic_kernel(r, z, rp, zp, work=None, steps=None):
+    """Vectorized kernel, in Lamb's form, by the arithmetic-geometric mean.
+
+    With r1 and r2 the nearest and farthest distances from (r, z) to the
+    filament, r1^2 = (r-r')^2 + dz^2 and r2^2 = r1^2 + 4 r r', the AGM
+    from (a_0, b_0) = (r2, r1) sets c_n = (a_{n-1} - b_{n-1}) / 2,
+    a_n = (a_{n-1} + b_{n-1}) / 2 and b_n = sqrt(a_{n-1} b_{n-1}); then
+
+        K = S / (2 M),  M = lim a_n,  S = sum_{n >= 1} 2^(n-2) c_n^2,
+
+    which is Lamb's (r1 + r2)(K(l) - E(l)) / 2 pi (Hydrodynamics, section
+    161) with no difference of large terms. The first term is taken as
+    c_1 = r r' / a_1, since r2 - r1 loses the digits of a far pair; each
+    later c_n = (a - b) / 2 is off by about an ulp of a, which moves its
+    term by less than an ulp of the term before it.
+
+    A pair is held fixed, b set to a, once c_n <= 2^(-(n + 52) / 2) b_n
+    (at most 2^-26.5 b_n): the next step would move a and S by less than
+    2^-55 of themselves, and with b = a every later step is an exact no-op,
+    so the value does not depend on the step count beyond the one that
+    converges it. steps is that count, by default `_agm_steps` of the
+    pairs given (coincident pairs, r1 = 0, never converge and are left out:
+    their value is finite but meaningless), or one count of leading rows
+    per step, for arrays whose later rows converge sooner, with r and r'
+    constant along the rows. Every step writes into `work`, five float
+    arrays and one boolean of the broadcast shape (new ones if None), the
+    first of them the K returned, so a caller that passes the same work
+    allocates nothing. Returns (K, M).
     """
     r, z, rp, zp = (np.asarray(x, dtype=float) for x in (r, z, rp, zp))
-    shape = np.broadcast(r, z, rp, zp).shape
-    val, m1, m, k, two_k = work or [np.empty(shape) for _ in range(5)]
-    dz2 = (z - zp) ** 2
-    np.add((r - rp) ** 2, dz2, out=m1)
-    m1 /= np.add((r + rp) ** 2, dz2, out=m)
-    np.divide(4.0 * (r * rp), m, out=m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ellipkm1(m1, out=val)
-        np.sqrt(m, out=k)
-        ellipe(m, out=m)
-        np.divide(2.0, k, out=two_k)
-        val *= np.subtract(two_k, k, out=k)
-        m *= two_k
-        val -= m
-        val *= np.sqrt(r * rp) / TWO_PI
-    return val, m1
+    if work is None:
+        shape = np.broadcast(r, z, rp, zp).shape
+        work = [np.empty(shape) for _ in range(5)] + [np.empty(shape, bool)]
+    val, a, b, c, prod, held = work
+    # r1^2 and r2^2 = r1^2 + 4 r r', broadcast by copies alone: a ufunc
+    # that broadcasts buffers its operands. np.square, not ** 2, which on a
+    # numpy scalar is pow() and can differ from an array's square by an ulp
+    np.copyto(b, np.square(z - zp))
+    np.copyto(a, np.square(r - rp))
+    b += a
+    np.copyto(a, 4.0 * (r * rp))
+    a += b
+    np.sqrt(a, out=a)
+    np.sqrt(b, out=b)
+    if steps is None:
+        top = np.max(a)
+        steps = _agm_steps(top, np.min(b, initial=top, where=b > 0.0))
+    val.fill(0.0)
+    for n, m in enumerate([None] * steps if np.ndim(steps) == 0 else steps):
+        # step k = n + 1, on the leading m rows (all if None)
+        v, a_, b_, c_, p_, h_ = work if m is None else [w[:m] for w in work]
+        np.subtract(a_, b_, out=c_)
+        np.multiply(a_, b_, out=p_)
+        a_ += b_
+        a_ *= 0.5
+        np.sqrt(p_, out=b_)
+        if n == 0:
+            # c_1 = r r' / a_1: r2 - r1 would lose the digits of a far pair
+            np.copyto(c_, 2.0 * (r * rp))
+            c_ /= a_
+        # c holds 2 c_k; its square weighted by 2^(k + 50), a power of two,
+        # goes into val and is set against b_k^2 = prod: a pair is held once
+        # c_k <= 2^(-(k + 52) / 2) b_k
+        c_ *= c_
+        c_ *= 2.0 ** (n + 51)
+        v += c_
+        np.less_equal(c_, p_, out=h_)
+        np.copyto(b_, a_, where=h_)
+    val *= 2.0 ** -55
+    val /= a
+    return val, a
 
 
 def ring_velocity_z(r, z, rp, zp):
     """Axial velocity (1/r) dK/dr at (r, z) of the unit filament at (r', z').
 
     The classical form (Lamb, Hydrodynamics, section 161), with
-    m = 4 r r' / ((r+r')^2 + dz^2):
+    m = 4 r r' / r2^2 and r1, r2 the nearest and farthest distances to
+    the filament:
 
-        v_z = (K(m) + (r'^2 - r^2 - dz^2) / ((r-r')^2 + dz^2) * E(m))
-              / (2 pi sqrt((r+r')^2 + dz^2)).
+        v_z = (K(m) + (r'^2 - r^2 - dz^2) / r1^2 * E(m)) / (2 pi r2),
+
+    where the AGM of `_elliptic_kernel`, with its M and S, gives
+    K(m) = pi r2 / (2 M) and E(m) = K(m) (r1^2 + r2^2 - 4 S) / (2 r2^2).
+    Expanded, the sum's leading terms cancel exactly, and what is left is
+
+        v_z = (r'^2 (r'^2 - r^2 + dz^2) - (r'^2 - r^2 - dz^2) S)
+              / (2 M r1^2 r2^2).
 
     For well-separated points only: it is singular at the filament, and
     near a cell it is not the velocity of the cell. Vectorized.
     """
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
-    dz2 = (np.asarray(z, dtype=float) - np.asarray(zp, dtype=float)) ** 2
-    den = (r + rp) ** 2 + dz2
-    near2 = (r - rp) ** 2 + dz2
-    ratio = (rp * rp - r * r - dz2) / near2
-    return ((ellipkm1(near2 / den) + ratio * ellipe(4.0 * r * rp / den))
-            / (TWO_PI * np.sqrt(den)))
+    dz2 = np.square(np.asarray(z, dtype=float) - np.asarray(zp, dtype=float))
+    kern, agm = _elliptic_kernel(r, z, rp, zp)
+    diff = rp * rp - r * r
+    near2, far2 = np.square(r - rp) + dz2, np.square(r + rp) + dz2
+    return ((rp * rp * (diff + dz2) - (diff - dz2) * 2.0 * agm * kern)
+            / (2.0 * agm * near2 * far2))
 
 
 def kernel_closed_form(r, z, rp, zp):
-    """Production kernel evaluation at a single point pair, by the
-    elliptic form alone.
+    """Production kernel evaluation at a single point pair, by Lamb's
+    form and the AGM alone, with the step count of its own pair.
 
-    Agrees with kernel_quadrature to better than 1e-10 relative (observed
-    1e-13 worst case). The cancellation-free m1 keeps it exact to the last
-    separation a float resolves: with m1 subnormal it still equals the
-    near-coincidence law (sqrt(r r')/2 pi)(log(4/k') - 2). Raises
-    SingularEvaluationError at coincidence or on a value that is not finite.
+    Agrees with kernel_quadrature to better than 1e-10 relative, and with
+    the elliptic-integral form at 40 digits to about 1e-15 on the unit
+    box and 1e-14 at dz = 30 r. With no difference of close numbers
+    anywhere it stays exact to the last separation a float resolves:
+    with (r1 / r2)^2 subnormal it still equals the near-coincidence law
+    (sqrt(r r')/2 pi)(log(4 r2 / r1) - 2). Raises SingularEvaluationError
+    at coincidence or on a value that is not finite.
     """
     s = sigma(r, z, rp, zp)
     if s == 0.0:
@@ -302,6 +366,50 @@ def build_kernel_block(spec):
     return block.reshape(n_r, n_r, n_z)
 
 
+def _transformed_triangle(spec):
+    """The kernel lines of the pairs (a, b), b >= a, as their DCT-I over
+    the z-offsets in table[:, a, b] and their max over the offsets in
+    peak[a, b]: the entries below the diagonal are left unset.
+
+    The pairs of rows a and n_r - 1 - a are evaluated together, offset-
+    major, over one offset more than the grid's, whose row becomes the
+    DCT-I's trailing 0; the lines and their mirror image are copied into
+    their even extension of length 2 n_z, whose real FFT is the DCT-I, so
+    each frequency is one contiguous row of the table. An AGM step runs on
+    the offsets whose closest distinct cells over the farthest pair still
+    need it, and every buffer is reused.
+    """
+    r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
+    zs = spec.dz * np.arange(n_z + 1)
+    correct = _near_corrector(spec)
+    table, peak = np.empty((n_z + 1, n_r, n_r)), np.empty((n_r, n_r))
+    work = [*np.empty((5, n_z + 1, n_r + 1)),
+            np.empty((n_z + 1, n_r + 1), dtype=bool)]
+    ext = np.empty((2 * n_z, n_r + 1))
+    freq = np.empty((n_z + 1, n_r + 1), dtype=complex)
+    # the offsets j hold no pair closer than j dz, nor the distinct pairs
+    # of offset 0 one closer than the smaller cell side; step k runs on the
+    # offsets whose closest pair over the farthest needs k steps or more
+    need = _agm_steps(np.hypot(2.0 * r[-1], zs[-1]),
+                      np.maximum(zs, min(spec.dr, spec.dz)))
+    rows = np.count_nonzero(need >= np.arange(1, need[0] + 1)[:, None], axis=1)
+    p = np.arange(n_r + 1)
+    for a in range((n_r + 1) // 2):
+        # the pairs (t, s), s >= t, of rows a and n_r - 1 - a (an odd
+        # n_r's middle row twice)
+        in_a = p < n_r - a
+        t, s = np.where(in_a, a, n_r - 1 - a), np.where(in_a, a + p, p - 1)
+        lines, _ = _elliptic_kernel(r[t], zs[:, None], r[s], 0.0, work, rows)
+        correct(lines.T, t, s)
+        peak[t, s] = lines[:n_z].max(axis=0)
+        lines[n_z] = 0.0
+        ext[:n_z + 1], ext[n_z + 1:] = lines, lines[n_z - 1:0:-1]
+        dct = rfft(ext, axis=0, out=freq).real
+        table[:, a, a:] = dct[:, :n_r - a]
+        table[:, n_r - 1 - a, n_r - 1 - a:] = dct[:, n_r - a:]
+    return table, peak
+
+
 class StreamOperator:
     """psi0 = K zeta on a fixed grid, for fields even in z.
 
@@ -330,32 +438,14 @@ class StreamOperator:
 
     def __init__(self, spec):
         self.spec = spec
-        r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
-        w, zs = r * spec.cell_area, spec.dz * np.arange(n_z + 1)
-        correct = _near_corrector(spec)
-        table, peak = np.empty((n_z + 1, n_r, n_r)), np.empty((n_r, n_r))
-        work = list(np.empty((5, n_r + 1, n_z + 1)))
-        p = np.arange(n_r + 1)
-        for a in range((n_r + 1) // 2):
-            # the pairs (t, s), s >= t, of rows a and n_r - 1 - a (an odd
-            # n_r's middle row twice), over one offset more than the grid's:
-            # its column becomes the DCT-I's trailing 0
-            in_a = p < n_r - a
-            t, s = np.where(in_a, a, n_r - 1 - a), np.where(in_a, a + p, p - 1)
-            lines, _ = _elliptic_kernel(r[t, None], 0.0, r[s, None], zs, work)
-            correct(lines, t, s)
-            peak[t, s] = lines[:, :n_z].max(axis=1)
-            lines[:, n_z] = 0.0
-            # scipy.fft.dct's transform bit for bit, without the ~100 B
-            # per call that its dispatch layer leaves allocated
-            lines = fftpack.dct(lines, type=1, axis=1, overwrite_x=True)
-            table[:, a, a:] = lines[:n_r - a].T
-            table[:, n_r - 1 - a, n_r - 1 - a:] = lines[n_r - a:].T
+        n_r, n_z = spec.n_r, spec.n_z
+        table, peak = _transformed_triangle(spec)
         # mirror the triangle's transpose below it, then weight source row b
         lower = np.tri(n_r, k=-1, dtype=bool)
+        w = (spec.r_centers * spec.cell_area)[:, None]
         for f in (peak, *table):
             np.copyto(f, f.T, where=lower)
-            f *= w[:, None]
+            f *= w
         self.bound, self._table = peak, table
         # the DCT-II of the rows z > 0 zero-padded to n_z, and the first
         # n_z / 2 samples of its inverse, as (n_z, n_z / 2) cosine matrices

@@ -218,20 +218,32 @@ def test_failed_solve_prints_one_error_line(tmp_path, capsys):
 
 
 def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
-    # kernel quadrature, the FD solve and the numeric conjugate load their
-    # scipy modules on demand: a solve through the CLI loads none of them
-    path = _write_config(tmp_path / "cfg.json", grid={"n_r": 24, "n_z": 24})
-    oracles = ["scipy.integrate", "scipy.optimize", "scipy.sparse.linalg"]
+    # only the oracles and validate load scipy, on demand: solve, sweep and
+    # report through the CLI, with the diagnostics record of every solve,
+    # load no module under scipy
+    grid = {"n_r": 24, "n_z": 24}
+    solve = _write_config(tmp_path / "solve.json", grid=grid)
+    sweep = str(tmp_path / "sweep.json")
+    with open(sweep, "w") as f:
+        json.dump({"epsilons": [0.2, 0.15, 0.1], "grid": grid,
+                   "profile": {"family": "turkington", "alpha": 1.0}}, f)
+    out = str(tmp_path / "o")
     code = ("import sys, vortexring.cli as cli; "
-            "rc = cli.main(['solve', '--config', %r, '--out', %r]); "
-            "print(rc, *[m for m in %r if m in sys.modules])"
-            % (path, str(tmp_path / "o"), oracles))
+            "rc = [cli.main([c, '--config', p, '--out', %r]) for c, p in "
+            "(('solve', %r), ('sweep', %r), ('report', %r))]; "
+            "print(*rc, *[m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'])"
+            % (out, solve, sweep, sweep))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0"]
+    assert proc.stdout.splitlines()[-1].split() == ["0", "0", "0"], \
+        proc.stdout + proc.stderr
+    for name in ("result.json", "eps_0.1/result.json", "sweep.csv",
+                 "report.json"):
+        assert os.path.exists(os.path.join(out, name))
 
 
 def test_parameter_of_another_family_is_rejected(tmp_path, capsys):

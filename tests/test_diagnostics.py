@@ -154,6 +154,60 @@ def test_topology_check_shapes():
     assert not topology_check(ScalarField(spec, blobs))
 
 
+def _test_masks(rng):
+    # random masks (holes and diagonal-only contacts at every density),
+    # rings, corner-touching pairs, and supports on the grid edge
+    for _ in range(200):
+        n_r, n_z = rng.integers(2, 30, 2)
+        yield rng.uniform(size=(n_r, n_z)) < rng.uniform(0.1, 0.9)
+    for _ in range(50):
+        n_r, n_z = rng.integers(5, 30, 2)
+        rr, zz = np.indices((n_r, n_z))
+        d = np.hypot(rr - rng.uniform(0, n_r), zz - rng.uniform(0, n_z))
+        outer = rng.uniform(2.0, 10.0)
+        yield (d <= outer) & (d >= rng.uniform(0.0, outer))
+    for _ in range(50):
+        mask = np.zeros(rng.integers(3, 20, 2), dtype=bool)
+        i, j = rng.integers(0, np.array(mask.shape) - 1)
+        mask[i, j] = mask[i + 1, j + 1] = True
+        if rng.uniform() < 0.5:
+            mask[i + 1, j] = True
+        yield np.flipud(mask) if rng.uniform() < 0.5 else mask
+    for _ in range(50):
+        mask = rng.uniform(size=rng.integers(2, 25, 2)) < 0.6
+        mask[[0, -1][rng.integers(2)], :] = True
+        mask[:, [0, -1][rng.integers(2)]] = rng.uniform() < 0.5
+        yield mask
+
+
+def test_topology_and_edge_cells_match_ndimage(rng):
+    # the numpy label propagation and erosion against scipy.ndimage
+    from scipy import ndimage
+    from vortexring.diagnostics import _edge_cells, _pieces_and_holes
+    cross = ndimage.generate_binary_structure(2, 1)
+    seen = np.zeros(3, dtype=int)
+    for mask in _test_masks(rng):
+        if not mask.any():
+            continue
+        pieces = ndimage.label(mask, structure=cross)[1]
+        holes = ndimage.label(~np.pad(mask, 1), structure=cross)[1] - 1
+        assert _pieces_and_holes(mask) == (pieces, holes)
+        edge = mask & ~ndimage.binary_erosion(mask, structure=cross)
+        assert np.array_equal(_edge_cells(mask), edge)
+        spec = build_grid(0.5, 2.0, -1.0, 1.0, *mask.shape)
+        zeta = ScalarField(spec, mask.astype(float))
+        assert topology_check(zeta) == (pieces == 1 and holes == 0)
+        i, j = np.nonzero(edge)
+        r, z = spec.r_centers[i], spec.z_centers[j]
+        diam = np.sqrt(np.max((r[:, None] - r[None, :]) ** 2
+                              + (z[:, None] - z[None, :]) ** 2))
+        assert support_stats(zeta)[2] == diam
+        seen += (pieces > 1, holes > 0, mask[[0, -1]].any()
+                 or mask[:, [0, -1]].any())
+    # each kind of mask occurred
+    assert np.all(seen >= 20), seen
+
+
 def test_velocity_field_of_quadratic_stream():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 32, 32)
     W, L = 1.0, np.log(10.0)

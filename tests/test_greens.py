@@ -81,6 +81,16 @@ def test_elliptic_kernel_is_symmetric_and_pointwise(rng):
     assert np.array_equal(val, pointwise)
 
 
+def test_elliptic_kernel_matches_its_scalar_calls(rng):
+    # numpy scalars take other paths than arrays (x ** 2 is pow() there):
+    # each of 2000 pairs alone, as kernel_closed_form evaluates it, gives
+    # the array's value bit for bit
+    r, rp = rng.uniform(0.5, 2.0, (2, 2000))
+    z, zp = rng.uniform(-1.0, 1.0, (2, 2000))
+    alone = [kernel_closed_form(*pair).value for pair in zip(r, z, rp, zp)]
+    assert np.array_equal(_elliptic_kernel(r, z, rp, zp)[0], alone)
+
+
 def test_closed_form_matches_quadrature(rng):
     worst = 0.0
     for _ in range(60):
@@ -92,6 +102,42 @@ def test_closed_form_matches_quadrature(rng):
         cv = kernel_closed_form(r, z, rp, zp).value
         worst = max(worst, abs(qv - cv) / qv)
     assert worst <= 1e-10
+
+
+def _kernel_mp(r, z, rp, zp):
+    # Lamb's form through the complete elliptic integrals at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r, z, rp, zp = (mpmath.mpf(float(x)) for x in (r, z, rp, zp))
+        r1 = mpmath.sqrt((r - rp) ** 2 + (z - zp) ** 2)
+        r2 = mpmath.sqrt((r + rp) ** 2 + (z - zp) ** 2)
+        lam2 = ((r2 - r1) / (r2 + r1)) ** 2
+        return float((r1 + r2) * (mpmath.ellipk(lam2) - mpmath.ellipe(lam2))
+                     / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("dz", [10.0, 30.0])
+def test_closed_form_far_along_the_axis(dz):
+    # K ~ (r r')^2 / (4 dz^3) far out, where the elliptic-integral form
+    # loses digits to a difference of large terms
+    ref = _kernel_mp(1.0, 0.0, 1.0, dz)
+    got = kernel_closed_form(1.0, 0.0, 1.0, dz).value
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["box", "far"])
+def test_closed_form_matches_mpmath(far, rng):
+    # 200 pairs on the unit box; 100 at dz = 5 to 50, where r2 - r1 alone
+    # would leave c_1 a difference of close numbers
+    worst = 0.0
+    for _ in range(100 if far else 200):
+        r, rp = rng.uniform(0.5, 2.0, 2)
+        z, zp = (0.0, rng.uniform(5.0, 50.0)) if far else rng.uniform(
+            -1.0, 1.0, 2)
+        ref = _kernel_mp(r, z, rp, zp)
+        worst = max(worst, abs(kernel_closed_form(r, z, rp, zp).value - ref)
+                    / ref)
+    assert worst <= 2e-15
 
 
 def test_singular_evaluation_raises():
@@ -439,6 +485,26 @@ def test_ring_velocity_matches_quadrature_derivative():
         expect = (k_plus - k_minus) / (2.0 * h * r)
         np.testing.assert_allclose(ring_velocity_z(r, z, rp, zp), expect,
                                    rtol=1e-5)
+
+
+def test_ring_velocity_matches_mpmath(rng):
+    # the far-field check's geometry: a circle of radius 6 around the ring,
+    # sources in a core of radius 0.3; Lamb's form at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for t in rng.uniform(-1.2, 1.2, 200):
+            r, z = 1.0 + 6.0 * np.cos(t), 6.0 * np.sin(t)
+            rp, zp = 1.0 + rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
+            a, b, c, d = (mpmath.mpf(float(x)) for x in (r, z, rp, zp))
+            dz2, den = (b - d) ** 2, (a + c) ** 2 + (b - d) ** 2
+            m = 4 * a * c / den
+            ref = float((mpmath.ellipk(m) + (c * c - a * a - dz2)
+                         / ((a - c) ** 2 + dz2) * mpmath.ellipe(m))
+                        / (2 * mpmath.pi * mpmath.sqrt(den)))
+            worst = max(worst, abs(ring_velocity_z(r, z, rp, zp) - ref)
+                        / abs(ref))
+    assert worst <= 1e-13
 
 
 def test_mass_conservation_in_fd_resampling():
