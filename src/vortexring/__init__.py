@@ -6,7 +6,7 @@ capped, mass-constrained vorticity class, and measures how the computed
 cores concentrate as the core-size parameter shrinks.
 """
 
-from .grid import GridSpec, ScalarField, build_grid, integrate_nu, inner_nu
+from .grid import GridSpec, ScalarField, build_grid, integrate_nu
 from .profiles import GeneratorPair, make_generator
 from .solver import ProblemConfig, SolveResult, run
 
@@ -15,7 +15,6 @@ __all__ = [
     "ScalarField",
     "build_grid",
     "integrate_nu",
-    "inner_nu",
     "GeneratorPair",
     "make_generator",
     "ProblemConfig",

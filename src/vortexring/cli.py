@@ -14,7 +14,6 @@ error.
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -197,8 +196,8 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
     files = {}
     for name, text in (
             ("result.json", _json_dumps(payload)),
-            ("zeta.csv", _field_csv_text(result.state.zeta)),
-            ("psi.csv", _field_csv_text(result.state.psi))):
+            ("zeta.csv", dump_field_csv(result.state.zeta)),
+            ("psi.csv", dump_field_csv(result.state.psi))):
         _atomic_write(os.path.join(out_dir, name), text)
         files[name] = os.path.join(out_dir, name)
     stages["write"] = time.perf_counter() - t0
@@ -215,12 +214,6 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
     _atomic_write(os.path.join(out_dir, "manifest.json"),
                   _json_dumps(manifest))
     return result, record
-
-
-def _field_csv_text(fld):
-    buf = io.StringIO()
-    dump_field_csv(fld, buf)
-    return buf.getvalue()
 
 
 def _load_config(path):

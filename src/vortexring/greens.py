@@ -98,18 +98,7 @@ def kernel_bound(r, z, rp, zp, coef=0.25):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _agm_steps(r2_max, r1_min):
-    """AGM steps that converge every pair with r2 / r1 <= r2_max / r1_min.
-
-    Each step squares the relative gap c_n / a_n, after the first
-    log2 log2(4 r2 / r1) or so have brought it below one; three more take
-    it from there to below 2^-39 (measured over r2 / r1 from 1 to 1e150),
-    past the 2^-26.5 at which `_elliptic_kernel` holds a pair fixed.
-    """
-    return 3 + np.ceil(np.log2(np.log2(4.0 * r2_max / r1_min))).astype(int)
-
-
-def _elliptic_kernel(r, z, rp, zp, work=None, steps=None):
+def _elliptic_kernel(r, z, rp, zp, work=None):
     """Vectorized kernel, in Lamb's form, by the arithmetic-geometric mean.
 
     With r1 and r2 the nearest and farthest distances from (r, z) to the
@@ -128,20 +117,22 @@ def _elliptic_kernel(r, z, rp, zp, work=None, steps=None):
     A pair is held fixed, b set to a, once c_n <= 2^(-(n + 52) / 2) b_n
     (at most 2^-26.5 b_n): the next step would move a and S by less than
     2^-55 of themselves, and with b = a every later step is an exact no-op,
-    so the value does not depend on the step count beyond the one that
-    converges it. steps is that count, by default `_agm_steps` of the
-    pairs given (coincident pairs, r1 = 0, never converge and are left out:
-    their value is finite but meaningless), or one count of leading rows
-    per step, for arrays whose later rows converge sooner, with r and r'
-    constant along the rows. Every step writes into `work`, five float
-    arrays and one boolean of the broadcast shape (new ones if None), the
-    first of them the K returned, so a caller that passes the same work
-    allocates nothing. Returns (K, M).
+    so a pair's value does not depend on what else shares its array. The
+    AGM steps until every pair is held, each step on the leading rows
+    (first index) up to the last that holds an unheld pair, so arrays
+    whose later rows converge sooner cost less. Coincident pairs (r1 = 0) are held
+    from the start: their value is finite but meaningless. A pair whose r2
+    is not finite raises SingularEvaluationError. Every step writes into
+    `work`, five float arrays and one boolean of the broadcast shape (new
+    ones if None), the first of them the K returned, so a caller that
+    passes the same work allocates nothing. Returns (K, M).
     """
     r, z, rp, zp = (np.asarray(x, dtype=float) for x in (r, z, rp, zp))
     if work is None:
         shape = np.broadcast(r, z, rp, zp).shape
-        work = [np.empty(shape) for _ in range(5)] + [np.empty(shape, bool)]
+        work = [*np.empty((5,) + (shape or (1,))), np.empty(shape or 1, bool)]
+    else:
+        shape = work[0].shape
     val, a, b, c, prod, held = work
     # r1^2 and r2^2 = r1^2 + 4 r r', broadcast by copies alone: a ufunc
     # that broadcasts buffers its operands. np.square, not ** 2, which on a
@@ -153,13 +144,14 @@ def _elliptic_kernel(r, z, rp, zp, work=None, steps=None):
     a += b
     np.sqrt(a, out=a)
     np.sqrt(b, out=b)
-    if steps is None:
-        top = np.max(a)
-        steps = _agm_steps(top, np.min(b, initial=top, where=b > 0.0))
+    if not np.isfinite(np.max(a)):
+        raise SingularEvaluationError("kernel pair is not finite")
+    np.copyto(b, a, where=np.equal(b, 0.0, out=held))
     val.fill(0.0)
-    for n, m in enumerate([None] * steps if np.ndim(steps) == 0 else steps):
-        # step k = n + 1, on the leading m rows (all if None)
-        v, a_, b_, c_, p_, h_ = work if m is None else [w[:m] for w in work]
+    m, n = len(a), 0
+    while m:
+        # step k = n + 1, on the leading m rows
+        v, a_, b_, c_, p_, h_ = (w[:m] for w in work)
         np.subtract(a_, b_, out=c_)
         np.multiply(a_, b_, out=p_)
         a_ += b_
@@ -177,9 +169,13 @@ def _elliptic_kernel(r, z, rp, zp, work=None, steps=None):
         v += c_
         np.less_equal(c_, p_, out=h_)
         np.copyto(b_, a_, where=h_)
+        if h_[-1].all():
+            open_rows = ~h_.reshape(m, -1).all(axis=1)
+            m = 1 + np.max(np.flatnonzero(open_rows), initial=-1)
+        n += 1
     val *= 2.0 ** -55
     val /= a
-    return val, a
+    return val.reshape(shape), a.reshape(shape)
 
 
 def ring_velocity_z(r, z, rp, zp):
@@ -213,7 +209,7 @@ def ring_velocity_z(r, z, rp, zp):
 
 def kernel_closed_form(r, z, rp, zp):
     """Production kernel evaluation at a single point pair, by Lamb's
-    form and the AGM alone, with the step count of its own pair.
+    form and the AGM alone, bit for bit the value an array of pairs gives.
 
     Agrees with kernel_quadrature to better than 1e-10 relative, and with
     the elliptic-integral form at 40 digits to about 1e-15 on the unit
@@ -221,7 +217,8 @@ def kernel_closed_form(r, z, rp, zp):
     anywhere it stays exact to the last separation a float resolves:
     with (r1 / r2)^2 subnormal it still equals the near-coincidence law
     (sqrt(r r')/2 pi)(log(4 r2 / r1) - 2). Raises SingularEvaluationError
-    at coincidence or on a value that is not finite.
+    at coincidence, on a point that is not finite, or on a value that is
+    not finite.
     """
     s = sigma(r, z, rp, zp)
     if s == 0.0:
@@ -375,9 +372,9 @@ def _transformed_triangle(spec):
     major, over one offset more than the grid's, whose row becomes the
     DCT-I's trailing 0; the lines and their mirror image are copied into
     their even extension of length 2 n_z, whose real FFT is the DCT-I, so
-    each frequency is one contiguous row of the table. An AGM step runs on
-    the offsets whose closest distinct cells over the farthest pair still
-    need it, and every buffer is reused.
+    each frequency is one contiguous row of the table. The far offsets
+    converge first, so the AGM's later steps run on the near offsets
+    alone, and every buffer is reused.
     """
     r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
     zs = spec.dz * np.arange(n_z + 1)
@@ -387,19 +384,13 @@ def _transformed_triangle(spec):
             np.empty((n_z + 1, n_r + 1), dtype=bool)]
     ext = np.empty((2 * n_z, n_r + 1))
     freq = np.empty((n_z + 1, n_r + 1), dtype=complex)
-    # the offsets j hold no pair closer than j dz, nor the distinct pairs
-    # of offset 0 one closer than the smaller cell side; step k runs on the
-    # offsets whose closest pair over the farthest needs k steps or more
-    need = _agm_steps(np.hypot(2.0 * r[-1], zs[-1]),
-                      np.maximum(zs, min(spec.dr, spec.dz)))
-    rows = np.count_nonzero(need >= np.arange(1, need[0] + 1)[:, None], axis=1)
     p = np.arange(n_r + 1)
     for a in range((n_r + 1) // 2):
         # the pairs (t, s), s >= t, of rows a and n_r - 1 - a (an odd
         # n_r's middle row twice)
         in_a = p < n_r - a
         t, s = np.where(in_a, a, n_r - 1 - a), np.where(in_a, a + p, p - 1)
-        lines, _ = _elliptic_kernel(r[t], zs[:, None], r[s], 0.0, work, rows)
+        lines, _ = _elliptic_kernel(r[t], zs[:, None], r[s], 0.0, work)
         correct(lines.T, t, s)
         peak[t, s] = lines[:n_z].max(axis=0)
         lines[n_z] = 0.0

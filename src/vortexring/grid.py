@@ -142,31 +142,13 @@ def integrate_nu(f):
     return float(np.sum(f.values.ravel()[idx] * r)) * spec.cell_area
 
 
-def inner_nu(a, b):
-    """The nu-weighted inner product integral of a*b."""
-    if a.spec != b.spec:
-        raise GridMismatchError("fields live on different grids")
-    return float(np.sum(a.values * b.values * a.spec.nu_weights()))
-
-
-def dump_field_csv(f, path):
-    """Write a field as CSV rows r,z,value in %.17g, row-major over cells.
-
-    path may be a filesystem path or an open text stream.
-    """
+def dump_field_csv(f):
+    """A field as CSV text: rows r,z,value in %.17g, row-major over cells."""
     # a row is one %-format: its r joined in front of each ",z,%.17g\n"
     tail = [""] + [",%.17g,%%.17g\n" % z for z in f.spec.z_centers]
-
-    def emit(fh):
-        fh.write("r,z,value\n")
-        for r, row in zip(f.spec.r_centers.tolist(), f.values.tolist()):
-            fh.write(("%.17g" % r).join(tail) % tuple(row))
-
-    if hasattr(path, "write"):
-        emit(path)
-    else:
-        with open(path, "w") as fh:
-            emit(fh)
+    return "r,z,value\n" + "".join(
+        ("%.17g" % r).join(tail) % tuple(row)
+        for r, row in zip(f.spec.r_centers.tolist(), f.values.tolist()))
 
 
 def load_field_csv(spec, path):

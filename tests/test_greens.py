@@ -91,6 +91,35 @@ def test_elliptic_kernel_matches_its_scalar_calls(rng):
     assert np.array_equal(_elliptic_kernel(r, z, rp, zp)[0], alone)
 
 
+def test_far_pairs_keep_their_values_beside_a_near_pair():
+    # 100,000 far pairs (dz 10 to 1e4) converge in fewer AGM steps than one
+    # near pair (r' = r + 1e-9, dz = 0); beside it in one array, each held
+    # pair keeps the value it has alone, and every 50th the scalar value
+    rng = np.random.default_rng(7)
+    r, rp = rng.uniform(0.5, 2.0, (2, 100_000))
+    dz = 10.0 ** rng.uniform(1.0, 4.0, 100_000)
+    alone, _ = _elliptic_kernel(r, 0.0, rp, dz)
+    joined, _ = _elliptic_kernel(np.append(r, 1.0), 0.0,
+                                 np.append(rp, 1.0 + 1e-9), np.append(dz, 0.0))
+    assert np.array_equal(joined[:-1], alone)
+    scalar = [kernel_closed_form(a, 0.0, b, c).value
+              for a, b, c in zip(r[::50], rp[::50], dz[::50])]
+    assert np.array_equal(alone[::50], scalar)
+
+
+@pytest.mark.parametrize("fn", [kernel_closed_form, expansion_remainder,
+                                ring_velocity_z])
+def test_non_finite_pair_raises(fn):
+    # inf and NaN in each argument, and a finite pair whose r2 overflows
+    good = (1.0, 0.0, 1.5, 0.3)
+    bad = [good[:i] + (v,) + good[i + 1:] for i in range(4)
+           for v in (np.inf, np.nan)] + [(1e200, 0.0, 2e200, 0.0)]
+    for pair in bad:
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(SingularEvaluationError):
+            fn(*pair)
+
+
 def test_closed_form_matches_quadrature(rng):
     worst = 0.0
     for _ in range(60):

@@ -1,13 +1,11 @@
 """Grid construction, measures, and field storage."""
 
-import io
-
 import numpy as np
 import pytest
 
 from vortexring.errors import ConfigurationError, GridMismatchError
 from vortexring.grid import (ScalarField, build_grid, dump_field_csv,
-                             integrate_nu, inner_nu, load_field_csv)
+                             integrate_nu, load_field_csv)
 
 
 def test_cell_centers_three_by_two():
@@ -62,27 +60,6 @@ def test_integrate_nu_linear_field_refinement():
     assert errs[1] < 0.3 * errs[0]
 
 
-def test_inner_nu_examples():
-    spec = build_grid(0.5, 2.0, -1.0, 1.0, 40, 12)
-    ones = ScalarField(spec, np.ones((40, 12)))
-    rfld = ScalarField(spec, np.repeat(spec.r_centers[:, None], 12, axis=1))
-    zero = ScalarField(spec, np.zeros((40, 12)))
-    assert inner_nu(rfld, zero) == 0.0
-    assert inner_nu(rfld, rfld) >= 0.0
-    np.testing.assert_allclose(inner_nu(ones, rfld), 5.25, rtol=1e-3)
-
-
-def test_inner_nu_symmetric_and_grid_checked(rng):
-    spec = build_grid(0.5, 2.0, -1.0, 1.0, 12, 10)
-    a = ScalarField(spec, rng.standard_normal((12, 10)))
-    b = ScalarField(spec, rng.standard_normal((12, 10)))
-    assert abs(inner_nu(a, b) - inner_nu(b, a)) <= 1e-14 * (1 + abs(inner_nu(a, b)))
-    other = build_grid(0.5, 2.0, -1.0, 1.0, 10, 12)
-    c = ScalarField(other, np.zeros((10, 12)))
-    with pytest.raises(GridMismatchError):
-        inner_nu(a, c)
-
-
 def test_scalar_field_validation():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 4, 4)
     with pytest.raises(GridMismatchError):
@@ -97,7 +74,7 @@ def test_field_csv_roundtrip(rng, tmp_path):
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 7, 5)
     fld = ScalarField(spec, rng.standard_normal((7, 5)))
     path = tmp_path / "field.csv"
-    dump_field_csv(fld, str(path))
+    path.write_text(dump_field_csv(fld))
     back = load_field_csv(spec, str(path))
     np.testing.assert_array_equal(back.values, fld.values)
     text = path.read_text().splitlines()
@@ -105,25 +82,13 @@ def test_field_csv_roundtrip(rng, tmp_path):
     assert len(text) == 1 + 7 * 5
 
 
-def test_dump_matches_the_per_cell_writer(rng, tmp_path, per_cell_csv):
+def test_dump_matches_the_per_cell_writer(rng, per_cell_csv):
     # zeros of both signs, a subnormal, huge values of both signs, and
     # random values over the whole exponent range
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 7, 6)
     vals = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-300, 300, (7, 6))
     vals.flat[:6] = 0.0, -0.0, 5e-324, 1e300, -1e300, 3.3e-310
     fld = ScalarField(spec, vals)
-    buf = io.StringIO()
-    dump_field_csv(fld, buf)
-    assert buf.getvalue() == per_cell_csv(fld)
-    assert "\n0.6071428571428571,-0.5,-0\n" in buf.getvalue()
-    path = tmp_path / "field.csv"
-    dump_field_csv(fld, str(path))
-    assert path.read_bytes() == per_cell_csv(fld).encode()
-
-
-def test_dump_accepts_stream():
-    spec = build_grid(0.5, 2.0, -1.0, 1.0, 2, 2)
-    fld = ScalarField(spec, np.ones((2, 2)))
-    buf = io.StringIO()
-    dump_field_csv(fld, buf)
-    assert buf.getvalue().startswith("r,z,value\n")
+    text = dump_field_csv(fld)
+    assert text == per_cell_csv(fld)
+    assert "\n0.6071428571428571,-0.5,-0\n" in text

@@ -9,7 +9,7 @@ import pytest
 
 from vortexring import solver
 from vortexring.errors import ConfigurationError, NumericalError
-from vortexring.grid import ScalarField, inner_nu, integrate_nu
+from vortexring.grid import ScalarField, integrate_nu
 from vortexring.greens import apply_stream_operator, get_stream_operator
 from vortexring.profiles import (cell_law, eval_dJds, eval_i, eval_J,
                                  make_generator)
@@ -143,11 +143,11 @@ def _energy_full_grid(config, gen, zeta, psi0):
     """The functional with every term summed over the whole grid: the
     reference for energy, which sums over the support alone."""
     eps2 = config.epsilon ** 2
-    kern = 0.5 * inner_nu(zeta, psi0)
     spec = zeta.spec
-    r2 = spec.r_centers[:, None] ** 2
-    impulse = float(np.sum(zeta.values * r2 * spec.nu_weights()))
     w = spec.nu_weights()
+    kern = 0.5 * float(np.sum(zeta.values * psi0.values * w))
+    r2 = spec.r_centers[:, None] ** 2
+    impulse = float(np.sum(zeta.values * r2 * w))
     u = eps2 * zeta.values
     nz = u > 0
     penalty = 0.0
