@@ -178,6 +178,18 @@ def _elliptic_kernel(r, z, rp, zp, work=None):
     return val.reshape(shape), a.reshape(shape)
 
 
+def _unit_pair(r, z, rp, zp):
+    """(r, z - z', r') scaled by the power of two 2^s that brings the
+    largest of r, r' and |z - z'| into [1, 2), and s. A power of two
+    scales without rounding, and K has degree 1 in length, so the pointwise
+    kernels evaluate there and scale back exactly, far from unit scale
+    too; a pair that is not finite keeps s = 1 and stays not finite."""
+    r, rp = np.asarray(r, dtype=float), np.asarray(rp, dtype=float)
+    dz = np.asarray(z, dtype=float) - np.asarray(zp, dtype=float)
+    s = 1 - np.frexp(np.maximum(np.maximum(r, rp), np.abs(dz)))[1]
+    return np.ldexp(r, s), np.ldexp(dz, s), np.ldexp(rp, s), s
+
+
 def ring_velocity_z(r, z, rp, zp):
     """Axial velocity (1/r) dK/dr at (r, z) of the unit filament at (r', z').
 
@@ -195,16 +207,16 @@ def ring_velocity_z(r, z, rp, zp):
               / (2 M r1^2 r2^2).
 
     For well-separated points only: it is singular at the filament, and
-    near a cell it is not the velocity of the cell. Vectorized.
+    near a cell it is not the velocity of the cell. Vectorized; v_z has
+    degree -1 in length, evaluated at unit scale (_unit_pair).
     """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    dz2 = np.square(np.asarray(z, dtype=float) - np.asarray(zp, dtype=float))
-    kern, agm = _elliptic_kernel(r, z, rp, zp)
+    r, dz, rp, s = _unit_pair(r, z, rp, zp)
+    dz2 = np.square(dz)
+    kern, agm = _elliptic_kernel(r, dz, rp, 0.0)
     diff = rp * rp - r * r
     near2, far2 = np.square(r - rp) + dz2, np.square(r + rp) + dz2
-    return ((rp * rp * (diff + dz2) - (diff - dz2) * 2.0 * agm * kern)
-            / (2.0 * agm * near2 * far2))
+    return np.ldexp((rp * rp * (diff + dz2) - (diff - dz2) * 2.0 * agm * kern)
+                    / (2.0 * agm * near2 * far2), s)
 
 
 def kernel_closed_form(r, z, rp, zp):
@@ -216,14 +228,16 @@ def kernel_closed_form(r, z, rp, zp):
     box and 1e-14 at dz = 30 r. With no difference of close numbers
     anywhere it stays exact to the last separation a float resolves:
     with (r1 / r2)^2 subnormal it still equals the near-coincidence law
-    (sqrt(r r')/2 pi)(log(4 r2 / r1) - 2). Raises SingularEvaluationError
-    at coincidence, on a point that is not finite, or on a value that is
-    not finite.
+    (sqrt(r r')/2 pi)(log(4 r2 / r1) - 2). It is evaluated at unit scale
+    (_unit_pair), so a finite pair far from it has a finite value.
+    Raises SingularEvaluationError at coincidence, on a point that is not
+    finite, or on a value that is not finite.
     """
-    s = sigma(r, z, rp, zp)
+    r, dz, rp, scale = _unit_pair(r, z, rp, zp)
+    s = sigma(r, dz, rp, 0.0)
     if s == 0.0:
         raise SingularEvaluationError("kernel evaluated at coincident points")
-    val = float(_elliptic_kernel(r, z, rp, zp)[0])
+    val = float(np.ldexp(_elliptic_kernel(r, dz, rp, 0.0)[0], -scale))
     if not np.isfinite(val):
         raise SingularEvaluationError("kernel is not finite at sigma=%.3e" % s)
     return KernelEval(value=val, estimated_error=1e-13 * abs(val))
@@ -274,14 +288,14 @@ def expansion_remainder(r, z, rp, zp):
     Returns l = [K - (sqrt(r r')/2 pi)(log(1/sigma) + log(1 + sqrt(sigma^2+1)))]
     / sqrt(r r'). The leading terms capture the logarithmic blowup, so l
     stays bounded down to sigma = 0 (limit (log 2 - 2)/(2 pi)) and decays
-    for well-separated points. Accepts scalars or arrays.
+    for well-separated points. Accepts scalars or arrays; l has degree 0
+    in length, evaluated at unit scale (_unit_pair).
     """
-    s = sigma(r, z, rp, zp)
+    r, dz, rp, _ = _unit_pair(r, z, rp, zp)
+    s = sigma(r, dz, rp, 0.0)
     if np.any(np.asarray(s) == 0.0):
         raise SingularEvaluationError("remainder evaluated at coincident points")
-    val, _ = _elliptic_kernel(r, z, rp, zp)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
+    val, _ = _elliptic_kernel(r, dz, rp, 0.0)
     root = np.sqrt(r * rp)
     lead = (root / TWO_PI) * (np.log(1.0 / s) + np.log(1.0 + np.sqrt(s * s + 1.0)))
     out = (val - lead) / root

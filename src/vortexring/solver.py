@@ -26,14 +26,22 @@ because its near-field correction spans NCORR row widths in z; an
 evenness: it iterates on the rows z > 0 alone, each cell weighted for
 itself and its mirror image, and applies K to them by
 greens.StreamOperator.apply_even. It builds each cell's radius, nu
-weight, background, and i and J (profiles.cell_law) once, so the fills
-and the energy run unchecked; it takes each iterate's sorted nonzero
-flat index from the cells the search filled, for the mass, the cap
-clamp, the energy, the L1 change, the support count and the apply's
+weight, background, and i and J (profiles.cell_law) once (Cells), so
+the fills and the energy run unchecked; it takes each iterate's sorted
+nonzero flat index from the cells the search filled, for the mass, the
+cap clamp, the energy, the L1 change, the support count and the apply's
 band; and it applies K only on the target rows whose bound can reach
-the search's cut (step). A non-finite energy raises NumericalError, as
-does a returned state that is not symmetric; the full field is built
-once, for that state.
+the search's cut (step). Every pass outside the apply then costs in
+proportion to those rows and the search's band, not to the grid: the
+iterates and their stream fields are plain arrays, the search reads the
+applied rows alone, the row bound sums the support's source rows alone,
+and the L1 change marks two supports over their span only. At a few
+hundred cells a numpy call's fixed cost is most of its time, so these
+passes sum by np.add.reduce, the pairwise sum of ndarray.sum without
+its Python-level wrapper. A non-finite stream on a searched row or a
+non-finite energy raises NumericalError, as does a returned state that
+is not symmetric; the full fields are built and checked once, for that
+state.
 
 The optimality profile of the converged state is
 
@@ -46,8 +54,10 @@ level set psi = 0 (the bathtub ledge), which is where generators with a
 jump at the origin place their fractional cells.
 """
 
+import math
 import time
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,67 +195,91 @@ def background_field(config, spec):
 
 
 def energy(config, gen, zeta, psi0, idx=None, grid=None):
-    """The three-term functional at (zeta, psi0 = K zeta), for a
-    nonnegative zeta, summed over its sorted flat support idx (scanned for
-    if None) with the radii, nu weights and J of grid (built if None)."""
-    _, eps2, r, w, _, _, J = grid or _grid_constants(config, gen, zeta.spec)
+    """The three-term functional at (zeta, psi0 = K zeta), arrays on the
+    box of grid (config's grid if None), for a nonnegative zeta, summed
+    over its sorted flat support idx (scanned for if None)."""
+    _, eps2, r, w, _, _, J, _ = grid or _grid_constants(
+        config, gen, config.domain_grid())
     # nonzero over a float array is ~10x slower than over a boolean mask
-    idx = np.flatnonzero(zeta.values.ravel() != 0.0) if idx is None else idx
+    idx = np.flatnonzero(zeta.ravel() != 0.0) if idx is None else idx
     r, w = r[idx], w[idx]
-    z = zeta.values.ravel()[idx]
-    kern = 0.5 * float((z * psi0.values.ravel()[idx] * w).sum())
-    impulse = float((z * r ** 2 * w).sum())
-    penalty = float((J(eps2 * z, idx) * w).sum())
+    z = zeta.ravel()[idx]
+    kern = 0.5 * float(np.add.reduce(z * psi0.ravel()[idx] * w))
+    impulse = float(np.add.reduce(z * r ** 2 * w))
+    penalty = float(np.add.reduce(J(eps2 * z, idx) * w))
     return kern - 0.5 * config.W * config.log_inv_eps * impulse - penalty / eps2
 
 
+# run's per-run constants of one box: the cap, eps^2, each flat cell's r,
+# nu weight and background, i and J resolved per cell (profiles.cell_law),
+# and the box
+Cells = namedtuple("Cells", "lam eps2 r w bg i J spec")
+
+
 def _grid_constants(config, gen, spec):
-    """The cap, eps^2 and each flat cell's r, nu weight, background, i, J."""
+    """The Cells of spec."""
     r = np.repeat(spec.r_centers, spec.n_z)
-    return (config.resolved_lambda(gen), config.epsilon ** 2, r,
-            spec.nu_weights().ravel(), background_field(config, spec).ravel(),
-            *cell_law(gen, r))
+    return Cells(config.resolved_lambda(gen), config.epsilon ** 2, r,
+                 spec.nu_weights().ravel(),
+                 background_field(config, spec).ravel(), *cell_law(gen, r),
+                 spec)
 
 
-def solve_mu(config, gen, psi0, start=0, grid=None, cut=None):
-    """Multiplier and updated vorticity of one outer step, the count of
-    cells above mu (the next step's start; 0 is cold), the fill calls and
-    the sorted flat index of the update's nonzero cells.
+def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None,
+             out=None):
+    """Multiplier and updated vorticity of one outer step from psi0, an
+    array on the box of grid (run's per-run Cells; config's grid if None),
+    searched on its rows [a0, a1) = rows (all if None): returns mu, the
+    update (written into out, a zero array of psi0's shape, if given), the
+    count of cells above mu (the next step's start; 0 is cold), the fill
+    calls and the sorted flat index of the update's nonzero cells.
 
     The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
     with head = psi0 less the per-row background, and its mass is
-    nonincreasing in mu.
+    nonincreasing in mu. Only the heads, weights and cells of the searched
+    rows are read; the update is 0 on the other rows, which is exact when
+    their heads lie below every level searched, as the rows step leaves
+    unapplied do. A non-finite head raises NumericalError.
     rearrange.threshold_fill returns the smallest mu >= 0 whose update fits
     the mass budget: zero when the unconstrained update fits; a head value
     when the mass jumps across the budget there, as it does for generators
     with a jump at the origin, in which case the cells on that level set
     (the ledge psi = 0) are filled fractionally; and a root between two
     heads, to a few ulp of the budget, otherwise. Each mass evaluation is
-    one call of i on the cells above the probed mu, with i resolved on the
-    cells in grid, run's per-run constants (built if None); cut, a level
-    below mu, picks its band (None: every positive head).
+    one call of i on the cells above the probed mu; cut, a level below mu,
+    picks its band (None: every positive head).
     """
-    spec = psi0.spec
-    lam, eps2, r, w, bg, law_i, _ = grid or _grid_constants(config, gen, spec)
-    head = psi0.values.ravel() - bg
+    lam, eps2, r, w, bg, law_i, _, spec = grid or _grid_constants(
+        config, gen, config.domain_grid())
+    a0, a1 = rows or (0, psi0.shape[0])
+    lo, hi = a0 * psi0.shape[1], a1 * psi0.shape[1]
+    head = psi0[a0:a1].ravel() - bg[lo:hi]
+    if np.count_nonzero(np.isfinite(head)) < head.size:
+        raise NumericalError("stream field is not finite on rows %d to %d"
+                             % (a0, a1))
     evals = 0
 
-    def fill(t, idx):
-        nonlocal evals
-        evals += 1
-        return np.minimum(lam, law_i(t, idx))
+    def fill(cells):
+        law = law_i.at(cells + lo if lo else cells)
 
-    mu, u, above, filled = threshold_fill(head, w, config.kappa * eps2, fill,
-                                          start, cut)
-    idx = np.sort(filled[u[filled] != 0.0])
-    z = u[idx] / eps2
-    mass = float((z * r[idx]).sum()) * spec.cell_area
+        def band(t):
+            nonlocal evals
+            evals += 1
+            return np.minimum(lam, law(t))
+        return band
+
+    mu, u, above, idx = threshold_fill(head, w[lo:hi], config.kappa * eps2,
+                                       fill, start, cut)
+    if lo:
+        idx += lo
+    z = np.divide(u, eps2, out=u)
+    mass = float(np.add.reduce(z * r[idx])) * spec.cell_area
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
-    u[idx] = _capped(z, config, lam, mass)
-    zeta = ScalarField(spec, u.reshape(psi0.values.shape))
-    return mu, zeta, above, evals, idx
+    update = np.zeros(psi0.shape) if out is None else out
+    update.ravel()[idx] = _capped(z, config, lam, mass)
+    return mu, update, above, evals, idx
 
 
 def _capped(vals, config, lam, mass):
@@ -296,40 +330,60 @@ def l1_change(spec, a, b, idx=None, w=None):
     idx = np.flatnonzero((a != 0.0) | (b != 0.0)) if idx is None else idx
     w = (spec.nu_weights().ravel() if w is None else w)[idx]
     a, b = a.ravel()[idx], b.ravel()[idx]
-    denom = float((np.abs(a) * w).sum())
-    return float((np.abs(b - a) * w).sum()) / max(denom, 1e-300)
+    denom = float(np.add.reduce(np.abs(a) * w))
+    return float(np.add.reduce(np.abs(b - a) * w)) / max(denom, 1e-300)
 
 
 def _window(op, upper, idx, bg, cut):
     """Target rows [a0, a1) holding each row whose heads psi0 - bg (bg per
     cell) can pass cut less a margin far above roundoff, as psi0 <=
-    op.row_bound, joined with the source band of upper's support idx."""
-    half, bound = upper.shape[1], op.row_bound(upper)
-    hit = np.flatnonzero(bound - bg[::half] > cut - 1e-9 * bound.max())
-    a0, a1 = idx[0] // half, idx[-1] // half + 1
-    return (min(a0, hit[0]), max(a1, hit[-1] + 1)) if hit.size else (a0, a1)
+    op.row_bound, joined with the source band of upper's support idx. The
+    row bound sums the support's source rows [b0, b1) alone."""
+    half = upper.shape[1]
+    b0, b1 = idx[0] // half, idx[-1] // half + 1
+    bound = 2.0 * np.add.reduce(upper[b0:b1], axis=1) @ op.bound[b0:b1]
+    level = cut - 1e-9 * np.maximum.reduce(bound)
+    hit = (bound - bg[::half] > level).nonzero()[0]
+    return (min(b0, hit[0]), max(b1, hit[-1] + 1)) if hit.size else (b0, b1)
 
 
-def step(op, config, gen, zeta, idx, grid, start, cut, timed):
+def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None):
     """One outer step: psi0 = K zeta, then solve_mu from start with cut,
-    for zeta the rows z > 0 of an even iterate nonzero on idx. A positive
-    cut applies _window's rows alone, and all if mu ends below the cut, as
-    that search read rows left 0. Returns psi0, solve_mu's values with both
-    searches' fill calls, and the rows applied; timed(layer, f, *args)
-    calls f (run's timer, or a plain call)."""
-    full = rows = (0, zeta.values.shape[0])
+    for zeta the rows z > 0 of an even iterate nonzero on idx, all plain
+    arrays, writing the update into spare (a zero array of zeta's shape)
+    if given. A positive cut applies and searches _window's rows alone,
+    and all if mu ends below the cut, as that search read rows left 0.
+    Returns psi0, solve_mu's values with both searches' fill calls, and
+    the rows applied; timed(layer, f, *args) calls f (run's timer, or a
+    plain call)."""
+    full = rows = (0, zeta.shape[0])
     if cut is not None and cut > 0.0:
-        rows = timed("apply_even", _window, op, zeta.values, idx, grid[4], cut)
+        rows = timed("window", _window, op, zeta, idx, grid.bg, cut)
     applied = evals = 0
     while True:
-        psi0 = ScalarField(zeta.spec, timed("apply_even", op.apply_even,
-                                            zeta.values, idx, rows))
+        psi0 = timed("apply_even", op.apply_even, zeta, idx, rows)
         mu, update, above, n, nxt = timed(
-            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut)
+            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows,
+            spare)
         applied, evals = applied + rows[1] - rows[0], evals + n
         if rows == full or mu >= cut:
             return psi0, mu, update, above, evals, nxt, applied
         rows = full
+        if update is spare:
+            spare.ravel()[nxt] = 0.0
+
+
+def _union(a, b):
+    """The sorted union of two sorted flat indices, by a mask over the
+    span up to their last cell, read from their first."""
+    if a.size == b.size and not np.count_nonzero(a != b):
+        return b  # the support stayed
+    if not (a.size and b.size):
+        return a if b.size == 0 else b
+    lo = min(a[0], b[0])
+    mask = np.zeros(max(a[-1], b[-1]) + 1, dtype=bool)
+    mask[a] = mask[b] = True
+    return mask[lo:].nonzero()[0] + lo
 
 
 def check_problem(config, gen):
@@ -352,14 +406,16 @@ def run(config, gen):
     trace is recorded per iterate and asserted finite and nondecreasing
     (1e-9 relative slack); mu, the L1 change, the full field's count of
     nonzero cells, the multiplier search's mass evaluations and the target
-    rows applied are recorded per iteration, and the seconds spent in
-    apply_even, solve_mu and energy over the run in layer_seconds. Each
-    step (see step) starts from the last one's count of cells above mu, on
-    the heads above the last mu less twice its last move and mu / 20. The
-    returned vorticity must be a fixed point of steiner_symmetrize_z, bit
-    for bit, or NumericalError is raised. The final state gets a fresh
-    stream field from a full apply so the reported optimality residual and
-    patch measure are self-consistent. check_problem runs first.
+    rows applied are recorded per iteration, and the seconds spent over
+    the run in layer_seconds: in _window's row bound, apply_even, solve_mu
+    and energy, and in the rest of the loop up to the final state's energy
+    (other), so the five sum to the loop's wall time. Each step (see step)
+    starts from the last one's count of cells above mu, on the heads above
+    the last mu less twice its last move and mu / 20. The returned
+    vorticity must be a fixed point of steiner_symmetrize_z, bit for bit,
+    or NumericalError is raised. The final state gets a fresh stream field
+    from a full apply so the reported optimality residual and patch
+    measure are self-consistent. check_problem runs first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -369,11 +425,12 @@ def run(config, gen):
     # weights double, so masses and energies are those of the even field
     half = spec.n_z // 2
     pairs = replace(spec, n_z=half)
-    zeta = ScalarField(pairs, initialize(config, gen).values[:, half:])
+    zeta = initialize(config, gen).values[:, half:]
     grid = _grid_constants(config, gen, pairs)
 
     trace, mus, changes, supports, evals, applied = [], [], [], [], [], []
-    seconds = dict.fromkeys(("apply_even", "solve_mu", "energy"), 0.0)
+    seconds = dict.fromkeys(
+        ("window", "apply_even", "solve_mu", "energy", "other"), 0.0)
 
     def timed(layer, f, *args):
         t0 = time.perf_counter()
@@ -385,7 +442,7 @@ def run(config, gen):
         """The energy of zeta (nonzero on idx, psi0 = K zeta) joins the
         trace after the ascent check. it is None for the final state."""
         e = timed("energy", energy, config, gen, zeta, psi0, idx, grid)
-        if not np.isfinite(e):
+        if not math.isfinite(e):
             raise NumericalError("energy is not finite: %r" % e)
         if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
             if it is None:
@@ -397,20 +454,30 @@ def run(config, gen):
         return psi0
 
     mu, above, cut = 0.0, 0, None
-    idx = np.flatnonzero(zeta.values.ravel() != 0.0)
+    spare, owned = np.zeros(zeta.shape), False
+    idx = np.flatnonzero(zeta.ravel() != 0.0)
+    t0 = time.perf_counter()
     for it in range(1, config.max_iterations + 1):
         psi0, mu, zeta_next, above, n, nxt, m = step(
-            op, config, gen, zeta, idx, grid, above, cut, timed)
+            op, config, gen, zeta, idx, grid, above, cut, timed, spare)
         ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
         evals.append(n)
         applied.append(m)
-        both = np.zeros(zeta.values.size, dtype=bool)
-        both[idx] = both[nxt] = True
-        changes.append(l1_change(pairs, zeta.values, zeta_next.values,
-                                 np.flatnonzero(both), grid[3]))
+        changes.append(l1_change(pairs, zeta, zeta_next, _union(idx, nxt),
+                                 grid.w))
         supports.append(2 * nxt.size)
+        # the next update goes into the last iterate, zeroed on its support,
+        # when that iterate filled an earlier spare, so no pass runs over
+        # the grid; into a new zero array otherwise
+        took = zeta_next is spare
+        if took and owned:
+            zeta.ravel()[idx] = 0.0
+            spare = zeta
+        else:
+            spare = np.zeros(zeta.shape)
+        owned = took
         zeta, idx = zeta_next, nxt
         if changes[-1] <= config.tol_zeta:
             break
@@ -418,16 +485,17 @@ def run(config, gen):
     converged = iterations > 0 and changes[-1] <= config.tol_zeta
 
     def unfold(f):
-        return ScalarField(spec, np.hstack((f.values[:, ::-1], f.values)))
+        return ScalarField(spec, np.hstack((f[:, ::-1], f)))
 
     # the full field sums its mass in another order: clamp it once more
     zeta = unfold(zeta)
     _capped(zeta.values, config, lam, integrate_nu(zeta))
     if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
-    upper = ScalarField(pairs, zeta.values[:, half:])
-    psi0 = unfold(ascend(upper, ScalarField(pairs, timed(
-        "apply_even", op.apply_even, upper.values)), None, None))
+    upper = zeta.values[:, half:]
+    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper),
+                         None, None))
+    seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())
     bg = background_field(config, spec)
     psi = ScalarField(spec, psi0.values - bg - mu)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,

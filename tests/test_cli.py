@@ -106,7 +106,8 @@ def test_manifest_holds_the_layer_seconds(solved_dir):
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)
     layers = manifest["layer_seconds"]
-    assert sorted(layers) == ["apply_even", "energy", "solve_mu"]
+    assert sorted(layers) == ["apply_even", "energy", "other", "solve_mu",
+                              "window"]
     assert 0.0 < sum(layers.values()) < manifest["wall_clock_seconds"]["solve"]
     with open(os.path.join(out, "result.json")) as f:
         assert "layer_seconds" not in f.read()
@@ -218,9 +219,9 @@ def test_failed_solve_prints_one_error_line(tmp_path, capsys):
 
 
 def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
-    # only the oracles and validate load scipy, on demand: solve, sweep and
-    # report through the CLI, with the diagnostics record of every solve,
-    # load no module under scipy
+    # only the oracles and validate load scipy and numpy.random, on demand:
+    # solve, sweep and report through the CLI, with the diagnostics record
+    # of every solve, load no module under either
     grid = {"n_r": 24, "n_z": 24}
     solve = _write_config(tmp_path / "solve.json", grid=grid)
     sweep = str(tmp_path / "sweep.json")
@@ -232,7 +233,7 @@ def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
             "rc = [cli.main([c, '--config', p, '--out', %r]) for c, p in "
             "(('solve', %r), ('sweep', %r), ('report', %r))]; "
             "print(*rc, *[m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'])"
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')])"
             % (out, solve, sweep, sweep))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))

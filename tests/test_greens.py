@@ -110,14 +110,36 @@ def test_far_pairs_keep_their_values_beside_a_near_pair():
 @pytest.mark.parametrize("fn", [kernel_closed_form, expansion_remainder,
                                 ring_velocity_z])
 def test_non_finite_pair_raises(fn):
-    # inf and NaN in each argument, and a finite pair whose r2 overflows
+    # inf and NaN in each argument
     good = (1.0, 0.0, 1.5, 0.3)
     bad = [good[:i] + (v,) + good[i + 1:] for i in range(4)
-           for v in (np.inf, np.nan)] + [(1e200, 0.0, 2e200, 0.0)]
+           for v in (np.inf, np.nan)]
     for pair in bad:
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(SingularEvaluationError):
             fn(*pair)
+
+
+@pytest.mark.parametrize("fn, degree", [
+    (lambda *pair: kernel_closed_form(*pair).value, 1),
+    (expansion_remainder, 0), (ring_velocity_z, -1)],
+    ids=["kernel_closed_form", "expansion_remainder", "ring_velocity_z"])
+def test_pointwise_kernels_scale_with_length(fn, degree):
+    # K has degree 1 in length, its remainder 0 and the axial velocity -1.
+    # A power of two scales exactly, so at 2^k times a pair each is 2^(k
+    # degree) times its unit value bit for bit, and stays finite far from
+    # unit scale: a far pair, an offset one, and a near one
+    for pair in ((1.0, 0.0, 2.0, 0.0), (0.7, 0.3, 1.9, -0.4),
+                 (1.3, 0.0, 1.3 + 1e-9, 0.0)):
+        unit = fn(*pair)
+        for k in (20, -20, 500, -500):
+            got = fn(*(np.ldexp(x, k) for x in pair))
+            assert np.isfinite(got) and got == np.ldexp(unit, k * degree)
+    # at r = 1e200 the weighted first term of the AGM sum overflowed
+    # unscaled, and at 1e-160 r1^2 r2^2 underflowed
+    for c in (1e200, 1e-160):
+        np.testing.assert_allclose(fn(c, 0.0, 2.0 * c, 0.0) / c ** degree,
+                                   fn(1.0, 0.0, 2.0, 0.0), rtol=1e-14)
 
 
 def test_closed_form_matches_quadrature(rng):

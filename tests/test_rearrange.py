@@ -88,11 +88,19 @@ def _check_against_oracle(h, w, budget, law, warm=False, cuts=()):
     def check(start, cut=None):
         calls = []
 
-        def fill(t, idx):
-            calls.append((t.copy(), idx.copy()))
-            return law(t, idx)
+        def fill(cells):
+            def band(t):
+                idx = cells[:t.size]
+                calls.append((t.copy(), idx.copy()))
+                return law(t, idx)
+            return band
 
-        mu, u, count, filled = threshold_fill(h, w, budget, fill, start, cut)
+        mu, fills, count, filled = threshold_fill(h, w, budget, fill, start,
+                                                  cut)
+        # the fills come as the nonzero ones of the ascending cells filled
+        assert np.all(np.diff(filled) > 0) and np.all(fills != 0.0)
+        u = np.zeros(h.size)
+        u[filled] = fills
         assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
         np.testing.assert_allclose(u, u_ref, rtol=1e-12, atol=1e-12 * scale)
         if mu > 0.0:
@@ -241,8 +249,11 @@ def test_threshold_fill_single_level(rng):
             else:
                 assert 0.0 < mu < 1.5, name
     # the step fill on one level is the bathtub ledge: fractions w-blind
-    mu, u, *_ = threshold_fill(h, w, 0.5 * float(np.sum(w[on])),
-                              lambda t, idx: (t > 0.0).astype(float))
+    mu, fills, _, filled = threshold_fill(
+        h, w, 0.5 * float(np.sum(w[on])),
+        lambda idx: lambda t: (t > 0.0).astype(float))
+    u = np.zeros(n)
+    u[filled] = fills
     np.testing.assert_allclose(u[on], 0.5, rtol=1e-14)
     assert np.all(u[~on] == 0.0)
 
@@ -261,7 +272,9 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            mu, *_ = threshold_fill(h, w, budget, law, 0, cut)
+            mu, *_ = threshold_fill(
+                h, w, budget, lambda idx: lambda t: law(t, idx[:t.size]), 0,
+                cut)
             gc.collect()
             held = [r for o in gc.garbage for r in gc.get_referents(o)
                     if isinstance(r, np.ndarray)]
@@ -276,7 +289,7 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
 def test_solve_mu_matches_full_array_search(which, request):
     result = request.getfixturevalue(which)
     config, gen, psi0 = result.config, result.gen, result.state.psi0
-    mu, zeta, *_ = solver.solve_mu(config, gen, psi0)
+    mu, zeta, *_ = solver.solve_mu(config, gen, psi0.values)
 
     # the full-array update of solve_mu, through the oracle search
     spec = psi0.spec
@@ -296,7 +309,7 @@ def test_solve_mu_matches_full_array_search(which, request):
     assert mu > 0.0
     assert abs(mu - mu_ref) <= 1e-12 * mu_ref
     scale = float(np.max(zeta_ref.values))
-    assert float(np.max(np.abs(zeta.values - zeta_ref.values))) <= 1e-12 * scale
+    assert float(np.max(np.abs(zeta - zeta_ref.values))) <= 1e-12 * scale
 
 
 def test_bathtub_worked_example():

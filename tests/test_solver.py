@@ -121,15 +121,13 @@ def test_energy_zero_field_and_scaling():
     cfg = ProblemConfig(epsilon=0.1, n_r=24, n_z=24)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
-    zero = ScalarField(spec, np.zeros((24, 24)))
+    zero = np.zeros((24, 24))
     assert energy(cfg, gen, zero, zero) == 0.0
 
     zeta = initialize(cfg, gen)
     psi0 = apply_stream_operator(zeta)
-    e1 = energy(cfg, gen, zeta, psi0)
-    two = ScalarField(spec, 2.0 * zeta.values)
-    psi0_two = ScalarField(spec, 2.0 * psi0.values)
-    e2 = energy(cfg, gen, two, psi0_two)
+    e1 = energy(cfg, gen, zeta.values, psi0.values)
+    e2 = energy(cfg, gen, 2.0 * zeta.values, 2.0 * psi0.values)
     # power_law(1): kernel and penalty terms are quadratic, the impulse
     # term is linear, so E(2 zeta) - 4 E(zeta) = 2 * impulse term
     w = spec.nu_weights()
@@ -163,7 +161,8 @@ def test_energy_matches_full_grid_sum(coarse_turkington, coarse_power_law,
     for result in (coarse_turkington, coarse_power_law):
         st = result.state
         ref = _energy_full_grid(result.config, result.gen, st.zeta, st.psi0)
-        got = energy(result.config, result.gen, st.zeta, st.psi0)
+        got = energy(result.config, result.gen, st.zeta.values,
+                     st.psi0.values)
         assert abs(got - ref) <= 1e-13 * abs(ref)
     # a nonnegative field with no symmetry and holes in its support
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
@@ -176,8 +175,9 @@ def test_energy_matches_full_grid_sum(coarse_turkington, coarse_power_law,
     for gen in (make_generator("power_law", p=1.0),
                 make_generator("turkington", alpha=1.0)):
         ref = _energy_full_grid(cfg, gen, zeta, psi0)
-        assert abs(energy(cfg, gen, zeta, psi0) - ref) <= 1e-13 * abs(ref)
-        assert energy(cfg, gen, zero, psi0) == 0.0
+        assert (abs(energy(cfg, gen, zeta.values, psi0.values) - ref)
+                <= 1e-13 * abs(ref))
+        assert energy(cfg, gen, zero.values, psi0.values) == 0.0
 
 
 def test_solve_mu_pointwise_cases():
@@ -193,25 +193,24 @@ def test_solve_mu_pointwise_cases():
     head[1, 1] = 0.5
     head[2, 2] = 100.0
     psi0 = bg + head
-    mu, out, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, out, *_ = solve_mu(cfg, gen, psi0)
     eps2 = cfg.epsilon ** 2
     assert mu == 0.0
-    assert out.values[0, 0] == 0.0
+    assert out[0, 0] == 0.0
     # i(r, t) = t for power_law p=1, at the head solve_mu sees
-    np.testing.assert_allclose(out.values[1, 1], (psi0 - bg)[1, 1] / eps2,
+    np.testing.assert_allclose(out[1, 1], (psi0 - bg)[1, 1] / eps2,
                                rtol=1e-15)
-    np.testing.assert_allclose(out.values[2, 2], 40.0 / eps2, rtol=1e-15)
-    assert np.count_nonzero(out.values) == 2
+    np.testing.assert_allclose(out[2, 2], 40.0 / eps2, rtol=1e-15)
+    assert np.count_nonzero(out) == 2
 
 
 def test_solve_mu_zero_stream():
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
-    mu, zeta, *_ = solve_mu(cfg, gen,
-                              ScalarField(spec, np.zeros((16, 16))))
+    mu, zeta, *_ = solve_mu(cfg, gen, np.zeros((16, 16)))
     assert mu == 0.0
-    assert np.all(zeta.values == 0.0)
+    assert np.all(zeta == 0.0)
 
 
 _TABLE_T = np.linspace(0.0, 60.0, 13)
@@ -259,8 +258,8 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
     """solve_mu on an n x n grid under a broad quadratic hump over the
     background, whose raw update holds far more than kappa; checks the
     mass constraint and the cap, and returns the cell count of every
-    call of the loop's law i (one per mass evaluation) and the number of
-    cells under the hump."""
+    call of the loop's law i on a band (one per mass evaluation) and the
+    number of cells under the hump."""
     cfg = ProblemConfig(epsilon=0.1, n_r=n, n_z=n)
     gen = make_generator(family, **params)
     spec = cfg.domain_grid()
@@ -272,20 +271,26 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
 
     def counted_law(gen, r):
         law_i, law_J = cell_law(gen, r)
+        band_law = law_i.at
 
-        def counted(t, idx=...):
-            sizes.append(np.size(t))
-            return law_i(t, idx)
-        return counted, law_J
+        def at(idx):
+            band = band_law(idx)
+
+            def counted(t):
+                sizes.append(np.size(t))
+                return band(t)
+            return counted
+        law_i.at = at
+        return law_i, law_J
 
     monkeypatch.setattr(solver, "cell_law", counted_law)
-    mu, zeta, *_ = solve_mu(cfg, gen, ScalarField(spec, bg + hump))
+    mu, zeta, *_ = solve_mu(cfg, gen, bg + hump)
     assert mu > 0.0
-    mass = integrate_nu(zeta)
+    mass = integrate_nu(ScalarField(spec, zeta))
     assert mass <= cfg.kappa
     np.testing.assert_allclose(mass, cfg.kappa, rtol=1e-12)
     lam = cfg.resolved_lambda(gen)
-    assert np.max(cfg.epsilon ** 2 * zeta.values) <= lam
+    assert np.max(cfg.epsilon ** 2 * zeta) <= lam
     return sizes, int(np.count_nonzero(hump > 0.0))
 
 
@@ -302,9 +307,13 @@ def _warm_band_checked(monkeypatch):
     def checked(h, w, budget, fill, start=0, cut=None):
         calls = []
 
-        def counted(t, idx):
-            calls.append(idx.size)
-            return fill(t, idx)
+        def counted(cells):
+            band = fill(cells)
+
+            def law(t):
+                calls.append(t.size)
+                return band(t)
+            return law
 
         mu, u, count, filled = threshold_fill(h, w, budget, counted)
         cold_calls.append(len(calls))
@@ -340,7 +349,7 @@ def test_warm_band_on_the_ledge(monkeypatch):
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     cold_calls = _warm_band_checked(monkeypatch)
     mu, *_ = solve_mu(cfg, make_generator("turkington", alpha=1.0),
-                      ScalarField(spec, background_field(cfg, spec) + plateau))
+                      background_field(cfg, spec) + plateau)
     assert mu > 0.0 and len(cold_calls) == 1
 
 
@@ -358,7 +367,7 @@ def test_solve_mu_ledge_fill_for_jump_generator():
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     psi0 = bg + plateau
-    mu, zeta, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
+    mu, zeta, *_ = solve_mu(cfg, gen, psi0)
     # (bg + 1) - bg leaves the plateau heads a few ulp apart
     head = psi0 - bg
     assert mu in set(head[plateau == 1.0])
@@ -366,16 +375,17 @@ def test_solve_mu_ledge_fill_for_jump_generator():
     above, ledge, below = head > mu, head == mu, head < mu
     assert np.any(ledge)
     np.testing.assert_array_equal(
-        zeta.values[above],
+        zeta[above],
         np.minimum(lam, eval_i(gen, r[above], head[above] - mu)) / eps2)
     # the level set shares one fraction theta of the jump alpha
-    u_ledge = eps2 * zeta.values[ledge]
+    u_ledge = eps2 * zeta[ledge]
     assert np.all(u_ledge == u_ledge[0])
     assert 0.0 <= u_ledge[0] < gen.alpha
-    assert np.all(zeta.values[below] == 0.0)
-    np.testing.assert_allclose(integrate_nu(zeta), cfg.kappa, rtol=1e-12)
+    assert np.all(zeta[below] == 0.0)
+    np.testing.assert_allclose(integrate_nu(ScalarField(spec, zeta)),
+                               cfg.kappa, rtol=1e-12)
     # an even stream field yields an even update
-    np.testing.assert_array_equal(zeta.values, zeta.values[:, ::-1])
+    np.testing.assert_array_equal(zeta, zeta[:, ::-1])
 
 
 def test_l1_change():
@@ -395,10 +405,8 @@ def test_energy_and_l1_change_on_the_support_index(rng):
     a, b = (np.where(rng.random((16, 16)) < 0.2,
                      rng.uniform(0.0, 300.0, (16, 16)), 0.0) for _ in range(2))
     ia, ib = (np.flatnonzero(v.ravel() != 0.0) for v in (a, b))
-    zeta = ScalarField(spec, a)
-    psi0 = ScalarField(spec, get_stream_operator(spec).apply_direct(a))
-    assert (energy(cfg, gen, zeta, psi0, ia)
-            == energy(cfg, gen, zeta, psi0))
+    psi0 = get_stream_operator(spec).apply_direct(a)
+    assert energy(cfg, gen, a, psi0, ia) == energy(cfg, gen, a, psi0)
     assert (l1_change(spec, a, b, np.union1d(ia, ib))
             == l1_change(spec, a, b))
 
@@ -409,13 +417,37 @@ def test_support_trace_on_every_iteration(monkeypatch):
 
     def counting(*args):
         mu, zeta, *search = solve_mu(*args)
-        counts.append(2 * np.count_nonzero(zeta.values))
+        counts.append(2 * np.count_nonzero(zeta))
         return mu, zeta, *search
 
     monkeypatch.setattr(solver, "solve_mu", counting)
     result = run(cfg, make_generator("power_law", p=1.0))
     assert result.support_trace.tolist() == counts
     assert len(counts) == result.iterations
+
+
+def test_run_is_the_same_whichever_array_takes_the_update(monkeypatch):
+    # run writes each update into the last iterate, zeroed on its support;
+    # an update that comes back in another array (a copy, every other
+    # step here) leaves that spare dirty, and run takes a new zero array:
+    # either way the run is the same, bit for bit
+    cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32, max_iterations=60)
+    gen = make_generator("power_law", p=1.0)
+    plain = run(cfg, gen)
+    calls = []
+
+    def copied(*args):
+        mu, update, *search = solve_mu(*args)
+        calls.append(args[-1] is update)
+        return mu, update.copy() if len(calls) % 2 else update, *search
+
+    monkeypatch.setattr(solver, "solve_mu", copied)
+    again = run(cfg, gen)
+    assert all(calls) and again.iterations == plain.iterations > 10
+    for a, b in ((again.energy_trace, plain.energy_trace),
+                 (again.mu_trace, plain.mu_trace),
+                 (again.state.zeta.values, plain.state.zeta.values)):
+        np.testing.assert_array_equal(a, b)
 
 
 def _captured_step(result):
@@ -425,9 +457,9 @@ def _captured_step(result):
     spec = cfg.domain_grid()
     half = spec.n_z // 2
     pairs = dataclasses.replace(spec, n_z=half)
-    zeta = ScalarField(pairs, result.state.zeta.values[:, half:].copy())
+    zeta = result.state.zeta.values[:, half:].copy()
     return (get_stream_operator(spec), zeta,
-            np.flatnonzero(zeta.values.ravel() != 0.0),
+            np.flatnonzero(zeta.ravel() != 0.0),
             solver._grid_constants(cfg, result.gen, pairs))
 
 
@@ -436,13 +468,13 @@ def test_window_holds_every_row_that_can_reach_the_cut(coarse_power_law):
     # source rows energy reads, lie in the window; from a cut just under
     # the top row's to one far below mu
     op, zeta, idx, grid = _captured_step(coarse_power_law)
-    half = zeta.values.shape[1]
-    reach = op.row_bound(zeta.values) - grid[4][::half]
+    half = zeta.shape[1]
+    reach = op.row_bound(zeta) - grid.bg[::half]
     band = idx[0] // half, idx[-1] // half + 1
     top, mu = float(np.max(reach)), coarse_power_law.state.mu
     assert 0.0 < mu < top
     for cut in (top * (1.0 - 1e-6), 0.5 * (top + mu), mu, 0.9 * mu, 0.1 * mu):
-        a0, a1 = solver._window(op, zeta.values, idx, grid[4], cut)
+        a0, a1 = solver._window(op, zeta, idx, grid.bg, cut)
         hit = np.flatnonzero(reach > cut)
         assert a0 <= min(hit[0], band[0]) and a1 >= max(hit[-1] + 1, band[1])
         outside = np.r_[reach[:a0], reach[a1:]]
@@ -461,7 +493,7 @@ def _recorded_step(result, cut):
         return f(*args)
 
     got = solver.step(op, cfg, gen, zeta, idx, grid, 0, cut, timed)
-    full = ScalarField(zeta.spec, op.apply_even(zeta.values))
+    full = op.apply_even(zeta)
     return got, full, solve_mu(cfg, gen, full, 0, grid, cut), layers
 
 
@@ -477,18 +509,17 @@ def test_step_applies_the_rows_that_can_reach_the_cut(coarse_power_law,
         _recorded_step(result, cut)
     mu_f, update_f, above_f, n_f, nxt_f = want
     if share is not None and share > 0.0:
-        assert layers == ["apply_even", "apply_even", "solve_mu"]
+        assert layers == ["window", "apply_even", "solve_mu"]
         assert 0 < rows < n_r
         assert abs(mu - mu_f) <= 4.0 * np.spacing(mu_f)
-        np.testing.assert_allclose(update.values, update_f.values,
-                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(update, update_f, rtol=1e-13, atol=0.0)
         assert (above, n) == (above_f, n_f)
         np.testing.assert_array_equal(nxt, nxt_f)
         return
     assert layers == ["apply_even", "solve_mu"] and rows == n_r
-    np.testing.assert_array_equal(psi0.values, full.values)
+    np.testing.assert_array_equal(psi0, full)
     assert (mu, above, n) == (mu_f, above_f, n_f)
-    np.testing.assert_array_equal(update.values, update_f.values)
+    np.testing.assert_array_equal(update, update_f)
 
 
 def test_step_falls_back_to_a_full_apply(coarse_power_law):
@@ -499,23 +530,73 @@ def test_step_falls_back_to_a_full_apply(coarse_power_law):
     result = coarse_power_law
     n_r = result.config.n_r
     op, zeta, _, _ = _captured_step(result)
-    cut = 2.0 * float(np.max(op.apply_even(zeta.values)))
+    cut = 2.0 * float(np.max(op.apply_even(zeta)))
     (psi0, mu, update, above, n, nxt, rows), full, want, layers = \
         _recorded_step(result, cut)
     mu_f, update_f, above_f, n_f, nxt_f = want
     assert mu == mu_f < cut
-    np.testing.assert_array_equal(update.values, update_f.values)
+    np.testing.assert_array_equal(update, update_f)
     assert above == above_f
     np.testing.assert_array_equal(nxt, nxt_f)
-    np.testing.assert_array_equal(psi0.values, full.values)
-    assert layers == ["apply_even", "apply_even", "solve_mu",
+    np.testing.assert_array_equal(psi0, full)
+    assert layers == ["window", "apply_even", "solve_mu",
                       "apply_even", "solve_mu"]
     assert n_r < rows < 2 * n_r and n > n_f
 
 
+@pytest.mark.parametrize("which", ["coarse_turkington", "coarse_power_law"])
+@pytest.mark.parametrize("cut", ["none", "-mu", "0.9mu", "above"])
+def test_windowed_search_matches_the_full_rows(which, cut, request):
+    # a window's stream holds 0 on the rows it left out, whose heads lie
+    # below 0: the search on the window's rows alone, cold and from the
+    # cold call's count, returns what the search on every row returns, mu,
+    # update, count above mu, fill calls and index, bit for bit
+    result = request.getfixturevalue(which)
+    cfg, gen, mu = result.config, result.gen, result.state.mu
+    op, zeta, idx, grid = _captured_step(result)
+    rows = solver._window(op, zeta, idx, grid.bg, 0.9 * mu)
+    assert 0 < rows[1] - rows[0] < cfg.n_r
+    psi0 = op.apply_even(zeta, idx, rows)
+    cut = {"none": None, "-mu": -mu, "0.9mu": 0.9 * mu,
+           "above": 2.0 * float(np.max(psi0))}[cut]
+    for start in (0, solve_mu(cfg, gen, psi0, 0, grid)[2]):
+        windowed = solve_mu(cfg, gen, psi0, start, grid, cut, rows)
+        full = solve_mu(cfg, gen, psi0, start, grid, cut)
+        assert windowed[0] == full[0] and windowed[2:4] == full[2:4]
+        for a, b in ((windowed[1], full[1]), (windowed[4], full[4])):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_mu_rejects_a_non_finite_stream(bad, coarse_power_law):
+    # a non-finite stream on a searched row raises; the rows outside the
+    # search are not read
+    result = coarse_power_law
+    cfg, gen = result.config, result.gen
+    op, zeta, idx, grid = _captured_step(result)
+    a0, a1 = rows = solver._window(op, zeta, idx, grid.bg,
+                                   0.9 * result.state.mu)
+    assert 0 < a0 and a1 < cfg.n_r
+    psi0 = op.apply_even(zeta, idx, rows)
+    want = solve_mu(cfg, gen, psi0, 0, grid, None, rows)
+    for row in (a0, a1 - 1):
+        broken = psi0.copy()
+        broken[row, -1] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_mu(cfg, gen, broken, 0, grid, None, rows)
+    broken = psi0.copy()
+    broken[[a0 - 1, a1]] = bad
+    got = solve_mu(cfg, gen, broken, 0, grid, None, rows)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+    with pytest.raises(NumericalError, match="not finite"):
+        solve_mu(cfg, gen, broken, 0, grid)
+
+
 def test_layer_seconds(coarse_turkington):
     seconds = coarse_turkington.layer_seconds
-    assert sorted(seconds) == ["apply_even", "energy", "solve_mu"]
+    assert sorted(seconds) == ["apply_even", "energy", "other", "solve_mu",
+                               "window"]
     assert all(s > 0.0 for s in seconds.values())
 
 
@@ -641,9 +722,9 @@ def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
         psi0 = 0.5 * (vals + vals[:, ::-1])
         np.testing.assert_array_equal(psi0, psi0[:, ::-1])
         assert np.all(np.diff(psi0[:, 8:], axis=1) <= 0.0)
-        _, update, *_ = solve_mu(cfg, gen, ScalarField(spec, psi0))
-        assert np.any(update.values > 0.0)
-        assert _is_steiner(update)
+        _, update, *_ = solve_mu(cfg, gen, psi0)
+        assert np.any(update > 0.0)
+        assert _is_steiner(ScalarField(spec, update))
 
 
 @pytest.mark.parametrize("family, params, max_iterations", [
@@ -666,8 +747,8 @@ def test_run_iterates_stay_steiner_symmetric(family, params, max_iterations,
         # the loop's iterates are the rows z > 0 of even fields: mirror
         # each one onto the full grid before checking it
         mu, zeta, *search = solve_mu(*args)
-        assert zeta.values.shape == (spec.n_r, spec.n_z // 2)
-        full = np.hstack((zeta.values[:, ::-1], zeta.values))
+        assert zeta.shape == (spec.n_r, spec.n_z // 2)
+        full = np.hstack((zeta[:, ::-1], zeta))
         checked.append(_is_steiner(ScalarField(spec, full)))
         return mu, zeta, *search
 
@@ -685,24 +766,24 @@ def _full_grid_run(cfg, gen):
     vorticity."""
     spec = cfg.domain_grid()
     op = get_stream_operator(spec)
-    zeta = initialize(cfg, gen)
+    zeta = initialize(cfg, gen).values
     trace, mus = [], []
 
     def stream(zeta):
-        vals = op.apply_direct(zeta.values)
-        psi0 = ScalarField(spec, 0.5 * (vals + vals[:, ::-1]))
+        vals = op.apply_direct(zeta)
+        psi0 = 0.5 * (vals + vals[:, ::-1])
         trace.append(energy(cfg, gen, zeta, psi0))
         return psi0
 
     for it in range(1, cfg.max_iterations + 1):
         mu, update, *_ = solve_mu(cfg, gen, stream(zeta))
         mus.append(mu)
-        change = l1_change(spec, zeta.values, update.values)
+        change = l1_change(spec, zeta, update)
         zeta = update
         if change <= cfg.tol_zeta:
             break
     stream(zeta)
-    return it, np.asarray(trace), np.asarray(mus), zeta.values
+    return it, np.asarray(trace), np.asarray(mus), zeta
 
 
 @pytest.mark.parametrize("n", [32, 48])
@@ -718,16 +799,17 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     spec = cfg.domain_grid()
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0, start, grid, cut):
-        # each half-plane search against a cold full-grid search on the
-        # mirrored stream: the same multiplier and the mirrored update
-        mu, update, *search = solve_mu(config, gen, psi0, start, grid, cut)
-        full = ScalarField(spec, np.hstack((psi0.values[:, ::-1],
-                                            psi0.values)))
+    def paired(config, gen, psi0, start, grid, cut, rows, out):
+        # each half-plane search, on the rows step searched, against a cold
+        # full-grid search on the mirrored stream: the same multiplier and
+        # the mirrored update
+        mu, update, *search = solve_mu(config, gen, psi0, start, grid, cut,
+                                       rows, out)
+        full = np.hstack((psi0[:, ::-1], psi0))
         mu_full, update_full, *_ = solve_mu(config, gen, full)
         ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
-        top = update_full.values[:, n // 2:]
-        gaps.append(np.max(np.abs(update.values - top)) / np.max(top))
+        top = update_full[:, n // 2:]
+        gaps.append(np.max(np.abs(update - top)) / np.max(top))
         return mu, update, *search
 
     monkeypatch.setattr(solver, "solve_mu", paired)
@@ -763,13 +845,14 @@ def test_warm_multiplier_search_matches_cold(family, params, monkeypatch):
 
     def compared(h, w, budget, fill, start, cut):
         mu, u, count, filled = threshold_fill(h, w, budget, fill, start, cut)
-        mu_cold, u_cold, *_ = threshold_fill(h, w, budget, fill)
+        mu_cold, u_cold, _, filled_cold = threshold_fill(h, w, budget, fill)
         starts.append(start)
         cuts.append(cut)
         counts.append(count)
         ulps.append(abs(mu - mu_cold) / np.spacing(mu_cold))
-        warm = abs(float(np.dot(w, u)) - budget)
-        cold = abs(float(np.dot(w, u_cold)) - budget)
+        # the masses, each over the cells its search filled
+        warm = abs(float(np.dot(w[filled], u)) - budget)
+        cold = abs(float(np.dot(w[filled_cold], u_cold)) - budget)
         assert warm <= max(cold, 2e-15 * budget)
         return mu, u, count, filled
 
@@ -792,7 +875,7 @@ def test_warm_multiplier_search_matches_cold(family, params, monkeypatch):
 def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
     def broken(*args):
         mu, zeta, *search = solve_mu(*args)
-        return mu, ScalarField(zeta.spec, breaks(zeta.values)), *search
+        return mu, breaks(zeta), *search
 
     monkeypatch.setattr(solver, "solve_mu", broken)
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16, max_iterations=1)
