@@ -258,10 +258,16 @@ def far_field_check(result):
         raise NumericalError("no usable far-field sample points")
     spec = zeta.spec
     i, j = np.nonzero(zeta.values)
-    r_s = spec.r_centers[i]
+    r_s, z_s = spec.r_centers[i], spec.z_centers[j]
     weights = zeta.values[i, j] * r_s * spec.cell_area
-    samples = ring_velocity_z(pr[keep, None], pz[keep, None], r_s,
-                              spec.z_centers[j]) @ weights + target
+    # eight sample points at a time: their pairs with the support, not all
+    # 48 points', are held at once
+    pr, pz = pr[keep, None], pz[keep, None]
+    samples = np.empty(pr.shape[0])
+    for k in range(0, samples.size, 8):
+        samples[k:k + 8] = ring_velocity_z(pr[k:k + 8], pz[k:k + 8], r_s,
+                                           z_s) @ weights
+    samples += target
     rel = np.abs(samples - target) / abs(target)
     return {
         "far_vz": float(np.mean(samples)),

@@ -171,7 +171,7 @@ def _elliptic_kernel(r, z, rp, zp, work=None):
         np.copyto(b_, a_, where=h_)
         if h_[-1].all():
             open_rows = ~h_.reshape(m, -1).all(axis=1)
-            m = 1 + np.max(np.flatnonzero(open_rows), initial=-1)
+            m = 1 + np.maximum.reduce(np.flatnonzero(open_rows), initial=-1)
         n += 1
     val *= 2.0 ** -55
     val /= a
@@ -379,21 +379,23 @@ def build_kernel_block(spec):
 
 def _transformed_triangle(spec):
     """The kernel lines of the pairs (a, b), b >= a, as their DCT-I over
-    the z-offsets in table[:, a, b] and their max over the offsets in
-    peak[a, b]: the entries below the diagonal are left unset.
+    the z-offsets in table[:, a, b], frequencies 0 to n_z - 1, and their
+    max over the offsets in peak[a, b]: the entries below the diagonal are
+    left unset.
 
     The pairs of rows a and n_r - 1 - a are evaluated together, offset-
     major, over one offset more than the grid's, whose row becomes the
     DCT-I's trailing 0; the lines and their mirror image are copied into
     their even extension of length 2 n_z, whose real FFT is the DCT-I, so
-    each frequency is one contiguous row of the table. The far offsets
+    each frequency is one contiguous row of the table; its last, n_z, is
+    not kept, as the even apply never reads it. The far offsets
     converge first, so the AGM's later steps run on the near offsets
     alone, and every buffer is reused.
     """
     r, n_r, n_z = spec.r_centers, spec.n_r, spec.n_z
     zs = spec.dz * np.arange(n_z + 1)
     correct = _near_corrector(spec)
-    table, peak = np.empty((n_z + 1, n_r, n_r)), np.empty((n_r, n_r))
+    table, peak = np.empty((n_z, n_r, n_r)), np.empty((n_r, n_r))
     work = [*np.empty((5, n_z + 1, n_r + 1)),
             np.empty((n_z + 1, n_r + 1), dtype=bool)]
     ext = np.empty((2 * n_z, n_r + 1))
@@ -410,8 +412,8 @@ def _transformed_triangle(spec):
         lines[n_z] = 0.0
         ext[:n_z + 1], ext[n_z + 1:] = lines, lines[n_z - 1:0:-1]
         dct = rfft(ext, axis=0, out=freq).real
-        table[:, a, a:] = dct[:, :n_r - a]
-        table[:, n_r - 1 - a, n_r - 1 - a:] = dct[:, n_r - a:]
+        table[:, a, a:] = dct[:n_z, :n_r - a]
+        table[:, n_r - 1 - a, n_r - 1 - a:] = dct[:n_z, n_r - a:]
     return table, peak
 
 
@@ -422,8 +424,9 @@ class StreamOperator:
     is transformed once in the offset index, the DCT-I of [K[a, b, 0], ...,
     K[a, b, n_z - 1], 0] (the real transform of its even extension to
     length 2 n_z), then weighted by nu(cell b), and stored frequency-major
-    as one C-contiguous float64 array T[f, b, a] of shape (n_z + 1, n_r,
-    n_r), n_r^2 (n_z + 1) * 8 bytes. The kernel is symmetric in (r, r'), so
+    as one C-contiguous float64 array T[f, b, a] of its n_z frequencies
+    that the apply reads, shape (n_z, n_r, n_r), n_r^2 n_z * 8 bytes (the
+    last, f = n_z, is not kept). The kernel is symmetric in (r, r'), so
     the build transforms the lines of the triangle b >= a, rows a and
     n_r - 1 - a at a time, writes them as rows T[:, a, a:], and then
     mirrors and weights each frequency in place. `bound`[b, a] = nu(cell b)
@@ -434,7 +437,7 @@ class StreamOperator:
     symmetric extension is the field's 2 n_z-periodic sequence, so the
     convolution is a DCT-II of the source rows [b0, b1) between the first
     and the last row holding a nonzero cell, one real row per frequency
-    against T[:n_z, b0:b1, a0:a1] for the target rows [a0, a1) asked for,
+    against T[:, b0:b1, a0:a1] for the target rows [a0, a1) asked for,
     and a DCT-III back, whose first n_z / 2 samples are psi0 on those rows
     (0 on the others). Both are products with cosine matrices: the DCT-II
     reads only the z-rows up to the last nonzero cell, and the DCT-III
@@ -458,25 +461,28 @@ class StreamOperator:
         c = np.cos(np.pi * k * (2 * np.arange(n_z // 2) + 1) / (2 * n_z))
         self._dct2, self._dct3 = 2.0 * c, np.where(k == 0, 0.5, 1.0) * c / n_z
 
-    def apply_even(self, upper, idx=None, rows=None):
+    def apply_even(self, upper, idx=None, rows=None, out=None):
         """psi0 on the rows z > 0 of a field even in z, C-contiguous, from
         those rows: (n_r, n_z / 2) arrays ordered outward from z = 0, else
         GridMismatchError; idx, upper's sorted nonzero flat index, or None;
-        rows, the target rows [a0, a1) computed (None: all), 0 elsewhere."""
-        n_r, n_z, half = self.spec.n_r, self.spec.n_z, self.spec.n_z // 2
+        rows, the target rows [a0, a1) computed (None: all), written into
+        out, a C-contiguous (n_r, n_z / 2) array whose other rows are left
+        as they are, or into a new array that is 0 on the other rows."""
+        n_r, half = self.spec.n_r, self.spec.n_z // 2
         if not self.spec.z_symmetric():
             raise ConfigurationError("the even apply needs a z-symmetric grid")
         if upper.shape != (n_r, half):
             raise GridMismatchError("%s is not (n_r, n_z/2)" % (upper.shape,))
         idx = np.flatnonzero(upper.ravel() != 0.0) if idx is None else idx
-        out = np.zeros((n_r, half))
-        if idx.size == 0:
-            return out
         a0, a1 = (0, n_r) if rows is None else rows
+        out = np.zeros((n_r, half)) if out is None else out
+        if idx.size == 0:
+            out[a0:a1] = 0.0
+            return out
         b0, b1 = idx[0] // half, idx[-1] // half + 1
         j1 = int(np.max(idx % half)) + 1
         vhat = self._dct2[:, :j1] @ upper[b0:b1, :j1].T
-        phat = np.matmul(vhat[:, None, :], self._table[:n_z, b0:b1, a0:a1])
+        phat = np.matmul(vhat[:, None, :], self._table[:, b0:b1, a0:a1])
         np.matmul(phat[:, 0, :].T, self._dct3, out=out[a0:a1])
         return out
 

@@ -144,11 +144,16 @@ def integrate_nu(f):
 
 def dump_field_csv(f):
     """A field as CSV text: rows r,z,value in %.17g, row-major over cells."""
-    # a row is one %-format: its r joined in front of each ",z,%.17g\n"
+    # a row is one %-format: its r joined in front of each ",z,%.17g\n";
+    # a row of +0.0 alone joins the tail formatted once with 0
     tail = [""] + [",%.17g,%%.17g\n" % z for z in f.spec.z_centers]
+    zero = [""] + [cell % 0.0 for cell in tail[1:]]
+    blank = ~(f.values.any(axis=1) | np.signbit(f.values).any(axis=1))
     return "r,z,value\n" + "".join(
-        ("%.17g" % r).join(tail) % tuple(row)
-        for r, row in zip(f.spec.r_centers.tolist(), f.values.tolist()))
+        ("%.17g" % r).join(zero) if empty else
+        ("%.17g" % r).join(tail) % tuple(row.tolist())
+        for r, row, empty in zip(f.spec.r_centers.tolist(), f.values,
+                                 blank.tolist()))
 
 
 def load_field_csv(spec, path):

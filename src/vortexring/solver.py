@@ -347,21 +347,23 @@ def _window(op, upper, idx, bg, cut):
     return (min(b0, hit[0]), max(b1, hit[-1] + 1)) if hit.size else (b0, b1)
 
 
-def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None):
+def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None,
+         stream=None):
     """One outer step: psi0 = K zeta, then solve_mu from start with cut,
     for zeta the rows z > 0 of an even iterate nonzero on idx, all plain
     arrays, writing the update into spare (a zero array of zeta's shape)
-    if given. A positive cut applies and searches _window's rows alone,
-    and all if mu ends below the cut, as that search read rows left 0.
-    Returns psi0, solve_mu's values with both searches' fill calls, and
-    the rows applied; timed(layer, f, *args) calls f (run's timer, or a
-    plain call)."""
+    and psi0 into stream (an array of zeta's shape) on the applied rows
+    alone, each if given. A positive cut applies and searches _window's
+    rows alone, and all if mu ends below the cut, as that search read
+    rows left 0. Returns psi0, solve_mu's values with both searches' fill
+    calls, and the rows applied; timed(layer, f, *args) calls f (run's
+    timer, or a plain call)."""
     full = rows = (0, zeta.shape[0])
     if cut is not None and cut > 0.0:
         rows = timed("window", _window, op, zeta, idx, grid.bg, cut)
     applied = evals = 0
     while True:
-        psi0 = timed("apply_even", op.apply_even, zeta, idx, rows)
+        psi0 = timed("apply_even", op.apply_even, zeta, idx, rows, stream)
         mu, update, above, n, nxt = timed(
             "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows,
             spare)
@@ -413,9 +415,10 @@ def run(config, gen):
     starts from the last one's count of cells above mu, on the heads above
     the last mu less twice its last move and mu / 20. The returned
     vorticity must be a fixed point of steiner_symmetrize_z, bit for bit,
-    or NumericalError is raised. The final state gets a fresh stream field
-    from a full apply so the reported optimality residual and patch
-    measure are self-consistent. check_problem runs first.
+    on the rows that hold it (a row of zeros is one), or NumericalError is
+    raised. The final state gets a fresh stream field from a full apply so
+    the reported optimality residual and patch measure are
+    self-consistent. check_problem runs first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -454,12 +457,14 @@ def run(config, gen):
         return psi0
 
     mu, above, cut = 0.0, 0, None
-    spare, owned = np.zeros(zeta.shape), False
+    # each apply writes its rows of one stream array, and the loop reads
+    # those rows alone
+    spare, owned, stream = np.zeros(zeta.shape), False, np.empty(zeta.shape)
     idx = np.flatnonzero(zeta.ravel() != 0.0)
     t0 = time.perf_counter()
     for it in range(1, config.max_iterations + 1):
         psi0, mu, zeta_next, above, n, nxt, m = step(
-            op, config, gen, zeta, idx, grid, above, cut, timed, spare)
+            op, config, gen, zeta, idx, grid, above, cut, timed, spare, stream)
         ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
@@ -490,14 +495,19 @@ def run(config, gen):
     # the full field sums its mass in another order: clamp it once more
     zeta = unfold(zeta)
     _capped(zeta.values, config, lam, integrate_nu(zeta))
-    if not np.array_equal(steiner_symmetrize_z(zeta).values, zeta.values):
+    # rows [b0, b1) hold the support; steiner_symmetrize_z reads the box's
+    # z-extent alone
+    b0, b1 = (idx[0] // half, idx[-1] // half + 1) if idx.size else (0, 0)
+    held = ScalarField(replace(spec, n_r=b1 - b0), zeta.values[b0:b1])
+    if not np.array_equal(steiner_symmetrize_z(held).values, held.values):
         raise NumericalError("final vorticity is not Steiner-symmetric in z")
     upper = zeta.values[:, half:]
-    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper),
-                         None, None))
+    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper,
+                                      None, None, stream), None, None))
     seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())
-    bg = background_field(config, spec)
-    psi = ScalarField(spec, psi0.values - bg - mu)
+    psi = np.subtract(psi0.values, background_field(config, spec))
+    psi -= mu
+    psi = ScalarField(spec, psi)
     state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
                        energy=trace[-1])
     result = SolveResult(
@@ -517,11 +527,14 @@ def run(config, gen):
 
 
 def patch_measure(config, gen, zeta):
-    """nu-measure of the near-cap set {eps^2 zeta >= 0.999 Lambda}."""
+    """nu-measure of the near-cap set {eps^2 zeta >= 0.999 Lambda}, summed
+    over the nonzero cells in C order."""
     lam = config.resolved_lambda(gen)
-    u = config.epsilon ** 2 * zeta.values
-    mask = u >= 0.999 * lam
-    return float(np.sum(zeta.spec.nu_weights()[mask]))
+    spec = zeta.spec
+    idx = np.flatnonzero(zeta.values.ravel() != 0.0)
+    u = config.epsilon ** 2 * zeta.values.ravel()[idx]
+    w = spec.r_centers[idx // spec.n_z] * spec.cell_area
+    return float(np.sum(w[u >= 0.999 * lam]))
 
 
 def kkt_residual(result):
@@ -538,16 +551,20 @@ def kkt_residual(result):
       cells of jump generators.
     - capped cells: positive part of dJds(r, Lambda) - psi.
     - support cells: positive part of -psi.
+
+    Only the cells where zeta != 0 or psi > 0 are evaluated: on every
+    other cell i(r, psi <= 0) = 0 and psi_+ = 0, so each case reads 0.
     """
     config, gen = result.config, result.gen
     state = result.state
     lam = config.resolved_lambda(gen)
-    eps2 = config.epsilon ** 2
-    u = eps2 * state.zeta.values
-    psi = state.psi.values
+    zeta, psi = state.zeta.values.ravel(), state.psi.values.ravel()
     spec = state.zeta.spec
-    rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
-    scale_psi = float(np.max(np.abs(psi))) or 1.0
+    scale_psi = float(max(psi.max(), -psi.min())) or 1.0
+    cells = np.flatnonzero((zeta != 0.0) | (psi > 0.0))
+    u = config.epsilon ** 2 * zeta[cells]
+    psi = psi[cells]
+    rr = spec.r_centers[cells // spec.n_z]
 
     target = np.minimum(lam, eval_i(gen, rr, psi))
     a_form = np.abs(u - target) / lam

@@ -2,6 +2,7 @@
 validation suites, and reports."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -245,6 +246,31 @@ def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
     for name in ("result.json", "eps_0.1/result.json", "sweep.csv",
                  "report.json"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_cli_import_leaves_openssl_unloaded(tmp_path):
+    # hashlib is imported by the manifest's grid hash alone: importing the
+    # CLI and building a problem load no _hashlib, and a solve still
+    # writes the sha256 of the grid's cell centres
+    solve = _write_config(tmp_path / "solve.json", grid={"n_r": 24, "n_z": 24})
+    out = str(tmp_path / "o")
+    code = ("import json, sys, vortexring.cli as cli; "
+            "cli.build_problem(json.load(open(%r))); "
+            "loaded = '_hashlib' in sys.modules; "
+            "print(loaded, cli.main(['solve', '--config', %r, '--out', %r]))"
+            % (solve, solve, out))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["False", "0"], \
+        proc.stdout + proc.stderr
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    spec = build_problem(json.loads(open(solve).read()))[0].domain_grid()
+    grid = hashlib.sha256(spec.r_centers.tobytes() + spec.z_centers.tobytes())
+    assert manifest["grid_sha256"] == grid.hexdigest()
 
 
 def test_parameter_of_another_family_is_rejected(tmp_path, capsys):

@@ -84,11 +84,16 @@ def test_field_csv_roundtrip(rng, tmp_path):
 
 def test_dump_matches_the_per_cell_writer(rng, per_cell_csv):
     # zeros of both signs, a subnormal, huge values of both signs, and
-    # random values over the whole exponent range
+    # random values over the whole exponent range; a row of +0.0 (written
+    # from its own tail), and rows of zeros but for a -0.0 or a subnormal
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 7, 6)
     vals = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-300, 300, (7, 6))
     vals.flat[:6] = 0.0, -0.0, 5e-324, 1e300, -1e300, 3.3e-310
+    vals[2:5] = 0.0
+    vals[3, 5], vals[4, 0] = -0.0, 5e-324
     fld = ScalarField(spec, vals)
     text = dump_field_csv(fld)
     assert text == per_cell_csv(fld)
     assert "\n0.6071428571428571,-0.5,-0\n" in text
+    assert "\n1.0357142857142856,0.83333333333333326,0\n" in text
+    assert "\n1.25,0.83333333333333326,-0\n" in text

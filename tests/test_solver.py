@@ -3,6 +3,7 @@ ascent loop, and the optimality residual."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -936,6 +937,89 @@ def test_patch_measure_reports_capped_cells():
     assert patch_measure(cfg, gen, ScalarField(spec, vals)) > 0.0
     vals[3, 3] *= 0.5
     assert patch_measure(cfg, gen, ScalarField(spec, vals)) == 0.0
+
+
+def _full_grid_kkt(result):
+    """kkt_residual evaluated on every cell of the grid: the reference for
+    the version that reads only the cells where zeta != 0 or psi > 0."""
+    config, gen = result.config, result.gen
+    state = result.state
+    lam = config.resolved_lambda(gen)
+    eps2 = config.epsilon ** 2
+    u = eps2 * state.zeta.values
+    psi = state.psi.values
+    spec = state.zeta.spec
+    rr = np.repeat(spec.r_centers[:, None], spec.n_z, axis=1)
+    scale_psi = float(np.max(np.abs(psi))) or 1.0
+
+    target = np.minimum(lam, eval_i(gen, rr, psi))
+    a_form = np.abs(u - target) / lam
+    b_form = np.empty_like(u)
+    pos = u > 0.0
+    b_form[~pos] = np.maximum(psi[~pos], 0.0) / scale_psi
+    b_form[pos] = np.abs(psi[pos] - eval_dJds(gen, rr[pos], u[pos])) / scale_psi
+    below = u < lam * (1.0 - 1e-12)
+    viol = np.zeros_like(u)
+    viol[below] = np.minimum(a_form[below], b_form[below])
+    capped = ~below
+    thresh = eval_dJds(gen, rr[capped], lam)
+    viol[capped] = np.maximum(thresh - psi[capped], 0.0) / scale_psi
+    neg_on_support = np.maximum(-psi, 0.0) / scale_psi
+    viol[pos] = np.maximum(viol[pos], neg_on_support[pos])
+    return float(np.max(viol)) if viol.size else 0.0
+
+
+def _full_grid_patch(config, gen, zeta):
+    """patch_measure summed over the masked cells of the whole grid."""
+    lam = config.resolved_lambda(gen)
+    mask = config.epsilon ** 2 * zeta.values >= 0.999 * lam
+    return float(np.sum(zeta.spec.nu_weights()[mask]))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_closing_checks_match_the_full_grid(coarse_turkington,
+                                            coarse_power_law):
+    # the KKT residual and the patch measure read the support (and, for
+    # the residual, the cells with psi > 0): bit for bit the full grid's,
+    # on both conftest states, a power_law state capped after 5 steps,
+    # with psi > 0 off its support, and one whose cap binds on cells
+    early = run(ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=5),
+                make_generator("power_law", p=1.0))
+    off = (early.state.zeta.values == 0.0) & (early.state.psi.values > 0.0)
+    assert not early.converged and off.any()
+    capped = run(ProblemConfig(epsilon=0.1, lambda_cap=1.5, n_r=32, n_z=32),
+                 make_generator("turkington", alpha=1.0))
+    for result in (coarse_turkington, coarse_power_law, early, capped):
+        assert _bits(result.kkt) == _bits(_full_grid_kkt(result))
+        assert _bits(result.patch_measure) == _bits(_full_grid_patch(
+            result.config, result.gen, result.state.zeta))
+    assert capped.patch_measure > 0.0
+
+
+def test_run_peaks_at_the_state_it_returns():
+    # with the grid's table built, a run holds its per-cell constants, a
+    # few iterates on the rows z > 0 and the state it returns, whose
+    # closing checks read the support: its traced peak stays within 8
+    # full-grid arrays (147 kB at 48 x 48) of the arrays it returns
+    cfg = ProblemConfig(epsilon=0.1, n_r=48, n_z=48, max_iterations=400)
+    gen = make_generator("turkington", alpha=1.0)
+    get_stream_operator(cfg.domain_grid())
+    tracemalloc.start()
+    try:
+        result = run(cfg, gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    state = result.state
+    returned = sum(a.nbytes for a in (
+        state.zeta.values, state.psi0.values, state.psi.values,
+        result.energy_trace, result.mu_trace, result.l1_change_trace,
+        result.support_trace, result.mass_evals_trace,
+        result.apply_rows_trace))
+    assert peak - returned <= 8 * cfg.n_r * cfg.n_z * 8
 
 
 def test_run_warns_in_degenerate_regime():
