@@ -461,24 +461,21 @@ class StreamOperator:
         c = np.cos(np.pi * k * (2 * np.arange(n_z // 2) + 1) / (2 * n_z))
         self._dct2, self._dct3 = 2.0 * c, np.where(k == 0, 0.5, 1.0) * c / n_z
 
-    def apply_even(self, upper, idx=None, rows=None, out=None):
+    def apply_even(self, upper, idx=None, rows=None):
         """psi0 on the rows z > 0 of a field even in z, C-contiguous, from
         those rows: (n_r, n_z / 2) arrays ordered outward from z = 0, else
         GridMismatchError; idx, upper's sorted nonzero flat index, or None;
-        rows, the target rows [a0, a1) computed (None: all), written into
-        out, a C-contiguous (n_r, n_z / 2) array whose other rows are left
-        as they are, or into a new array that is 0 on the other rows."""
+        rows, the target rows [a0, a1) computed (None: all), 0 elsewhere."""
         n_r, half = self.spec.n_r, self.spec.n_z // 2
         if not self.spec.z_symmetric():
             raise ConfigurationError("the even apply needs a z-symmetric grid")
         if upper.shape != (n_r, half):
             raise GridMismatchError("%s is not (n_r, n_z/2)" % (upper.shape,))
         idx = np.flatnonzero(upper.ravel() != 0.0) if idx is None else idx
-        a0, a1 = (0, n_r) if rows is None else rows
-        out = np.zeros((n_r, half)) if out is None else out
+        out = np.zeros((n_r, half))
         if idx.size == 0:
-            out[a0:a1] = 0.0
             return out
+        a0, a1 = (0, n_r) if rows is None else rows
         b0, b1 = idx[0] // half, idx[-1] // half + 1
         j1 = int(np.max(idx % half)) + 1
         vhat = self._dct2[:, :j1] @ upper[b0:b1, :j1].T

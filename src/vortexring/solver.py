@@ -347,23 +347,21 @@ def _window(op, upper, idx, bg, cut):
     return (min(b0, hit[0]), max(b1, hit[-1] + 1)) if hit.size else (b0, b1)
 
 
-def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None,
-         stream=None):
+def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None):
     """One outer step: psi0 = K zeta, then solve_mu from start with cut,
     for zeta the rows z > 0 of an even iterate nonzero on idx, all plain
     arrays, writing the update into spare (a zero array of zeta's shape)
-    and psi0 into stream (an array of zeta's shape) on the applied rows
-    alone, each if given. A positive cut applies and searches _window's
-    rows alone, and all if mu ends below the cut, as that search read
-    rows left 0. Returns psi0, solve_mu's values with both searches' fill
-    calls, and the rows applied; timed(layer, f, *args) calls f (run's
-    timer, or a plain call)."""
+    if given. A positive cut applies and searches _window's rows alone,
+    and all if mu ends below the cut, as that search read rows left 0.
+    Returns psi0, solve_mu's values with both searches' fill calls, and
+    the rows applied; timed(layer, f, *args) calls f (run's timer, or a
+    plain call)."""
     full = rows = (0, zeta.shape[0])
     if cut is not None and cut > 0.0:
         rows = timed("window", _window, op, zeta, idx, grid.bg, cut)
     applied = evals = 0
     while True:
-        psi0 = timed("apply_even", op.apply_even, zeta, idx, rows, stream)
+        psi0 = timed("apply_even", op.apply_even, zeta, idx, rows)
         mu, update, above, n, nxt = timed(
             "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows,
             spare)
@@ -398,6 +396,24 @@ def check_problem(config, gen):
             "generator fails its structural checks: %s"
             % {k: v for k, v in report.items() if k != "all_pass"})
     return config.resolved_lambda(gen)
+
+
+def _check_steiner(zeta, idx):
+    """Raise NumericalError unless zeta, a field even in z whose rows z > 0
+    are nonzero on the flat index idx alone, is a fixed point of
+    steiner_symmetrize_z, bit for bit, on the rows [b0, b1) from the first
+    to the last that holds a nonzero cell, taken as a grid of their own; a
+    row of zeros is one, so an empty idx passes."""
+    if idx.size == 0:
+        return
+    spec = zeta.spec
+    half = spec.n_z // 2
+    b0, b1 = idx[0] // half, idx[-1] // half + 1
+    rows = replace(spec, r_min=spec.r_min + b0 * spec.dr,
+                   r_max=spec.r_min + b1 * spec.dr, n_r=b1 - b0)
+    held = ScalarField(rows, zeta.values[b0:b1])
+    if not np.array_equal(steiner_symmetrize_z(held).values, held.values):
+        raise NumericalError("final vorticity is not Steiner-symmetric in z")
 
 
 def run(config, gen):
@@ -457,14 +473,12 @@ def run(config, gen):
         return psi0
 
     mu, above, cut = 0.0, 0, None
-    # each apply writes its rows of one stream array, and the loop reads
-    # those rows alone
-    spare, owned, stream = np.zeros(zeta.shape), False, np.empty(zeta.shape)
+    spare, owned = np.zeros(zeta.shape), False
     idx = np.flatnonzero(zeta.ravel() != 0.0)
     t0 = time.perf_counter()
     for it in range(1, config.max_iterations + 1):
         psi0, mu, zeta_next, above, n, nxt, m = step(
-            op, config, gen, zeta, idx, grid, above, cut, timed, spare, stream)
+            op, config, gen, zeta, idx, grid, above, cut, timed, spare)
         ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
@@ -495,15 +509,10 @@ def run(config, gen):
     # the full field sums its mass in another order: clamp it once more
     zeta = unfold(zeta)
     _capped(zeta.values, config, lam, integrate_nu(zeta))
-    # rows [b0, b1) hold the support; steiner_symmetrize_z reads the box's
-    # z-extent alone
-    b0, b1 = (idx[0] // half, idx[-1] // half + 1) if idx.size else (0, 0)
-    held = ScalarField(replace(spec, n_r=b1 - b0), zeta.values[b0:b1])
-    if not np.array_equal(steiner_symmetrize_z(held).values, held.values):
-        raise NumericalError("final vorticity is not Steiner-symmetric in z")
+    _check_steiner(zeta, idx)
     upper = zeta.values[:, half:]
-    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper,
-                                      None, None, stream), None, None))
+    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper),
+                         None, None))
     seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())
     psi = np.subtract(psi0.values, background_field(config, spec))
     psi -= mu

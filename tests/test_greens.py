@@ -380,26 +380,6 @@ def test_apply_even_on_a_row_range(n_r, n_z, rng):
         assert np.array_equal(op.apply_even(vals, rows=(0, n_r)), full)
 
 
-@pytest.mark.parametrize("n_r,n_z", [(13, 18), (20, 10)])
-def test_apply_even_into_a_dirty_buffer(n_r, n_z, rng):
-    # the solver passes one stream array per run: an apply into it writes
-    # the window rows, bit for bit a fresh apply's, and leaves the others
-    op = StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, n_r, n_z))
-    ranges = [None, (0, 1), (n_r - 1, n_r), (2, n_r - 4)]
-    for name, vals in _row_fields(n_r, n_z // 2, rng).items():
-        idx = np.flatnonzero(vals.ravel())
-        for rows in ranges:
-            a0, a1 = rows or (0, n_r)
-            dirty = rng.uniform(-1.0, 1.0, vals.shape)
-            before = dirty.copy()
-            got = op.apply_even(vals, idx, rows, dirty)
-            assert got is dirty
-            fresh = op.apply_even(vals, idx, rows)
-            assert np.array_equal(got[a0:a1], fresh[a0:a1]), (name, rows)
-            assert np.array_equal(got[:a0], before[:a0]), (name, rows)
-            assert np.array_equal(got[a1:], before[a1:]), (name, rows)
-
-
 @pytest.mark.parametrize("box", [
     (0.5, 2.0, 0.1, 13, 18), (0.5, 2.0, 0.1, 20, 10), (0.5, 2.0, 0.1, 16, 16),
     (1.21, 1.81, 0.3, 16, 16)], ids=["13x18", "20x10", "16x16", "inner box"])
@@ -435,9 +415,12 @@ def test_apply_stream_operator_needs_an_even_field():
 def test_operator_build_holds_one_table():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 48, 40)
     table_bytes = spec.n_r ** 2 * spec.n_z * 8
-    # numpy keeps what a process's first calls of its functions allocate
-    # (about 3 kB here): a small build first keeps that out of the count,
-    # whatever ran before this test
+    # numpy keeps freed buffers under 1 kB in a per-process cache that
+    # tracemalloc still counts, and a process's first build fills it: in a
+    # fresh process the build holds 773.2 kB, 0.95 kB under the bound,
+    # against 769.8 kB (the table, the bound and the two cosine matrices
+    # take 768.5 kB) once warm. A small build first keeps that cache out of
+    # the count, whatever ran before this test
     StreamOperator(build_grid(0.5, 2.0, -1.0, 1.0, 4, 4))
     tracemalloc.start()
     try:

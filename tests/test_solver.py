@@ -884,6 +884,37 @@ def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
         run(cfg, make_generator("power_law", p=1.0))
 
 
+def test_steiner_check_reads_the_held_rows(monkeypatch):
+    # the closing check takes the rows that hold the support as a grid of
+    # their own, the full grid's on those rows; an empty support passes,
+    # and a hollow column on the held rows raises
+    spec = ProblemConfig(epsilon=0.1, n_r=16, n_z=16).domain_grid()
+    seen = []
+
+    def recorded(zeta):
+        seen.append(zeta.spec)
+        return steiner_symmetrize_z(zeta)
+
+    monkeypatch.setattr(solver, "steiner_symmetrize_z", recorded)
+    solver._check_steiner(ScalarField(spec, np.zeros((16, 16))),
+                          np.array([], dtype=np.intp))
+    assert seen == []
+    vals = np.zeros((16, 16))
+    vals[5:9, 6:10] = 1.0
+    vals[6, [5, 10]] = 0.5
+    idx = np.flatnonzero(vals[:, 8:].ravel())
+    solver._check_steiner(ScalarField(spec, vals), idx)
+    rows = seen.pop()
+    assert (rows.n_r, rows.n_z, rows.z_min, rows.z_max) == (4, 16, spec.z_min,
+                                                            spec.z_max)
+    np.testing.assert_allclose(rows.r_centers, spec.r_centers[5:9],
+                               rtol=1e-14)
+    assert rows.dr == pytest.approx(spec.dr, rel=1e-14)
+    vals[7, 7:9] = 0.0
+    with pytest.raises(NumericalError, match="not Steiner-symmetric"):
+        solver._check_steiner(ScalarField(spec, vals), idx)
+
+
 def test_kkt_residual_detects_perturbation(coarse_turkington):
     base = coarse_turkington
     assert base.kkt <= 1e-6
