@@ -157,11 +157,16 @@ def dump_field_csv(f):
 
 
 def load_field_csv(spec, path):
-    """Read a field written by dump_field_csv back onto a known grid."""
+    """Read a field written by dump_field_csv back onto a known grid. The
+    file's r and z columns must equal the grid's cell centres exactly, as
+    %.17g round-trips them; GridMismatchError otherwise."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.shape[0] != spec.n_r * spec.n_z:
         raise GridMismatchError(
             "csv has %d rows, grid wants %d" % (data.shape[0], spec.n_r * spec.n_z)
         )
+    if not (np.array_equal(data[:, 0], np.repeat(spec.r_centers, spec.n_z))
+            and np.array_equal(data[:, 1], np.tile(spec.z_centers, spec.n_r))):
+        raise GridMismatchError("csv cell centres differ from the grid's")
     vals = data[:, 2].reshape(spec.n_r, spec.n_z)
     return ScalarField(spec, vals)

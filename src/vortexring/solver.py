@@ -66,7 +66,7 @@ from .errors import ConfigurationError, NumericalError, complaint
 from .grid import ScalarField, build_grid, integrate_nu
 from .greens import get_stream_operator
 from .profiles import cell_law, check_assumptions, eval_dJds, eval_i
-from .rearrange import steiner_symmetrize_z, threshold_fill
+from .rearrange import threshold_fill
 
 
 # Each numeric config key ("section.key" inside a section of a CLI config):
@@ -225,14 +225,13 @@ def _grid_constants(config, gen, spec):
                  spec)
 
 
-def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None,
-             out=None):
+def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None):
     """Multiplier and updated vorticity of one outer step from psi0, an
     array on the box of grid (run's per-run Cells; config's grid if None),
     searched on its rows [a0, a1) = rows (all if None): returns mu, the
-    update (written into out, a zero array of psi0's shape, if given), the
-    count of cells above mu (the next step's start; 0 is cold), the fill
-    calls and the sorted flat index of the update's nonzero cells.
+    update (a new array of psi0's shape), the count of cells above mu (the
+    next step's start; 0 is cold), the fill calls and the sorted flat
+    index of the update's nonzero cells.
 
     The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
     with head = psi0 less the per-row background, and its mass is
@@ -277,7 +276,7 @@ def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None,
     if mu > 0.0 and abs(mass - config.kappa) > config.tol_mu * config.kappa:
         raise NumericalError("multiplier search missed the mass budget: "
                              "%.3e vs %.3e" % (mass, config.kappa))
-    update = np.zeros(psi0.shape) if out is None else out
+    update = np.zeros(psi0.shape)
     update.ravel()[idx] = _capped(z, config, lam, mass)
     return mu, update, above, evals, idx
 
@@ -347,11 +346,10 @@ def _window(op, upper, idx, bg, cut):
     return (min(b0, hit[0]), max(b1, hit[-1] + 1)) if hit.size else (b0, b1)
 
 
-def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None):
+def step(op, config, gen, zeta, idx, grid, start, cut, timed):
     """One outer step: psi0 = K zeta, then solve_mu from start with cut,
     for zeta the rows z > 0 of an even iterate nonzero on idx, all plain
-    arrays, writing the update into spare (a zero array of zeta's shape)
-    if given. A positive cut applies and searches _window's rows alone,
+    arrays. A positive cut applies and searches _window's rows alone,
     and all if mu ends below the cut, as that search read rows left 0.
     Returns psi0, solve_mu's values with both searches' fill calls, and
     the rows applied; timed(layer, f, *args) calls f (run's timer, or a
@@ -363,14 +361,11 @@ def step(op, config, gen, zeta, idx, grid, start, cut, timed, spare=None):
     while True:
         psi0 = timed("apply_even", op.apply_even, zeta, idx, rows)
         mu, update, above, n, nxt = timed(
-            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows,
-            spare)
+            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows)
         applied, evals = applied + rows[1] - rows[0], evals + n
         if rows == full or mu >= cut:
             return psi0, mu, update, above, evals, nxt, applied
         rows = full
-        if update is spare:
-            spare.ravel()[nxt] = 0.0
 
 
 def _union(a, b):
@@ -398,22 +393,18 @@ def check_problem(config, gen):
     return config.resolved_lambda(gen)
 
 
-def _check_steiner(zeta, idx):
-    """Raise NumericalError unless zeta, a field even in z whose rows z > 0
-    are nonzero on the flat index idx alone, is a fixed point of
-    steiner_symmetrize_z, bit for bit, on the rows [b0, b1) from the first
-    to the last that holds a nonzero cell, taken as a grid of their own; a
-    row of zeros is one, so an empty idx passes."""
-    if idx.size == 0:
-        return
-    spec = zeta.spec
-    half = spec.n_z // 2
-    b0, b1 = idx[0] // half, idx[-1] // half + 1
-    rows = replace(spec, r_min=spec.r_min + b0 * spec.dr,
-                   r_max=spec.r_min + b1 * spec.dr, n_r=b1 - b0)
-    held = ScalarField(rows, zeta.values[b0:b1])
-    if not np.array_equal(steiner_symmetrize_z(held).values, held.values):
-        raise NumericalError("final vorticity is not Steiner-symmetric in z")
+def _check_steiner(upper, idx):
+    """Raise NumericalError when a row of upper rises outward from z = 0,
+    on the rows from the first to the last that holds a cell of idx. For
+    upper the rows z > 0 of a nonnegative field even in z, nonzero on the
+    flat index idx alone, that is exactly when the field is not a fixed
+    point of rearrange.steiner_symmetrize_z, bit for bit; an empty idx
+    passes."""
+    if idx.size:
+        b0, b1 = idx[0] // upper.shape[1], idx[-1] // upper.shape[1] + 1
+        if np.any(np.diff(upper[b0:b1], axis=1) > 0):
+            raise NumericalError(
+                "final vorticity is not Steiner-symmetric in z")
 
 
 def run(config, gen):
@@ -430,11 +421,11 @@ def run(config, gen):
     (other), so the five sum to the loop's wall time. Each step (see step)
     starts from the last one's count of cells above mu, on the heads above
     the last mu less twice its last move and mu / 20. The returned
-    vorticity must be a fixed point of steiner_symmetrize_z, bit for bit,
-    on the rows that hold it (a row of zeros is one), or NumericalError is
-    raised. The final state gets a fresh stream field from a full apply so
-    the reported optimality residual and patch measure are
-    self-consistent. check_problem runs first.
+    vorticity must be a fixed point of rearrange.steiner_symmetrize_z, bit
+    for bit (_check_steiner), or NumericalError is raised. The final state
+    gets a fresh stream field from a full apply so the reported optimality
+    residual and patch measure are self-consistent. check_problem runs
+    first.
     """
     lam = check_problem(config, gen)
     spec = config.domain_grid()
@@ -473,12 +464,11 @@ def run(config, gen):
         return psi0
 
     mu, above, cut = 0.0, 0, None
-    spare, owned = np.zeros(zeta.shape), False
     idx = np.flatnonzero(zeta.ravel() != 0.0)
     t0 = time.perf_counter()
     for it in range(1, config.max_iterations + 1):
         psi0, mu, zeta_next, above, n, nxt, m = step(
-            op, config, gen, zeta, idx, grid, above, cut, timed, spare)
+            op, config, gen, zeta, idx, grid, above, cut, timed)
         ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
@@ -487,16 +477,6 @@ def run(config, gen):
         changes.append(l1_change(pairs, zeta, zeta_next, _union(idx, nxt),
                                  grid.w))
         supports.append(2 * nxt.size)
-        # the next update goes into the last iterate, zeroed on its support,
-        # when that iterate filled an earlier spare, so no pass runs over
-        # the grid; into a new zero array otherwise
-        took = zeta_next is spare
-        if took and owned:
-            zeta.ravel()[idx] = 0.0
-            spare = zeta
-        else:
-            spare = np.zeros(zeta.shape)
-        owned = took
         zeta, idx = zeta_next, nxt
         if changes[-1] <= config.tol_zeta:
             break
@@ -509,8 +489,8 @@ def run(config, gen):
     # the full field sums its mass in another order: clamp it once more
     zeta = unfold(zeta)
     _capped(zeta.values, config, lam, integrate_nu(zeta))
-    _check_steiner(zeta, idx)
     upper = zeta.values[:, half:]
+    _check_steiner(upper, idx)
     psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper),
                          None, None))
     seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())

@@ -82,6 +82,21 @@ def test_field_csv_roundtrip(rng, tmp_path):
     assert len(text) == 1 + 7 * 5
 
 
+@pytest.mark.parametrize("other", [
+    (0.5, 2.0, -1.0, 1.0, 6, 4),
+    (0.5, 3.0, -1.0, 1.0, 4, 6),
+    (0.5, 2.0, -2.0, 2.0, 4, 6),
+], ids=["transposed", "other-r-extent", "other-z-extent"])
+def test_field_csv_refuses_another_grid(other, rng, tmp_path):
+    # each grid holds the 24 cells of the file's, at other centres
+    spec = build_grid(0.5, 2.0, -1.0, 1.0, 4, 6)
+    path = tmp_path / "field.csv"
+    path.write_text(dump_field_csv(ScalarField(spec,
+                                               rng.standard_normal((4, 6)))))
+    with pytest.raises(GridMismatchError, match="cell centres"):
+        load_field_csv(build_grid(*other), str(path))
+
+
 def test_dump_matches_the_per_cell_writer(rng, per_cell_csv):
     # zeros of both signs, a subnormal, huge values of both signs, and
     # random values over the whole exponent range; a row of +0.0 (written

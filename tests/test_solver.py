@@ -427,30 +427,6 @@ def test_support_trace_on_every_iteration(monkeypatch):
     assert len(counts) == result.iterations
 
 
-def test_run_is_the_same_whichever_array_takes_the_update(monkeypatch):
-    # run writes each update into the last iterate, zeroed on its support;
-    # an update that comes back in another array (a copy, every other
-    # step here) leaves that spare dirty, and run takes a new zero array:
-    # either way the run is the same, bit for bit
-    cfg = ProblemConfig(epsilon=0.1, n_r=32, n_z=32, max_iterations=60)
-    gen = make_generator("power_law", p=1.0)
-    plain = run(cfg, gen)
-    calls = []
-
-    def copied(*args):
-        mu, update, *search = solve_mu(*args)
-        calls.append(args[-1] is update)
-        return mu, update.copy() if len(calls) % 2 else update, *search
-
-    monkeypatch.setattr(solver, "solve_mu", copied)
-    again = run(cfg, gen)
-    assert all(calls) and again.iterations == plain.iterations > 10
-    for a, b in ((again.energy_trace, plain.energy_trace),
-                 (again.mu_trace, plain.mu_trace),
-                 (again.state.zeta.values, plain.state.zeta.values)):
-        np.testing.assert_array_equal(a, b)
-
-
 def _captured_step(result):
     """The operator, the rows z > 0 of result's final vorticity on the box
     of mirror pairs run iterates on, their support and run's constants."""
@@ -800,12 +776,12 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     spec = cfg.domain_grid()
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0, start, grid, cut, rows, out):
+    def paired(config, gen, psi0, start, grid, cut, rows):
         # each half-plane search, on the rows step searched, against a cold
         # full-grid search on the mirrored stream: the same multiplier and
         # the mirrored update
         mu, update, *search = solve_mu(config, gen, psi0, start, grid, cut,
-                                       rows, out)
+                                       rows)
         full = np.hstack((psi0[:, ::-1], psi0))
         mu_full, update_full, *_ = solve_mu(config, gen, full)
         ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
@@ -884,35 +860,44 @@ def test_run_rejects_a_final_state_that_is_not_steiner(breaks, monkeypatch):
         run(cfg, make_generator("power_law", p=1.0))
 
 
-def test_steiner_check_reads_the_held_rows(monkeypatch):
-    # the closing check takes the rows that hold the support as a grid of
-    # their own, the full grid's on those rows; an empty support passes,
-    # and a hollow column on the held rows raises
-    spec = ProblemConfig(epsilon=0.1, n_r=16, n_z=16).domain_grid()
-    seen = []
-
-    def recorded(zeta):
-        seen.append(zeta.spec)
-        return steiner_symmetrize_z(zeta)
-
-    monkeypatch.setattr(solver, "steiner_symmetrize_z", recorded)
-    solver._check_steiner(ScalarField(spec, np.zeros((16, 16))),
-                          np.array([], dtype=np.intp))
-    assert seen == []
-    vals = np.zeros((16, 16))
-    vals[5:9, 6:10] = 1.0
-    vals[6, [5, 10]] = 0.5
-    idx = np.flatnonzero(vals[:, 8:].ravel())
-    solver._check_steiner(ScalarField(spec, vals), idx)
-    rows = seen.pop()
-    assert (rows.n_r, rows.n_z, rows.z_min, rows.z_max) == (4, 16, spec.z_min,
-                                                            spec.z_max)
-    np.testing.assert_allclose(rows.r_centers, spec.r_centers[5:9],
-                               rtol=1e-14)
-    assert rows.dr == pytest.approx(spec.dr, rel=1e-14)
-    vals[7, 7:9] = 0.0
+def test_steiner_check_reads_the_held_rows():
+    # the closing check reads the rows z > 0 from the first to the last
+    # that holds the support: an empty support passes, a row outside them
+    # is not read, and a hollow column on the held rows raises
+    upper = np.zeros((16, 8))
+    solver._check_steiner(upper, np.array([], dtype=np.intp))
+    upper[5:9, :2] = 1.0
+    upper[6, 2] = 0.5
+    idx = np.flatnonzero(upper.ravel())
+    upper[12, 3] = 1.0
+    solver._check_steiner(upper, idx)
+    upper[7, 0] = 0.0
     with pytest.raises(NumericalError, match="not Steiner-symmetric"):
-        solver._check_steiner(ScalarField(spec, vals), idx)
+        solver._check_steiner(upper, idx)
+
+
+def test_steiner_check_raises_exactly_when_the_sort_moves_a_cell(rng):
+    # on even fields whose rows z > 0 are nonincreasing outward but for one
+    # swapped pair per row, the check raises exactly when
+    # steiner_symmetrize_z changes the field; values on a lattice of
+    # quarters, so that many swaps exchange equal values
+    spec = ProblemConfig(epsilon=0.1, n_r=3, n_z=16).domain_grid()
+    rows = np.arange(3)
+    raised = []
+    for _ in range(300):
+        upper = -np.sort(-rng.integers(0, 5, (3, 8)) / 4.0, axis=1)
+        a, b = rng.integers(0, 8, (2, 3))
+        upper[rows, a], upper[rows, b] = upper[rows, b], upper[rows, a]
+        full = ScalarField(spec, np.hstack((upper[:, ::-1], upper)))
+        moved = not np.array_equal(steiner_symmetrize_z(full).values,
+                                   full.values)
+        try:
+            solver._check_steiner(upper, np.flatnonzero(upper.ravel()))
+            raised.append(False)
+        except NumericalError:
+            raised.append(True)
+        assert raised[-1] == moved
+    assert 0 < sum(raised) < len(raised)
 
 
 def test_kkt_residual_detects_perturbation(coarse_turkington):
