@@ -144,19 +144,25 @@ def angular_variation(profile):
 
     Splits the disc rho <= halfwidth / 2 into 8 equal angular sectors,
     averages the profile over each, and returns (max - min) / mean. Small
-    values mean the core is nearly radial.
+    values mean the core is nearly radial. The window's lattice is
+    symmetric about the centre, so its diagonal cells (|x| = |y|) lie on
+    sector boundaries, up to roundoff: each gives half its weight to
+    either side.
     """
     n_sectors = 8
     fld = profile.field
     xx, yy = fld.spec.r_centers[:, None], fld.spec.z_centers[None, :]
     inside = np.hypot(xx, yy) <= 0.5 * profile.window_halfwidth
-    ang = np.mod(np.arctan2(yy, xx), 2.0 * np.pi)
-    sector = np.minimum((ang / (2.0 * np.pi) * n_sectors).astype(int),
-                        n_sectors - 1)[inside]
+    ang = np.mod(np.arctan2(yy, xx), 2.0 * np.pi)[inside]
+    pos = ang / (2.0 * np.pi) * n_sectors
+    # a cell within 1e-9 sectors of a boundary is counted half in each
+    sector = np.floor(np.concatenate((pos - 1e-9, pos + 1e-9))).astype(int)
+    sector %= n_sectors
     counts = np.bincount(sector, minlength=n_sectors)
     if not np.all(counts):
         raise NumericalError("empty angular sector in profile check")
-    means = np.bincount(sector, fld.values[inside], n_sectors) / counts
+    means = np.bincount(sector, np.tile(fld.values[inside], 2),
+                        n_sectors) / counts
     mean_all = float(np.mean(means))
     if mean_all <= 0.0:
         raise NumericalError("profile vanishes on the core disc")
@@ -191,28 +197,18 @@ def _count_pieces(mask):
         label = low
 
 
-def _pieces_and_holes(mask):
-    """(pieces, holes) of a nonempty boolean mask, both 4-connected.
-
-    The complement is examined inside the mask's one-cell-padded bounding
-    box, whose padding ring is one piece of it: every other piece is a
-    hole. A piece of the complement that reaches the grid edge therefore
-    counts as a hole only when the mask closes it off inside the box.
-    """
-    i, j = np.nonzero(mask)
-    box = np.zeros((np.ptp(i) + 3, np.ptp(j) + 3), dtype=bool)
-    box[i - i.min() + 1, j - j.min() + 1] = True
-    return _count_pieces(box), _count_pieces(np.pad(~box, 1)) - 1
-
-
 def topology_check(zeta):
     """True when the support is one 4-connected piece with no holes.
 
-    The complement is examined inside a one-cell-padded bounding box, so a
-    support region touching the grid edge still counts as hole-free as
-    long as its complement stays connected.
+    The complement is examined inside the support's one-cell-padded
+    bounding box, whose padding ring is one piece of it: every other piece
+    is a hole. A support region touching the grid edge therefore still
+    counts as hole-free as long as its complement stays connected.
     """
-    return _pieces_and_holes(support_mask(zeta)) == (1, 0)
+    i, j = np.nonzero(support_mask(zeta))
+    box = np.zeros((np.ptp(i) + 3, np.ptp(j) + 3), dtype=bool)
+    box[i - i.min() + 1, j - j.min() + 1] = True
+    return _count_pieces(box) == 1 == _count_pieces(np.pad(~box, 1))
 
 
 def velocity_field(psi, gen, epsilon):

@@ -483,10 +483,11 @@ class StreamOperator:
         np.matmul(phat[:, 0, :].T, self._dct3, out=out[a0:a1])
         return out
 
-    def row_bound(self, upper):
+    def row_bound(self, upper, b0=0):
         """U(a) = sum_b bound[b, a] * (row b's full-field sum), from the rows
-        z > 0 of a nonnegative even field: max_j psi0(a, j) <= U(a)."""
-        return 2.0 * upper.sum(axis=1) @ self.bound
+        z > 0 of a nonnegative even field, upper holding its source rows
+        from b0 on and the rest 0: max_j psi0(a, j) <= U(a)."""
+        return 2.0 * np.add.reduce(upper, 1) @ self.bound[b0:b0 + len(upper)]
 
     def apply_direct(self, values):
         """Slow reference: explicit summation over source cells, on a

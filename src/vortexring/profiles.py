@@ -306,7 +306,8 @@ def make_generator(family, **params):
     family is a key of FAMILIES, and params holds at most the one
     parameter FAMILIES names for it, a number (not a string or a bool).
     The table family takes table=(t, f, g) arrays or table_path, a CSV
-    with header t,f,g; any other keyword raises ConfigurationError.
+    with header t,f,g; any other keyword, and a table_path that is missing
+    or does not hold three numeric columns, raises ConfigurationError.
     """
     if family not in FAMILIES:
         raise ConfigurationError("unknown generator family %r" % (family,))
@@ -319,9 +320,15 @@ def make_generator(family, **params):
         return GeneratorPair(family, **params)
     table = params.get("table")
     if table is None:
-        if params.get("table_path") is None:
+        path = params.get("table_path")
+        if path is None:
             raise ConfigurationError("table generator needs table or table_path")
-        table = np.loadtxt(params["table_path"], delimiter=",", skiprows=1).T
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError("table_path %s: %s" % (path, exc))
+        if len(table) < 3:
+            raise ConfigurationError("table_path %s: needs 3 columns" % path)
     t, f, g = table[:3]
     return GeneratorPair("table", table_t=t, table_f=f, table_g=g)
 

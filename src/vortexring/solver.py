@@ -150,11 +150,10 @@ class ProblemConfig:
 
 @dataclass
 class SolveState:
-    """One iterate: vorticity, its stream field, multiplier, and the
-    shifted stream psi = psi0 - (W r^2/2) log(1/eps) - mu."""
+    """The final iterate: vorticity, multiplier, and the shifted stream
+    psi = K zeta - (W r^2/2) log(1/eps) - mu."""
 
     zeta: ScalarField
-    psi0: ScalarField
     mu: float
     psi: ScalarField
     energy: float
@@ -194,14 +193,11 @@ def background_field(config, spec):
     return np.broadcast_to(b[:, None], (spec.n_r, spec.n_z))
 
 
-def energy(config, gen, zeta, psi0, idx=None, grid=None):
+def energy(config, zeta, psi0, idx, grid):
     """The three-term functional at (zeta, psi0 = K zeta), arrays on the
-    box of grid (config's grid if None), for a nonnegative zeta, summed
-    over its sorted flat support idx (scanned for if None)."""
-    _, eps2, r, w, _, _, J, _ = grid or _grid_constants(
-        config, gen, config.domain_grid())
-    # nonzero over a float array is ~10x slower than over a boolean mask
-    idx = np.flatnonzero(zeta.ravel() != 0.0) if idx is None else idx
+    box of grid (run's Cells), for a nonnegative zeta, summed over its
+    sorted flat support idx."""
+    _, eps2, r, w, _, _, J, _ = grid
     r, w = r[idx], w[idx]
     z = zeta.ravel()[idx]
     kern = 0.5 * float(np.add.reduce(z * psi0.ravel()[idx] * w))
@@ -225,13 +221,13 @@ def _grid_constants(config, gen, spec):
                  spec)
 
 
-def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None):
+def solve_mu(config, psi0, grid, start=0, cut=None, rows=None):
     """Multiplier and updated vorticity of one outer step from psi0, an
-    array on the box of grid (run's per-run Cells; config's grid if None),
-    searched on its rows [a0, a1) = rows (all if None): returns mu, the
-    update (a new array of psi0's shape), the count of cells above mu (the
-    next step's start; 0 is cold), the fill calls and the sorted flat
-    index of the update's nonzero cells.
+    array on the box of grid (run's per-run Cells), searched on its rows
+    [a0, a1) = rows (all if None): returns mu, the update (a new array of
+    psi0's shape), the count of cells above mu (the next step's start; 0
+    is cold), the fill calls and the sorted flat index of the update's
+    nonzero cells.
 
     The update at multiplier mu is eps^2 zeta = min(Lambda, i(r, head - mu))
     with head = psi0 less the per-row background, and its mass is
@@ -248,8 +244,7 @@ def solve_mu(config, gen, psi0, start=0, grid=None, cut=None, rows=None):
     one call of i on the cells above the probed mu; cut, a level below mu,
     picks its band (None: every positive head).
     """
-    lam, eps2, r, w, bg, law_i, _, spec = grid or _grid_constants(
-        config, gen, config.domain_grid())
+    lam, eps2, r, w, bg, law_i, _, spec = grid
     a0, a1 = rows or (0, psi0.shape[0])
     lo, hi = a0 * psi0.shape[1], a1 * psi0.shape[1]
     head = psi0[a0:a1].ravel() - bg[lo:hi]
@@ -323,11 +318,10 @@ def initialize(config, gen):
     raise ConfigurationError("could not place the initialization ball")
 
 
-def l1_change(spec, a, b, idx=None, w=None):
+def l1_change(a, b, idx, w):
     """Relative L1(nu) change between iterates over idx, the sorted cells
-    where either is nonzero, with flat nu weights w (each found if None)."""
-    idx = np.flatnonzero((a != 0.0) | (b != 0.0)) if idx is None else idx
-    w = (spec.nu_weights().ravel() if w is None else w)[idx]
+    where either is nonzero, with flat nu weights w."""
+    w = w[idx]
     a, b = a.ravel()[idx], b.ravel()[idx]
     denom = float(np.add.reduce(np.abs(a) * w))
     return float(np.add.reduce(np.abs(b - a) * w)) / max(denom, 1e-300)
@@ -340,13 +334,13 @@ def _window(op, upper, idx, bg, cut):
     row bound sums the support's source rows [b0, b1) alone."""
     half = upper.shape[1]
     b0, b1 = idx[0] // half, idx[-1] // half + 1
-    bound = 2.0 * np.add.reduce(upper[b0:b1], axis=1) @ op.bound[b0:b1]
+    bound = op.row_bound(upper[b0:b1], b0)
     level = cut - 1e-9 * np.maximum.reduce(bound)
     hit = (bound - bg[::half] > level).nonzero()[0]
     return (min(b0, hit[0]), max(b1, hit[-1] + 1)) if hit.size else (b0, b1)
 
 
-def step(op, config, gen, zeta, idx, grid, start, cut, timed):
+def step(op, config, zeta, idx, grid, start, cut, timed):
     """One outer step: psi0 = K zeta, then solve_mu from start with cut,
     for zeta the rows z > 0 of an even iterate nonzero on idx, all plain
     arrays. A positive cut applies and searches _window's rows alone,
@@ -361,7 +355,7 @@ def step(op, config, gen, zeta, idx, grid, start, cut, timed):
     while True:
         psi0 = timed("apply_even", op.apply_even, zeta, idx, rows)
         mu, update, above, n, nxt = timed(
-            "solve_mu", solve_mu, config, gen, psi0, start, grid, cut, rows)
+            "solve_mu", solve_mu, config, psi0, grid, start, cut, rows)
         applied, evals = applied + rows[1] - rows[0], evals + n
         if rows == full or mu >= cut:
             return psi0, mu, update, above, evals, nxt, applied
@@ -434,9 +428,8 @@ def run(config, gen):
     # n_z / 2 cells of height 2 dz, each standing for a mirror pair: the nu
     # weights double, so masses and energies are those of the even field
     half = spec.n_z // 2
-    pairs = replace(spec, n_z=half)
     zeta = initialize(config, gen).values[:, half:]
-    grid = _grid_constants(config, gen, pairs)
+    grid = _grid_constants(config, gen, replace(spec, n_z=half))
 
     trace, mus, changes, supports, evals, applied = [], [], [], [], [], []
     seconds = dict.fromkeys(
@@ -451,7 +444,7 @@ def run(config, gen):
     def ascend(zeta, psi0, idx, it):
         """The energy of zeta (nonzero on idx, psi0 = K zeta) joins the
         trace after the ascent check. it is None for the final state."""
-        e = timed("energy", energy, config, gen, zeta, psi0, idx, grid)
+        e = timed("energy", energy, config, zeta, psi0, idx, grid)
         if not math.isfinite(e):
             raise NumericalError("energy is not finite: %r" % e)
         if trace and e < trace[-1] - 1e-9 * abs(trace[-1]):
@@ -468,14 +461,13 @@ def run(config, gen):
     t0 = time.perf_counter()
     for it in range(1, config.max_iterations + 1):
         psi0, mu, zeta_next, above, n, nxt, m = step(
-            op, config, gen, zeta, idx, grid, above, cut, timed)
+            op, config, zeta, idx, grid, above, cut, timed)
         ascend(zeta, psi0, idx, it)
         cut = mu - 2.0 * abs(mu - (mus[-1] if mus else 0.0)) - 0.05 * mu
         mus.append(mu)
         evals.append(n)
         applied.append(m)
-        changes.append(l1_change(pairs, zeta, zeta_next, _union(idx, nxt),
-                                 grid.w))
+        changes.append(l1_change(zeta, zeta_next, _union(idx, nxt), grid.w))
         supports.append(2 * nxt.size)
         zeta, idx = zeta_next, nxt
         if changes[-1] <= config.tol_zeta:
@@ -491,14 +483,12 @@ def run(config, gen):
     _capped(zeta.values, config, lam, integrate_nu(zeta))
     upper = zeta.values[:, half:]
     _check_steiner(upper, idx)
-    psi0 = unfold(ascend(upper, timed("apply_even", op.apply_even, upper),
-                         None, None))
+    psi = unfold(ascend(upper, timed("apply_even", op.apply_even, upper, idx),
+                        idx, None))
     seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())
-    psi = np.subtract(psi0.values, background_field(config, spec))
-    psi -= mu
-    psi = ScalarField(spec, psi)
-    state = SolveState(zeta=zeta, psi0=psi0, mu=float(mu), psi=psi,
-                       energy=trace[-1])
+    psi.values -= background_field(config, spec)
+    psi.values -= mu
+    state = SolveState(zeta=zeta, mu=float(mu), psi=psi, energy=trace[-1])
     result = SolveResult(
         config=config, gen=gen, state=state, converged=converged,
         iterations=iterations, energy_trace=np.asarray(trace),

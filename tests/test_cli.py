@@ -12,8 +12,10 @@ import sys
 import numpy as np
 import pytest
 
+from vortexring import cli
 from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, _SWEEP_KEYS, CliError,
                             build_problem, main, solve_to_dir, validate_config)
+from vortexring.errors import NumericalError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -207,15 +209,36 @@ def test_sweep_config_errors(cfg, message):
     assert any(m.startswith(message) for m in info.value.messages)
 
 
-def test_failed_solve_prints_one_error_line(tmp_path, capsys):
-    # a table_path that does not exist passes the schema and fails in the
-    # loader: main reports it on one line instead of a traceback
-    path = _write_config(tmp_path / "cfg.json", profile={
-        "family": "table", "table_path": str(tmp_path / "none.csv")})
+def test_failed_solve_prints_one_error_line(tmp_path, capsys, monkeypatch):
+    # a solve that fails inside run: main reports it on one line instead of
+    # a traceback, and writes nothing
+    def failing(problem, gen):
+        raise NumericalError("energy is not finite: nan")
+
+    monkeypatch.setattr(cli, "run", failing)
+    path = _write_config(tmp_path / "cfg.json")
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: FileNotFoundError: ")
+    assert err == ["error: NumericalError: energy is not finite: nan"]
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("text", [
+    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n",
+], ids=["missing", "two columns", "ragged"])
+def test_bad_table_file_is_a_config_error(text, tmp_path, capsys):
+    # a table_path passes the schema; the loader names it on one line
+    table = tmp_path / "tab.csv"
+    if text is not None:
+        table.write_text(text)
+    path = _write_config(tmp_path / "cfg.json", profile={
+        "family": "table", "table_path": str(table)})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: table_path %s: " % table)
     assert not os.path.exists(tmp_path / "o")
 
 

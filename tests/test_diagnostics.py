@@ -8,13 +8,13 @@ from vortexring.diagnostics import (DiagnosticsRecord, angular_variation,
                                     asymptotic_fit, center_of_vorticity,
                                     core_radius, diagnostics_record,
                                     far_field_check, kelvin_hicks_check,
-                                    predicted_slopes, scaled_profile,
-                                    support_mask,
+                                    predicted_slopes, ScaledProfile,
+                                    scaled_profile, support_mask,
                                     support_on_edge, support_stats,
                                     topology_check, velocity_field)
 from vortexring.errors import ConfigurationError, NumericalError
 from vortexring.greens import default_extended_box, fd_solve
-from vortexring.grid import ScalarField, bilinear_sample, build_grid
+from vortexring.grid import GridSpec, ScalarField, bilinear_sample, build_grid
 from vortexring.profiles import make_generator
 from vortexring.solver import ProblemConfig, initialize
 
@@ -139,6 +139,38 @@ def test_angular_variation_radial_disc():
     assert var < 0.1
 
 
+def _window_profile(halfwidth, shape):
+    """A ScaledProfile holding shape(rho, theta) sampled exactly at the
+    cell centres of the 96 x 96 window scaled_profile builds."""
+    win = GridSpec(-halfwidth, halfwidth, -halfwidth, halfwidth, 96, 96)
+    x, y = win.r_centers[:, None], win.z_centers[None, :]
+    vals = shape(np.hypot(x, y), np.arctan2(y, x))
+    return ScaledProfile(field=ScalarField(win, vals), planar_mass=0.0,
+                         window_halfwidth=halfwidth)
+
+
+@pytest.mark.parametrize("halfwidth", [5.6, 6.0, 7.3, 8.0])
+def test_angular_variation_reads_radial_profiles_as_radial(halfwidth):
+    # the window's diagonal cells lie on sector boundaries, half in each
+    # of their two sectors: radial profiles read 0 up to roundoff
+    for radial in (lambda rho: np.where(rho <= 2.0, 1.0, 0.0),
+                   lambda rho: np.where(rho <= 2.5, np.cos(
+                       0.5 * np.pi * rho / 2.5), 0.0),
+                   lambda rho: np.exp(-rho ** 2)):
+        prof = _window_profile(halfwidth, lambda rho, th: radial(rho))
+        assert angular_variation(prof) <= 1e-12
+
+
+@pytest.mark.parametrize("halfwidth", [5.6, 6.0, 7.3, 8.0])
+def test_angular_variation_of_a_cos_2theta_profile(halfwidth):
+    # sector means of 1 + 0.1 cos 2 theta over 45 degree sectors run from
+    # 1 - 0.2 / pi to 1 + 0.2 / pi, whatever the radial factor: 0.4 / pi
+    prof = _window_profile(halfwidth, lambda rho, th: np.exp(-rho ** 2)
+                           * (1.0 + 0.1 * np.cos(2.0 * th)))
+    np.testing.assert_allclose(angular_variation(prof), 0.4 / np.pi,
+                               rtol=0.05)
+
+
 def test_topology_check_shapes():
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 64, 64)
     rr = spec.r_centers[:, None]
@@ -183,7 +215,7 @@ def _test_masks(rng):
 def test_topology_and_edge_cells_match_ndimage(rng):
     # the numpy label propagation and erosion against scipy.ndimage
     from scipy import ndimage
-    from vortexring.diagnostics import _edge_cells, _pieces_and_holes
+    from vortexring.diagnostics import _count_pieces, _edge_cells
     cross = ndimage.generate_binary_structure(2, 1)
     seen = np.zeros(3, dtype=int)
     for mask in _test_masks(rng):
@@ -191,7 +223,9 @@ def test_topology_and_edge_cells_match_ndimage(rng):
             continue
         pieces = ndimage.label(mask, structure=cross)[1]
         holes = ndimage.label(~np.pad(mask, 1), structure=cross)[1] - 1
-        assert _pieces_and_holes(mask) == (pieces, holes)
+        framed = np.pad(mask, 1)
+        assert _count_pieces(framed) == pieces
+        assert _count_pieces(np.pad(~framed, 1)) - 1 == holes
         edge = mask & ~ndimage.binary_erosion(mask, structure=cross)
         assert np.array_equal(_edge_cells(mask), edge)
         spec = build_grid(0.5, 2.0, -1.0, 1.0, *mask.shape)

@@ -386,7 +386,8 @@ def test_apply_even_on_a_row_range(n_r, n_z, rng):
 def test_row_bound_holds_every_row(box, rng):
     # psi0(a, .) <= U(a) = sum_b bound[b, a] * (row b's full-field sum) for
     # any nonnegative field: the solver skips the rows whose U less the
-    # background lies below its cut
+    # background lies below its cut; given the source rows [b0, b1) that
+    # hold the field, from b0 on, the bound is the same to roundoff
     r_min, r_max, z_half, n_r, n_z = box
     op = StreamOperator(build_grid(r_min, r_max, -z_half, z_half, n_r, n_z))
     fields = dict(_row_fields(n_r, n_z // 2, rng))
@@ -396,6 +397,11 @@ def test_row_bound_holds_every_row(box, rng):
         bound = op.row_bound(vals)
         assert bound.shape == (n_r,)
         assert np.all(np.max(op.apply_even(vals), axis=1) <= bound), name
+        held = np.flatnonzero(vals.any(axis=1))
+        if held.size:
+            b0, b1 = held[0], held[-1] + 1
+            np.testing.assert_allclose(op.row_bound(vals[b0:b1], b0), bound,
+                                       rtol=1e-14, atol=0.0)
     assert np.all(op.bound > 0.0)
 
 

@@ -2,6 +2,7 @@
 and the structural assumption checker."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -294,6 +295,19 @@ def test_make_generator_validation(tmp_path):
     gen = make_generator("table", table_path=str(path))
     assert gen.family == "table"
     np.testing.assert_allclose(eval_i(gen, 1.0, 1.5), 1.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n",
+    "t,f,g\n0,0,0\n1,x,1\n",
+], ids=["missing", "two columns", "ragged", "not a number"])
+def test_table_path_errors_name_the_file(text, tmp_path):
+    path = tmp_path / "tab.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigurationError, match="^table_path %s: "
+                       % re.escape(str(path))):
+        make_generator("table", table_path=str(path))
 
 
 def test_each_family_takes_its_own_parameter_only():

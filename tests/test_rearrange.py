@@ -10,7 +10,7 @@ from vortexring import solver
 from vortexring.cli import _bathtub_brute
 from vortexring.errors import ConfigurationError
 from vortexring.grid import GridSpec, ScalarField, build_grid, integrate_nu
-from vortexring.greens import get_stream_operator
+from vortexring.greens import apply_stream_operator, get_stream_operator
 from vortexring.profiles import eval_i
 from vortexring.rearrange import (MeasureSpace, bathtub_maximize,
                                   steiner_symmetrize_z, threshold_fill)
@@ -288,8 +288,10 @@ def test_threshold_fill_leaves_no_arrays_in_reference_cycles(rng):
 @pytest.mark.parametrize("which", ["coarse_turkington", "coarse_power_law"])
 def test_solve_mu_matches_full_array_search(which, request):
     result = request.getfixturevalue(which)
-    config, gen, psi0 = result.config, result.gen, result.state.psi0
-    mu, zeta, *_ = solver.solve_mu(config, gen, psi0.values)
+    config, gen = result.config, result.gen
+    psi0 = apply_stream_operator(result.state.zeta)
+    mu, zeta, *_ = solver.solve_mu(config, psi0.values, solver._grid_constants(
+        config, gen, psi0.spec))
 
     # the full-array update of solve_mu, through the oracle search
     spec = psi0.spec

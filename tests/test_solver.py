@@ -20,6 +20,18 @@ from vortexring.solver import (ProblemConfig, SolveState, background_field,
                                patch_measure, run, solve_mu)
 
 
+def _cells(config, gen):
+    """run's per-cell constants (solver.Cells) on config's full grid: what
+    the loop's helpers take in place of the generator."""
+    return solver._grid_constants(config, gen, config.domain_grid())
+
+
+def _support(*fields):
+    """The sorted flat index of the cells where any of fields is nonzero."""
+    return np.flatnonzero(np.logical_or.reduce([f.ravel() != 0.0
+                                                for f in fields]))
+
+
 def test_problem_config_validation():
     for bad_eps in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ConfigurationError):
@@ -122,13 +134,15 @@ def test_energy_zero_field_and_scaling():
     cfg = ProblemConfig(epsilon=0.1, n_r=24, n_z=24)
     gen = make_generator("power_law", p=1.0)
     spec = cfg.domain_grid()
+    cells = _cells(cfg, gen)
     zero = np.zeros((24, 24))
-    assert energy(cfg, gen, zero, zero) == 0.0
+    assert energy(cfg, zero, zero, _support(zero), cells) == 0.0
 
     zeta = initialize(cfg, gen)
     psi0 = apply_stream_operator(zeta)
-    e1 = energy(cfg, gen, zeta.values, psi0.values)
-    e2 = energy(cfg, gen, 2.0 * zeta.values, 2.0 * psi0.values)
+    idx = _support(zeta.values)
+    e1 = energy(cfg, zeta.values, psi0.values, idx, cells)
+    e2 = energy(cfg, 2.0 * zeta.values, 2.0 * psi0.values, idx, cells)
     # power_law(1): kernel and penalty terms are quadratic, the impulse
     # term is linear, so E(2 zeta) - 4 E(zeta) = 2 * impulse term
     w = spec.nu_weights()
@@ -160,10 +174,11 @@ def _energy_full_grid(config, gen, zeta, psi0):
 def test_energy_matches_full_grid_sum(coarse_turkington, coarse_power_law,
                                       rng):
     for result in (coarse_turkington, coarse_power_law):
-        st = result.state
-        ref = _energy_full_grid(result.config, result.gen, st.zeta, st.psi0)
-        got = energy(result.config, result.gen, st.zeta.values,
-                     st.psi0.values)
+        cfg, zeta = result.config, result.state.zeta
+        psi0 = apply_stream_operator(zeta)
+        ref = _energy_full_grid(cfg, result.gen, zeta, psi0)
+        got = energy(cfg, zeta.values, psi0.values, _support(zeta.values),
+                     _cells(cfg, result.gen))
         assert abs(got - ref) <= 1e-13 * abs(ref)
     # a nonnegative field with no symmetry and holes in its support
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
@@ -175,10 +190,12 @@ def test_energy_matches_full_grid_sum(coarse_turkington, coarse_power_law,
     zero = ScalarField(spec, np.zeros((16, 16)))
     for gen in (make_generator("power_law", p=1.0),
                 make_generator("turkington", alpha=1.0)):
+        cells = _cells(cfg, gen)
         ref = _energy_full_grid(cfg, gen, zeta, psi0)
-        assert (abs(energy(cfg, gen, zeta.values, psi0.values) - ref)
-                <= 1e-13 * abs(ref))
-        assert energy(cfg, gen, zero.values, psi0.values) == 0.0
+        got = energy(cfg, zeta.values, psi0.values, _support(vals), cells)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        assert energy(cfg, zero.values, psi0.values, _support(zero.values),
+                      cells) == 0.0
 
 
 def test_solve_mu_pointwise_cases():
@@ -194,7 +211,7 @@ def test_solve_mu_pointwise_cases():
     head[1, 1] = 0.5
     head[2, 2] = 100.0
     psi0 = bg + head
-    mu, out, *_ = solve_mu(cfg, gen, psi0)
+    mu, out, *_ = solve_mu(cfg, psi0, _cells(cfg, gen))
     eps2 = cfg.epsilon ** 2
     assert mu == 0.0
     assert out[0, 0] == 0.0
@@ -208,8 +225,7 @@ def test_solve_mu_pointwise_cases():
 def test_solve_mu_zero_stream():
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
     gen = make_generator("power_law", p=1.0)
-    spec = cfg.domain_grid()
-    mu, zeta, *_ = solve_mu(cfg, gen, np.zeros((16, 16)))
+    mu, zeta, *_ = solve_mu(cfg, np.zeros((16, 16)), _cells(cfg, gen))
     assert mu == 0.0
     assert np.all(zeta == 0.0)
 
@@ -285,7 +301,7 @@ def _solve_mu_on_hump(n, family, params, monkeypatch):
         return law_i, law_J
 
     monkeypatch.setattr(solver, "cell_law", counted_law)
-    mu, zeta, *_ = solve_mu(cfg, gen, bg + hump)
+    mu, zeta, *_ = solve_mu(cfg, bg + hump, _cells(cfg, gen))
     assert mu > 0.0
     mass = integrate_nu(ScalarField(spec, zeta))
     assert mass <= cfg.kappa
@@ -349,8 +365,8 @@ def test_warm_band_on_the_ledge(monkeypatch):
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     cold_calls = _warm_band_checked(monkeypatch)
-    mu, *_ = solve_mu(cfg, make_generator("turkington", alpha=1.0),
-                      background_field(cfg, spec) + plateau)
+    cells = _cells(cfg, make_generator("turkington", alpha=1.0))
+    mu, *_ = solve_mu(cfg, background_field(cfg, spec) + plateau, cells)
     assert mu > 0.0 and len(cold_calls) == 1
 
 
@@ -368,7 +384,7 @@ def test_solve_mu_ledge_fill_for_jump_generator():
     zz = spec.z_centers[None, :]
     plateau = ((np.abs(rr - 1.0) < 0.35) & (np.abs(zz) < 0.35)).astype(float)
     psi0 = bg + plateau
-    mu, zeta, *_ = solve_mu(cfg, gen, psi0)
+    mu, zeta, *_ = solve_mu(cfg, psi0, _cells(cfg, gen))
     # (bg + 1) - bg leaves the plateau heads a few ulp apart
     head = psi0 - bg
     assert mu in set(head[plateau == 1.0])
@@ -391,25 +407,32 @@ def test_solve_mu_ledge_fill_for_jump_generator():
 
 def test_l1_change():
     cfg = ProblemConfig(epsilon=0.1, n_r=8, n_z=8)
-    spec = cfg.domain_grid()
+    w = cfg.domain_grid().nu_weights().ravel()
     a = np.ones((8, 8))
-    assert l1_change(spec, a, a) == 0.0
-    np.testing.assert_allclose(l1_change(spec, a, 1.5 * a), 0.5, rtol=1e-14)
+    idx = _support(a)
+    assert l1_change(a, a, idx, w) == 0.0
+    np.testing.assert_allclose(l1_change(a, 1.5 * a, idx, w), 0.5,
+                               rtol=1e-14)
 
 
 def test_energy_and_l1_change_on_the_support_index(rng):
     # run hands energy the iterate's index and l1_change the union of two
-    # iterates' indices; both must match the scans they replace bit for bit
+    # iterates' indices; both match the sums over the whole grid
     cfg = ProblemConfig(epsilon=0.1, n_r=16, n_z=16)
     spec = cfg.domain_grid()
     gen = make_generator("power_law", p=1.0)
+    cells = _cells(cfg, gen)
     a, b = (np.where(rng.random((16, 16)) < 0.2,
                      rng.uniform(0.0, 300.0, (16, 16)), 0.0) for _ in range(2))
-    ia, ib = (np.flatnonzero(v.ravel() != 0.0) for v in (a, b))
+    ia, ib = _support(a), _support(b)
     psi0 = get_stream_operator(spec).apply_direct(a)
-    assert energy(cfg, gen, a, psi0, ia) == energy(cfg, gen, a, psi0)
-    assert (l1_change(spec, a, b, np.union1d(ia, ib))
-            == l1_change(spec, a, b))
+    ref = _energy_full_grid(cfg, gen, ScalarField(spec, a),
+                            ScalarField(spec, psi0))
+    assert abs(energy(cfg, a, psi0, ia, cells) - ref) <= 1e-13 * abs(ref)
+    w = spec.nu_weights()
+    ref = float(np.sum(np.abs(b - a) * w)) / float(np.sum(np.abs(a) * w))
+    np.testing.assert_allclose(l1_change(a, b, np.union1d(ia, ib), cells.w),
+                               ref, rtol=1e-13)
 
 
 def test_support_trace_on_every_iteration(monkeypatch):
@@ -469,9 +492,9 @@ def _recorded_step(result, cut):
         layers.append(layer)
         return f(*args)
 
-    got = solver.step(op, cfg, gen, zeta, idx, grid, 0, cut, timed)
+    got = solver.step(op, cfg, zeta, idx, grid, 0, cut, timed)
     full = op.apply_even(zeta)
-    return got, full, solve_mu(cfg, gen, full, 0, grid, cut), layers
+    return got, full, solve_mu(cfg, full, grid, 0, cut), layers
 
 
 @pytest.mark.parametrize("share", [None, -1.0, 0.9])
@@ -529,16 +552,16 @@ def test_windowed_search_matches_the_full_rows(which, cut, request):
     # cold call's count, returns what the search on every row returns, mu,
     # update, count above mu, fill calls and index, bit for bit
     result = request.getfixturevalue(which)
-    cfg, gen, mu = result.config, result.gen, result.state.mu
+    cfg, mu = result.config, result.state.mu
     op, zeta, idx, grid = _captured_step(result)
     rows = solver._window(op, zeta, idx, grid.bg, 0.9 * mu)
     assert 0 < rows[1] - rows[0] < cfg.n_r
     psi0 = op.apply_even(zeta, idx, rows)
     cut = {"none": None, "-mu": -mu, "0.9mu": 0.9 * mu,
            "above": 2.0 * float(np.max(psi0))}[cut]
-    for start in (0, solve_mu(cfg, gen, psi0, 0, grid)[2]):
-        windowed = solve_mu(cfg, gen, psi0, start, grid, cut, rows)
-        full = solve_mu(cfg, gen, psi0, start, grid, cut)
+    for start in (0, solve_mu(cfg, psi0, grid)[2]):
+        windowed = solve_mu(cfg, psi0, grid, start, cut, rows)
+        full = solve_mu(cfg, psi0, grid, start, cut)
         assert windowed[0] == full[0] and windowed[2:4] == full[2:4]
         for a, b in ((windowed[1], full[1]), (windowed[4], full[4])):
             np.testing.assert_array_equal(a, b)
@@ -549,25 +572,25 @@ def test_solve_mu_rejects_a_non_finite_stream(bad, coarse_power_law):
     # a non-finite stream on a searched row raises; the rows outside the
     # search are not read
     result = coarse_power_law
-    cfg, gen = result.config, result.gen
+    cfg = result.config
     op, zeta, idx, grid = _captured_step(result)
     a0, a1 = rows = solver._window(op, zeta, idx, grid.bg,
                                    0.9 * result.state.mu)
     assert 0 < a0 and a1 < cfg.n_r
     psi0 = op.apply_even(zeta, idx, rows)
-    want = solve_mu(cfg, gen, psi0, 0, grid, None, rows)
+    want = solve_mu(cfg, psi0, grid, rows=rows)
     for row in (a0, a1 - 1):
         broken = psi0.copy()
         broken[row, -1] = bad
         with pytest.raises(NumericalError, match="not finite"):
-            solve_mu(cfg, gen, broken, 0, grid, None, rows)
+            solve_mu(cfg, broken, grid, rows=rows)
     broken = psi0.copy()
     broken[[a0 - 1, a1]] = bad
-    got = solve_mu(cfg, gen, broken, 0, grid, None, rows)
+    got = solve_mu(cfg, broken, grid, rows=rows)
     assert got[0] == want[0]
     np.testing.assert_array_equal(got[1], want[1])
     with pytest.raises(NumericalError, match="not finite"):
-        solve_mu(cfg, gen, broken, 0, grid)
+        solve_mu(cfg, broken, grid)
 
 
 def test_layer_seconds(coarse_turkington):
@@ -636,6 +659,17 @@ def test_run_invariants_power_law(coarse_power_law):
     assert result.patch_measure == 0.0
 
 
+def test_psi_is_the_full_apply_less_background_and_mu(coarse_turkington,
+                                                      coarse_power_law):
+    # run keeps no psi0: psi is the final state's apply, less the
+    # background and mu, bit for bit
+    for result in (coarse_turkington, coarse_power_law):
+        state, spec = result.state, result.state.zeta.spec
+        want = (apply_stream_operator(state.zeta).values
+                - background_field(result.config, spec)) - state.mu
+        np.testing.assert_array_equal(state.psi.values, want)
+
+
 def test_stop_reason_on_conftest_runs(coarse_turkington, coarse_power_law):
     assert coarse_turkington.stop_reason == "converged"
     assert coarse_turkington.iterations < coarse_turkington.config.max_iterations
@@ -690,6 +724,7 @@ def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
     gen = make_generator(family, **params)
     spec = cfg.domain_grid()
     op = get_stream_operator(spec)
+    cells = _cells(cfg, gen)
     for _ in range(5):
         raw = rng.uniform(0.0, 1.0, (16, 16))
         raw[rng.uniform(size=(16, 16)) < 0.6] = 0.0
@@ -699,7 +734,7 @@ def test_one_step_maps_steiner_fields_to_steiner_fields(family, params, rng):
         psi0 = 0.5 * (vals + vals[:, ::-1])
         np.testing.assert_array_equal(psi0, psi0[:, ::-1])
         assert np.all(np.diff(psi0[:, 8:], axis=1) <= 0.0)
-        _, update, *_ = solve_mu(cfg, gen, psi0)
+        _, update, *_ = solve_mu(cfg, psi0, cells)
         assert np.any(update > 0.0)
         assert _is_steiner(ScalarField(spec, update))
 
@@ -741,21 +776,21 @@ def _full_grid_run(cfg, gen):
     z > 0 alone by the even apply. Returns
     the iteration count, the energy and multiplier traces and the final
     vorticity."""
-    spec = cfg.domain_grid()
-    op = get_stream_operator(spec)
+    op = get_stream_operator(cfg.domain_grid())
+    cells = _cells(cfg, gen)
     zeta = initialize(cfg, gen).values
     trace, mus = [], []
 
     def stream(zeta):
         vals = op.apply_direct(zeta)
         psi0 = 0.5 * (vals + vals[:, ::-1])
-        trace.append(energy(cfg, gen, zeta, psi0))
+        trace.append(energy(cfg, zeta, psi0, _support(zeta), cells))
         return psi0
 
     for it in range(1, cfg.max_iterations + 1):
-        mu, update, *_ = solve_mu(cfg, gen, stream(zeta))
+        mu, update, *_ = solve_mu(cfg, stream(zeta), cells)
         mus.append(mu)
-        change = l1_change(spec, zeta, update)
+        change = l1_change(zeta, update, _support(zeta, update), cells.w)
         zeta = update
         if change <= cfg.tol_zeta:
             break
@@ -773,17 +808,16 @@ def test_half_plane_run_matches_full_grid_loop(family, params, n,
     cfg = ProblemConfig(epsilon=0.1, n_r=n, n_z=n, max_iterations=150)
     gen = make_generator(family, **params)
     iterations, trace, mus, zeta = _full_grid_run(cfg, gen)
-    spec = cfg.domain_grid()
+    cells = _cells(cfg, gen)
     ulps, gaps = [], []
 
-    def paired(config, gen, psi0, start, grid, cut, rows):
+    def paired(config, psi0, grid, start, cut, rows):
         # each half-plane search, on the rows step searched, against a cold
         # full-grid search on the mirrored stream: the same multiplier and
         # the mirrored update
-        mu, update, *search = solve_mu(config, gen, psi0, start, grid, cut,
-                                       rows)
+        mu, update, *search = solve_mu(config, psi0, grid, start, cut, rows)
         full = np.hstack((psi0[:, ::-1], psi0))
-        mu_full, update_full, *_ = solve_mu(config, gen, full)
+        mu_full, update_full, *_ = solve_mu(config, full, cells)
         ulps.append(abs(mu - mu_full) / np.spacing(abs(mu_full)))
         top = update_full[:, n // 2:]
         gaps.append(np.max(np.abs(update - top)) / np.max(top))
@@ -907,8 +941,8 @@ def test_kkt_residual_detects_perturbation(coarse_turkington):
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     vals[i, j] *= 1.1
     zeta = ScalarField(base.state.zeta.spec, vals)
-    state = SolveState(zeta=zeta, psi0=base.state.psi0, mu=base.state.mu,
-                       psi=base.state.psi, energy=base.state.energy)
+    state = SolveState(zeta=zeta, mu=base.state.mu, psi=base.state.psi,
+                       energy=base.state.energy)
     bumped = dataclasses.replace(base, state=state)
     res = kkt_residual(bumped)
     assert res > 100.0 * base.kkt
@@ -1031,7 +1065,7 @@ def test_run_peaks_at_the_state_it_returns():
         tracemalloc.stop()
     state = result.state
     returned = sum(a.nbytes for a in (
-        state.zeta.values, state.psi0.values, state.psi.values,
+        state.zeta.values, state.psi.values,
         result.energy_trace, result.mu_trace, result.l1_change_trace,
         result.support_trace, result.mass_evals_trace,
         result.apply_rows_trace))
