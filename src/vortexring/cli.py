@@ -12,6 +12,7 @@ error.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -137,18 +138,40 @@ def _config_echo(problem, gen, profile_cfg):
 
 
 def _grid_hash(spec):
-    import hashlib  # here, so that only a manifest's writer loads OpenSSL
-    h = hashlib.sha256()
+    # the interpreter's own SHA-256, which hashlib falls back to, so that
+    # writing a manifest loads no OpenSSL; hashlib only where it has none
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    h = sha256()
     h.update(np.ascontiguousarray(spec.r_centers).tobytes())
     h.update(np.ascontiguousarray(spec.z_centers).tobytes())
     return h.hexdigest()
 
 
-def _atomic_write(path, data):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file to write path through: a temporary that replaces path
+    when the block ends, and is removed, leaving path as it was, when the
+    block raises."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(data)
+    f = open(tmp, "w")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path, data):
+    with _atomic_open(path) as f:
+        f.write(data)
 
 
 def _json_dumps(obj):
@@ -193,20 +216,19 @@ def solve_to_dir(problem, gen, gen_cfg, out_dir):
         "mass_evals_trace": [int(x) for x in result.mass_evals_trace],
         "apply_rows_trace": [int(x) for x in result.apply_rows_trace],
     }
-    files = {}
-    for name, text in (
-            ("result.json", _json_dumps(payload)),
-            ("zeta.csv", dump_field_csv(result.state.zeta)),
-            ("psi.csv", dump_field_csv(result.state.psi))):
-        _atomic_write(os.path.join(out_dir, name), text)
-        files[name] = os.path.join(out_dir, name)
+    # one file at a time, each field streamed row by row
+    _atomic_write(os.path.join(out_dir, "result.json"), _json_dumps(payload))
+    for name, fld in (("zeta.csv", result.state.zeta),
+                      ("psi.csv", result.state.psi)):
+        with _atomic_open(os.path.join(out_dir, name)) as f:
+            dump_field_csv(fld, f)
     stages["write"] = time.perf_counter() - t0
 
     manifest = {
         "version": __version__,
         "config": payload["config"],
         "grid_sha256": _grid_hash(result.state.zeta.spec),
-        "files": sorted(files) + ["manifest.json"],
+        "files": ["psi.csv", "result.json", "zeta.csv", "manifest.json"],
         "wall_clock_seconds": {k: round(v, 6) for k, v in stages.items()},
         "layer_seconds": {k: round(v, 6)
                           for k, v in result.layer_seconds.items()},

@@ -142,18 +142,19 @@ def integrate_nu(f):
     return float(np.sum(f.values.ravel()[idx] * r)) * spec.cell_area
 
 
-def dump_field_csv(f):
-    """A field as CSV text: rows r,z,value in %.17g, row-major over cells."""
+def dump_field_csv(f, out):
+    """Write a field as CSV to the text stream out: the header, then rows
+    r,z,value in %.17g, row-major over cells, one write per grid row."""
     # a row is one %-format: its r joined in front of each ",z,%.17g\n";
     # a row of +0.0 alone joins the tail formatted once with 0
     tail = [""] + [",%.17g,%%.17g\n" % z for z in f.spec.z_centers]
     zero = [""] + [cell % 0.0 for cell in tail[1:]]
     blank = ~(f.values.any(axis=1) | np.signbit(f.values).any(axis=1))
-    return "r,z,value\n" + "".join(
-        ("%.17g" % r).join(zero) if empty else
-        ("%.17g" % r).join(tail) % tuple(row.tolist())
-        for r, row, empty in zip(f.spec.r_centers.tolist(), f.values,
-                                 blank.tolist()))
+    out.write("r,z,value\n")
+    for r, row, empty in zip(f.spec.r_centers.tolist(), f.values,
+                             blank.tolist()):
+        out.write(("%.17g" % r).join(zero) if empty else
+                  ("%.17g" % r).join(tail) % tuple(row.tolist()))
 
 
 def load_field_csv(spec, path):

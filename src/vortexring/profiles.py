@@ -41,6 +41,7 @@ scalar search, is the reference for every family.
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,8 +307,9 @@ def make_generator(family, **params):
     family is a key of FAMILIES, and params holds at most the one
     parameter FAMILIES names for it, a number (not a string or a bool).
     The table family takes table=(t, f, g) arrays or table_path, a CSV
-    with header t,f,g; any other keyword, and a table_path that is missing
-    or does not hold three numeric columns, raises ConfigurationError.
+    with header t,f,g; any other keyword, and a table_path that is
+    missing, holds no data rows or does not hold three numeric columns,
+    raises ConfigurationError.
     """
     if family not in FAMILIES:
         raise ConfigurationError("unknown generator family %r" % (family,))
@@ -324,7 +326,14 @@ def make_generator(family, **params):
         if path is None:
             raise ConfigurationError("table generator needs table or table_path")
         try:
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+            # numpy warns of a file with no rows after the header
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "error", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(path, delimiter=",", skiprows=1,
+                                   ndmin=2).T
+        except UserWarning:
+            raise ConfigurationError("table_path %s: no data rows" % path)
         except (OSError, ValueError) as exc:
             raise ConfigurationError("table_path %s: %s" % (path, exc))
         if len(table) < 3:

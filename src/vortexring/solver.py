@@ -299,20 +299,26 @@ def initialize(config, gen):
     radius = config.epsilon * np.sqrt(config.kappa / (np.pi * rs))
     room = min(rs - spec.r_min, spec.r_max - rs,
                abs(spec.z_min), abs(spec.z_max))
-    rr = spec.r_centers[:, None]
-    zz = spec.z_centers[None, :]
-    w = spec.nu_weights()
+    dr2 = (spec.r_centers - rs) ** 2
+    z2 = spec.z_centers ** 2
+    w = spec.r_centers * spec.cell_area
     for _ in range(40):
         if radius > room:
             raise ConfigurationError(
                 "initialization ball of radius %.3g exceeds the domain "
                 "(room %.3g); epsilon too large for this box" % (radius, room))
-        mask = (rr - rs) ** 2 + zz ** 2 <= radius ** 2
-        volume = float(np.sum(w[mask]))
+        # a rounded sum of two nonnegative terms is at least each term, so
+        # the ball's cells lie on the rows and columns whose own term is
+        # within radius^2: the ball is placed on those alone
+        i = np.flatnonzero(dr2 <= radius ** 2)
+        j = np.flatnonzero(z2 <= radius ** 2)
+        mask = dr2[i, None] + z2[j] <= radius ** 2
+        volume = float(np.sum(np.broadcast_to(w[i, None], mask.shape)[mask]))
         if volume > 0.0:
             c = config.kappa / volume
             if c * config.epsilon ** 2 <= lam:
-                vals = np.where(mask, c, 0.0)
+                vals = np.zeros((spec.n_r, spec.n_z))
+                vals[np.ix_(i, j)] = np.where(mask, c, 0.0)
                 return ScalarField(spec, vals)
         radius *= 1.25
     raise ConfigurationError("could not place the initialization ball")
@@ -485,6 +491,7 @@ def run(config, gen):
     _check_steiner(upper, idx)
     psi = unfold(ascend(upper, timed("apply_even", op.apply_even, upper, idx),
                         idx, None))
+    del grid  # the loop's per-cell constants, unread by the closing checks
     seconds["other"] = time.perf_counter() - t0 - sum(seconds.values())
     psi.values -= background_field(config, spec)
     psi.values -= mu

@@ -103,6 +103,24 @@ def test_field_files_match_the_per_cell_writer(tmp_path, per_cell_csv):
         assert (tmp_path / name).read_bytes() == per_cell_csv(fld).encode()
 
 
+@pytest.mark.parametrize("before", [None, "r,z,value\n"],
+                         ids=["absent", "existing"])
+def test_failed_write_leaves_the_destination_as_it_was(before, tmp_path):
+    # a writer that raises after its first chunk: the file it was writing
+    # stays absent, or keeps its old text, and no temporary is left
+    path = tmp_path / "zeta.csv"
+    if before is not None:
+        path.write_text(before)
+    with pytest.raises(RuntimeError, match="disk full"):
+        with cli._atomic_open(str(path)) as f:
+            f.write("r,z,value\n0.5,-1,0\n")
+            f.flush()
+            raise RuntimeError("disk full")
+    assert os.listdir(tmp_path) == ([] if before is None else ["zeta.csv"])
+    if before is not None:
+        assert path.read_text() == before
+
+
 def test_manifest_holds_the_layer_seconds(solved_dir):
     # timings differ between reruns, so they stay out of result.json
     _, out, _, _ = solved_dir
@@ -225,10 +243,11 @@ def test_failed_solve_prints_one_error_line(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", [
-    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n",
-], ids=["missing", "two columns", "ragged"])
-def test_bad_table_file_is_a_config_error(text, tmp_path, capsys):
-    # a table_path passes the schema; the loader names it on one line
+    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n", "t,f,g\n",
+], ids=["missing", "two columns", "ragged", "header only"])
+def test_bad_table_file_is_a_config_error(text, tmp_path, capsys, recwarn):
+    # a table_path passes the schema; the loader names it on one line, and
+    # no warning adds its own
     table = tmp_path / "tab.csv"
     if text is not None:
         table.write_text(text)
@@ -239,6 +258,9 @@ def test_bad_table_file_is_a_config_error(text, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: table_path %s: " % table)
+    assert not recwarn.list
+    if text == "t,f,g\n":
+        assert err[0].endswith(": no data rows")
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -272,22 +294,23 @@ def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_openssl_unloaded(tmp_path):
-    # hashlib is imported by the manifest's grid hash alone: importing the
-    # CLI and building a problem load no _hashlib, and a solve still
-    # writes the sha256 of the grid's cell centres
+    # the manifest's grid hash takes the interpreter's own sha256: importing
+    # the CLI, building a problem and a solve load no _hashlib, and the
+    # solve still writes the sha256 of the grid's cell centres
     solve = _write_config(tmp_path / "solve.json", grid={"n_r": 24, "n_z": 24})
     out = str(tmp_path / "o")
     code = ("import json, sys, vortexring.cli as cli; "
             "cli.build_problem(json.load(open(%r))); "
             "loaded = '_hashlib' in sys.modules; "
-            "print(loaded, cli.main(['solve', '--config', %r, '--out', %r]))"
+            "rc = cli.main(['solve', '--config', %r, '--out', %r]); "
+            "print(loaded, rc, '_hashlib' in sys.modules)"
             % (solve, solve, out))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["False", "0"], \
+    assert proc.stdout.splitlines()[-1].split() == ["False", "0", "False"], \
         proc.stdout + proc.stderr
     with open(os.path.join(out, "manifest.json")) as f:
         manifest = json.load(f)

@@ -1,5 +1,7 @@
 """Grid construction, measures, and field storage."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,8 @@ def test_field_csv_roundtrip(rng, tmp_path):
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 7, 5)
     fld = ScalarField(spec, rng.standard_normal((7, 5)))
     path = tmp_path / "field.csv"
-    path.write_text(dump_field_csv(fld))
+    with open(path, "w") as f:
+        dump_field_csv(fld, f)
     back = load_field_csv(spec, str(path))
     np.testing.assert_array_equal(back.values, fld.values)
     text = path.read_text().splitlines()
@@ -91,8 +94,8 @@ def test_field_csv_refuses_another_grid(other, rng, tmp_path):
     # each grid holds the 24 cells of the file's, at other centres
     spec = build_grid(0.5, 2.0, -1.0, 1.0, 4, 6)
     path = tmp_path / "field.csv"
-    path.write_text(dump_field_csv(ScalarField(spec,
-                                               rng.standard_normal((4, 6)))))
+    with open(path, "w") as f:
+        dump_field_csv(ScalarField(spec, rng.standard_normal((4, 6))), f)
     with pytest.raises(GridMismatchError, match="cell centres"):
         load_field_csv(build_grid(*other), str(path))
 
@@ -107,7 +110,9 @@ def test_dump_matches_the_per_cell_writer(rng, per_cell_csv):
     vals[2:5] = 0.0
     vals[3, 5], vals[4, 0] = -0.0, 5e-324
     fld = ScalarField(spec, vals)
-    text = dump_field_csv(fld)
+    out = io.StringIO()
+    dump_field_csv(fld, out)
+    text = out.getvalue()
     assert text == per_cell_csv(fld)
     assert "\n0.6071428571428571,-0.5,-0\n" in text
     assert "\n1.0357142857142856,0.83333333333333326,0\n" in text
