@@ -14,6 +14,7 @@ error.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -39,14 +40,6 @@ _SWEEP_KEYS = (_SOLVE_KEYS - {"epsilon"}) | {"epsilons"}
 _SECTIONS = {key.partition(".")[0] for key in _SOLVE_KEYS if "." in key}
 
 
-class CliError(Exception):
-    """Configuration or usage problem; carries all messages at once."""
-
-    def __init__(self, messages):
-        self.messages = messages
-        super().__init__("; ".join(messages))
-
-
 def _flatten(cfg):
     """cfg with each section's keys lifted to "section.key"; a section
     that is not an object stays under its own name."""
@@ -60,9 +53,9 @@ def _flatten(cfg):
 
 
 def validate_config(cfg, allowed, require):
-    """Schema check collecting every offending key before raising."""
+    """Schema check raising one ConfigurationError, a line per complaint."""
     if not isinstance(cfg, dict):
-        raise CliError(["config root must be a JSON object"])
+        raise ConfigurationError("config root must be a JSON object")
     flat = _flatten(cfg)
     # a dotted key at the top level would pass for a section's key
     unknown = (set(flat) - allowed) | {key for key in cfg if "." in key}
@@ -110,18 +103,15 @@ def validate_config(cfg, allowed, require):
     if not isinstance(flat.get("profile.table_path", ""), str):
         errors.append("profile.table_path: must be a string")
     if errors:
-        raise CliError(errors)
+        raise ConfigurationError("\n".join(errors))
 
 
-def build_problem(cfg, epsilon=None):
-    """ProblemConfig + GeneratorPair from a validated config dict; epsilon
-    overrides the config's."""
+def build_problem(cfg):
+    """ProblemConfig + GeneratorPair from a validated config dict."""
     flat = _flatten(cfg)
     kwargs = {field: int(flat[key]) if integer else flat[key]
               for key, (field, _, _, integer) in FIELDS.items()
               if key in flat}
-    if epsilon is not None:
-        kwargs["epsilon"] = epsilon
     pspec = dict(cfg.get("profile", {}))
     gen = make_generator(pspec.pop("family", "power_law"), **pspec)
     return ProblemConfig(**kwargs), gen
@@ -243,9 +233,10 @@ def _load_config(path):
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise CliError(["cannot read config %s: %s" % (path, exc)])
+        raise ConfigurationError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        raise CliError(["config %s is not valid JSON: %s" % (path, exc)])
+        raise ConfigurationError("config %s is not valid JSON: %s"
+                                 % (path, exc))
 
 
 def resolve_out_dir(arg):
@@ -286,10 +277,13 @@ _SWEEP = {
 SWEEP_COLUMNS = list(_SWEEP)
 
 
-def _format_cell(v):
-    if isinstance(v, bool):
-        return str(v).lower()
-    return "%.17g" % v if isinstance(v, float) else str(v)
+def _csv_text(rows):
+    """CSV text of a header row and then the cell rows: floats in %.17g,
+    booleans in lowercase, anything else as str."""
+    return "".join(",".join(
+        str(v).lower() if isinstance(v, bool) else
+        "%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
 
 
 def cmd_sweep(args):
@@ -300,8 +294,9 @@ def cmd_sweep(args):
         if e in eps_list[:i]:
             print("warning: duplicate epsilon %g dropped" % e, file=sys.stderr)
     eps_list = sorted(set(eps_list), reverse=True)
-    # reject what run would before any file is written, as solve does
-    check_problem(*build_problem(cfg, epsilon=eps_list[0]))
+    # one problem and generator for every row, checked before any write
+    problem, gen = build_problem({**cfg, "epsilon": eps_list[0]})
+    check_problem(problem, gen)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     gen_cfg = cfg.get("profile", {})
@@ -309,9 +304,9 @@ def cmd_sweep(args):
     def one(eps):
         row = {"epsilon": eps, "log_inv_eps": float(np.log(1.0 / eps))}
         try:
-            problem, gen = build_problem(cfg, epsilon=eps)
-            _, record = solve_to_dir(problem, gen, gen_cfg,
-                                     os.path.join(out_dir, "eps_%g" % eps))
+            _, record = solve_to_dir(
+                dataclasses.replace(problem, epsilon=eps), gen, gen_cfg,
+                os.path.join(out_dir, "eps_%g" % eps))
             row.update(vars(record), diam_over_eps=record.diam_supp / eps,
                        status="converged" if record.converged
                        else "nonconverged")
@@ -321,11 +316,9 @@ def cmd_sweep(args):
 
     rows = [one(e) for e in eps_list]
 
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(key, "nan"))
-                              for key in _SWEEP.values()))
-    _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(out_dir, "sweep.csv"), _csv_text(
+        [SWEEP_COLUMNS] + [[row.get(key, "nan") for key in _SWEEP.values()]
+                           for row in rows]))
     n_bad = sum(1 for r in rows if r["status"].startswith("error"))
     print("sweep wrote %d rows to %s (%d failed)"
           % (len(rows), os.path.join(out_dir, "sweep.csv"), n_bad))
@@ -344,11 +337,11 @@ def cmd_report(args):
         with open(sweep_path) as f:
             rows = list(csv.DictReader(f))
     except OSError as exc:
-        raise CliError(["cannot read %s: %s" % (sweep_path, exc)])
+        raise ConfigurationError("cannot read %s: %s" % (sweep_path, exc))
     good = [r for r in rows if r.get("status") == "converged"]
     if len(good) < 3:
-        raise CliError(["need at least 3 converged sweep rows, found %d"
-                        % len(good)])
+        raise ConfigurationError("need at least 3 converged sweep rows, "
+                                 "found %d" % len(good))
     eps = np.array([float(r["epsilon"]) for r in good])
     mus = np.array([float(r["mu"]) for r in good])
     ens = np.array([float(r["E"]) for r in good])
@@ -376,7 +369,7 @@ def cmd_report(args):
 
 
 def _validate_greens(seed):
-    from scipy.fftpack import dct
+    from scipy.fft import dct
     from .greens import (StreamOperator, build_kernel_block, kernel_bound,
                          kernel_closed_form, kernel_quadrature,
                          expansion_remainder, sigma)
@@ -459,10 +452,8 @@ def _validate_greens(seed):
                            and summary["operator_vs_direct_ok"]
                            and window_diff <= 1e-12 and row_bound_ok
                            and symmetric and table_diff <= 1e-15)
-    csv_lines = ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound"]
-    for row in rows:
-        csv_lines.append(",".join("%.17g" % v for v in row))
-    return summary, "\n".join(csv_lines) + "\n"
+    return summary, _csv_text(
+        ["r,z,rp,zp,sigma,K_quad,K_closed,rel_err,bound".split(",")] + rows)
 
 
 def _validate_profiles(seed):
@@ -560,8 +551,8 @@ def cmd_validate(args):
     suites = ("greens", "profiles", "bathtub")
     name = args.suite
     if name not in suites + ("all",):
-        raise CliError(["unknown suite %r; choose from %s or all"
-                        % (name, "/".join(suites))])
+        raise ConfigurationError("unknown suite %r; choose from %s or all"
+                                 % (name, "/".join(suites)))
     chosen = suites if name == "all" else (name,)
     out_dir = resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
@@ -622,12 +613,9 @@ def main(argv=None):
                 "validate": cmd_validate, "report": cmd_report}
     try:
         return handlers[args.command](args)
-    except CliError as exc:
-        for msg in exc.messages:
-            print("config error: %s" % msg, file=sys.stderr)
-        return 1
     except ConfigurationError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+        for msg in str(exc).splitlines():
+            print("config error: %s" % msg, file=sys.stderr)
         return 1
     except Exception as exc:  # surface a one-line failure, not a traceback
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -7,6 +7,7 @@ formulation absorbs). Grids are uniform and cell-centered so nothing is
 ever evaluated on the axis r = 0.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,14 +159,24 @@ def dump_field_csv(f, out):
 
 
 def load_field_csv(spec, path):
-    """Read a field written by dump_field_csv back onto a known grid. The
-    file's r and z columns must equal the grid's cell centres exactly, as
-    %.17g round-trips them; GridMismatchError otherwise."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a field written by dump_field_csv back onto a known grid: rows
+    r,z,value whose r and z equal the grid's cell centres exactly, as %.17g
+    round-trips them; GridMismatchError otherwise."""
+    try:
+        # numpy warns of a file with no rows after the header
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except UserWarning:
+        raise GridMismatchError("csv has no data rows")
+    except ValueError as exc:
+        raise GridMismatchError("csv is malformed: %s" % exc)
+    if data.shape[1] != 3:
+        raise GridMismatchError("csv has %d columns, wants 3" % data.shape[1])
     if data.shape[0] != spec.n_r * spec.n_z:
-        raise GridMismatchError(
-            "csv has %d rows, grid wants %d" % (data.shape[0], spec.n_r * spec.n_z)
-        )
+        raise GridMismatchError("csv has %d rows, grid wants %d"
+                                % (data.shape[0], spec.n_r * spec.n_z))
     if not (np.array_equal(data[:, 0], np.repeat(spec.r_centers, spec.n_z))
             and np.array_equal(data[:, 1], np.tile(spec.z_centers, spec.n_r))):
         raise GridMismatchError("csv cell centres differ from the grid's")

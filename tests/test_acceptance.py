@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from vortexring.cli import (_bathtub_brute, _validate_greens,
-                            _validate_profiles)
+from vortexring.cli import _bathtub_brute, _validate_profiles
 from vortexring.diagnostics import (angular_variation, asymptotic_fit,
                                     center_of_vorticity, core_radius,
                                     far_field_check, kelvin_hicks_check,

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from vortexring import cli
-from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, _SWEEP_KEYS, CliError,
+from vortexring.cli import (SWEEP_COLUMNS, _SOLVE_KEYS, _SWEEP_KEYS,
                             build_problem, main, solve_to_dir, validate_config)
-from vortexring.errors import NumericalError
+from vortexring.errors import ConfigurationError, NumericalError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -222,9 +222,24 @@ def test_table_path_needs_the_table_family(tmp_path, capsys):
      "profile.table_path: must be a string"),
 ], ids=["root", "empty epsilons", "no table_path", "table_path type"])
 def test_sweep_config_errors(cfg, message):
-    with pytest.raises(CliError) as info:
+    with pytest.raises(ConfigurationError) as info:
         validate_config(cfg, _SWEEP_KEYS, require=("epsilons",))
-    assert any(m.startswith(message) for m in info.value.messages)
+    assert any(m.startswith(message) for m in str(info.value).splitlines())
+
+
+def test_each_complaint_is_one_config_error_line(tmp_path, capsys):
+    # three complaints, three lines on stderr, each with the prefix, and
+    # nothing on stdout
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"epsilon": 1.5, "kappa": -1.0, "banana": 7}))
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "config error: banana: unknown key",
+        "config error: epsilon: must be a finite number in (0, 1), got 1.5",
+        "config error: kappa: must be a finite number > 0, got -1.0"]
 
 
 def test_failed_solve_prints_one_error_line(tmp_path, capsys, monkeypatch):
@@ -262,6 +277,31 @@ def test_bad_table_file_is_a_config_error(text, tmp_path, capsys, recwarn):
     if text == "t,f,g\n":
         assert err[0].endswith(": no data rows")
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_sweep_reads_its_table_once(tmp_path, monkeypatch):
+    # one problem and one generator serve every epsilon: a table_path
+    # sweep builds its generator, and reads its file, once
+    t = np.linspace(0.0, 60.0, 13)
+    table = tmp_path / "tab.csv"
+    table.write_text("t,f,g\n" + "".join("%g,0,%g\n" % (x, x) for x in t))
+    make_generator, built = cli.make_generator, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return make_generator(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_generator", counting)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "epsilons": [0.2, 0.15, 0.1], "grid": {"n_r": 24, "n_z": 24},
+        "profile": {"family": "table", "table_path": str(table)}}))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", str(path), "--out", out]) == 0
+    assert built == [("table",)]
+    with open(os.path.join(out, "sweep.csv")) as f:
+        status = [row["status"] for row in csv.DictReader(f)]
+    assert status == ["converged"] * 3
 
 
 def test_solve_leaves_the_oracle_modules_unloaded(tmp_path):

@@ -100,6 +100,24 @@ def test_field_csv_refuses_another_grid(other, rng, tmp_path):
         load_field_csv(build_grid(*other), str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("r,z,value\n", "csv has no data rows"),
+    ("r,z,value\n0.875,-0.5,1\n", "csv has 1 rows, grid wants 4"),
+    ("r,z,value\n0.875,-0.5\n0.875,0.5\n1.625,-0.5\n1.625,0.5\n",
+     "csv has 2 columns, wants 3"),
+    ("r,z,value\n0.875,-0.5,1\n0.875,0.5\n", "csv is malformed: "),
+], ids=["header only", "one row", "two columns", "ragged"])
+def test_malformed_field_csv_is_one_grid_mismatch(text, message, tmp_path,
+                                                  recwarn):
+    # a malformed file is named by one GridMismatchError, with no warning
+    # of numpy's beside it
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(GridMismatchError, match=message):
+        load_field_csv(build_grid(0.5, 2.0, -1.0, 1.0, 2, 2), str(path))
+    assert not recwarn.list
+
+
 def test_dump_matches_the_per_cell_writer(rng, per_cell_csv):
     # zeros of both signs, a subnormal, huge values of both signs, and
     # random values over the whole exponent range; a row of +0.0 (written
