@@ -233,7 +233,8 @@ def _load_config(path):
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise ConfigurationError("cannot read config %s: %s" % (path, exc))
+        raise ConfigurationError("cannot read config %s: %s"
+                                 % (path, exc.strerror))
     except json.JSONDecodeError as exc:
         raise ConfigurationError("config %s is not valid JSON: %s"
                                  % (path, exc))
@@ -337,7 +338,8 @@ def cmd_report(args):
         with open(sweep_path) as f:
             rows = list(csv.DictReader(f))
     except OSError as exc:
-        raise ConfigurationError("cannot read %s: %s" % (sweep_path, exc))
+        raise ConfigurationError("cannot read %s: %s"
+                                 % (sweep_path, exc.strerror))
     good = [r for r in rows if r.get("status") == "converged"]
     if len(good) < 3:
         raise ConfigurationError("need at least 3 converged sweep rows, "

@@ -1,11 +1,9 @@
 """Post-processing of solver output: support geometry, concentration
 measures, flow fields, and sweep asymptotics.
 
-All quantities are pure functions of solve results. Support is always the
-numerical support, meaning cells above a small fraction of the peak
-vorticity; the solver zeroes cells exactly where the stream variable is
-nonpositive, so the threshold only guards against interpolation dust;
-a support reaching the grid edge is flagged (`support_on_edge`).
+All quantities are pure functions of solve results. The support is the
+set of cells where zeta > 0, the cells the solver itself counts; a
+support reaching the grid edge is flagged (`support_on_edge`).
 """
 
 from dataclasses import dataclass
@@ -18,16 +16,12 @@ from .grid import GridSpec, ScalarField, bilinear_sample
 from .profiles import eval_H
 
 
-DEFAULT_SUPPORT_FRACTION = 1e-6
-
-
 def support_mask(zeta):
-    """Boolean cell mask of the numerical support: the cells above
-    DEFAULT_SUPPORT_FRACTION of the peak."""
-    peak = float(np.max(zeta.values))
-    if peak <= 0.0:
+    """Boolean cell mask of the support: the cells where zeta > 0."""
+    mask = zeta.values > 0.0
+    if not mask.any():
         raise NumericalError("field has empty support")
-    return zeta.values > DEFAULT_SUPPORT_FRACTION * peak
+    return mask
 
 
 def _edge_cells(mask):
@@ -275,8 +269,8 @@ def far_field_check(result):
 
 
 def support_on_edge(zeta):
-    """True when the numerical support has a cell in the first or last
-    row or column of the grid, so the box may be clipping the solution."""
+    """True when a cell where zeta > 0, however small, lies in the first
+    or last row or column of the grid, so the box may be clipping it."""
     mask = support_mask(zeta)
     return bool(mask[[0, -1], :].any() or mask[:, [0, -1]].any())
 

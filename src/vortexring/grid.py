@@ -158,27 +158,39 @@ def dump_field_csv(f, out):
                   ("%.17g" % r).join(tail) % tuple(row.tolist()))
 
 
+def read_csv_rows(path, error, name="csv"):
+    """The (n, 3) array of a CSV file's rows after its header line; raises
+    error("<name> <path>: <reason>") when the file cannot be opened, holds
+    no rows, is ragged or non-numeric, or has other than three columns."""
+    try:
+        # opened for the OS's reason, then read by name: numpy reads a
+        # path in blocks, a file object line by line
+        with open(path), warnings.catch_warnings():
+            warnings.filterwarnings(  # a file with no rows after the header
+                "error", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except UserWarning:
+        raise error("%s %s: no data rows" % (name, path))
+    except OSError as exc:
+        raise error("%s %s: %s" % (name, path, exc.strerror))
+    except ValueError as exc:
+        raise error("%s %s: %s" % (name, path, exc))
+    if data.shape[1] != 3:
+        raise error("%s %s: %d columns, wants 3" % (name, path, data.shape[1]))
+    return data
+
+
 def load_field_csv(spec, path):
     """Read a field written by dump_field_csv back onto a known grid: rows
     r,z,value whose r and z equal the grid's cell centres exactly, as %.17g
     round-trips them; GridMismatchError otherwise."""
-    try:
-        # numpy warns of a file with no rows after the header
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "error", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except UserWarning:
-        raise GridMismatchError("csv has no data rows")
-    except ValueError as exc:
-        raise GridMismatchError("csv is malformed: %s" % exc)
-    if data.shape[1] != 3:
-        raise GridMismatchError("csv has %d columns, wants 3" % data.shape[1])
+    data = read_csv_rows(path, GridMismatchError)
     if data.shape[0] != spec.n_r * spec.n_z:
-        raise GridMismatchError("csv has %d rows, grid wants %d"
-                                % (data.shape[0], spec.n_r * spec.n_z))
+        raise GridMismatchError("csv %s: %d rows, grid wants %d"
+                                % (path, data.shape[0], spec.n_r * spec.n_z))
     if not (np.array_equal(data[:, 0], np.repeat(spec.r_centers, spec.n_z))
             and np.array_equal(data[:, 1], np.tile(spec.z_centers, spec.n_r))):
-        raise GridMismatchError("csv cell centres differ from the grid's")
+        raise GridMismatchError("csv %s: cell centres differ from the grid's"
+                                % path)
     vals = data[:, 2].reshape(spec.n_r, spec.n_z)
     return ScalarField(spec, vals)

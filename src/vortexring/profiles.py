@@ -41,12 +41,12 @@ scalar search, is the reference for every family.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, complaint
+from .grid import read_csv_rows
 
 # family -> (the parameter it takes, its (jump, a, b, q) row of the shared
 # law g = jump + a t^q, f = b t^q as a function of that parameter). The
@@ -73,7 +73,7 @@ class GeneratorPair:
     family is a key of FAMILIES: power_law(p), turkington(alpha),
     beltrami(p) and mixed(p) share one closed-form law (see the module
     docstring) of a finite positive number (errors.complaint), and table holds
-    piecewise-linear f, g given on a t-grid, constant past its last node.
+    piecewise-linear finite f, g on a t-grid, constant past its last node.
     g0plus is the jump of g at 0+, nonzero only for turkington-type
     generators; it sets the lower edge of the admissible cap parameter.
     """
@@ -99,6 +99,8 @@ class GeneratorPair:
                    for v in (self.table_t, self.table_f, self.table_g))
         if t.ndim != 1 or t.size < 2 or f.shape != t.shape or g.shape != t.shape:
             raise ConfigurationError("table generator needs matching 1-d t,f,g")
+        if not np.isfinite(np.r_[t, f, g]).all():
+            raise ConfigurationError("table generator needs finite t,f,g")
         if np.any(np.diff(t) <= 0) or t[0] < 0:
             raise ConfigurationError("table t-grid must be increasing and >= 0")
         if t[0] > 0:
@@ -307,9 +309,9 @@ def make_generator(family, **params):
     family is a key of FAMILIES, and params holds at most the one
     parameter FAMILIES names for it, a number (not a string or a bool).
     The table family takes table=(t, f, g) arrays or table_path, a CSV
-    with header t,f,g; any other keyword, and a table_path that is
-    missing, holds no data rows or does not hold three numeric columns,
-    raises ConfigurationError.
+    with header t,f,g and exactly three numeric columns; any other
+    keyword, an unreadable or malformed table_path and a non-finite
+    table value raise ConfigurationError.
     """
     if family not in FAMILIES:
         raise ConfigurationError("unknown generator family %r" % (family,))
@@ -325,19 +327,7 @@ def make_generator(family, **params):
         path = params.get("table_path")
         if path is None:
             raise ConfigurationError("table generator needs table or table_path")
-        try:
-            # numpy warns of a file with no rows after the header
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "error", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(path, delimiter=",", skiprows=1,
-                                   ndmin=2).T
-        except UserWarning:
-            raise ConfigurationError("table_path %s: no data rows" % path)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError("table_path %s: %s" % (path, exc))
-        if len(table) < 3:
-            raise ConfigurationError("table_path %s: needs 3 columns" % path)
+        table = read_csv_rows(path, ConfigurationError, "table_path").T
     t, f, g = table[:3]
     return GeneratorPair("table", table_t=t, table_f=f, table_g=g)
 

@@ -2,6 +2,7 @@
 validation suites, and reports."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -258,8 +259,9 @@ def test_failed_solve_prints_one_error_line(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", [
-    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n", "t,f,g\n",
-], ids=["missing", "two columns", "ragged", "header only"])
+    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0,0\n1,0,1,0\n2,0,2,0\n",
+    "t,f,g\n0,0,0\n1,1\n2,0,2\n", "t,f,g\n",
+], ids=["missing", "two columns", "four columns", "ragged", "header only"])
 def test_bad_table_file_is_a_config_error(text, tmp_path, capsys, recwarn):
     # a table_path passes the schema; the loader names it on one line, and
     # no warning adds its own
@@ -273,6 +275,7 @@ def test_bad_table_file_is_a_config_error(text, tmp_path, capsys, recwarn):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error: table_path %s: " % table)
+    assert err[0].count(str(table)) == 1
     assert not recwarn.list
     if text == "t,f,g\n":
         assert err[0].endswith(": no data rows")
@@ -649,6 +652,21 @@ def test_report_needs_three_converged_rows(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
     # and a missing sweep.csv is a clean failure too
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["solve", "--config", "{d}/c.json", "--out", "{d}"], "config {d}/c.json"),
+    (["sweep", "--config", "{d}/c.json", "--out", "{d}"], "config {d}/c.json"),
+    (["report", "--out", "{d}"], "{d}/sweep.csv"),
+], ids=["solve", "sweep", "report"])
+def test_unreadable_file_is_named_once(argv, missing, tmp_path, capsys):
+    # the config, and report's sweep.csv, are named once, with the OS's
+    # reason alone
+    d = str(tmp_path)
+    assert main([a.format(d=d) for a in argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: cannot read %s: %s"
+        % (missing.format(d=d), os.strerror(errno.ENOENT))]
 
 
 def test_missing_subcommand_is_usage_error():

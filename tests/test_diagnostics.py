@@ -347,6 +347,15 @@ def test_support_on_edge_flags_each_edge(i, j):
     assert support_on_edge(_edge_field(i, j)) is True
 
 
+def test_support_on_edge_flags_a_trace_cell():
+    # the support is where zeta > 0: an edge cell at 1e-8 of the peak is
+    # in it, as it is in the solver's support trace
+    zeta = _edge_field(0, 4)
+    zeta.values[0, 4] = 1e-8
+    assert support_on_edge(zeta) is True
+    assert np.count_nonzero(support_mask(zeta)) == 5
+
+
 def test_support_off_edge_is_not_flagged():
     assert support_on_edge(_edge_field(None, None)) is False
 

@@ -1,6 +1,9 @@
 """Grid construction, measures, and field storage."""
 
+import errno
 import io
+import os
+import re
 
 import numpy as np
 import pytest
@@ -101,20 +104,27 @@ def test_field_csv_refuses_another_grid(other, rng, tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("r,z,value\n", "csv has no data rows"),
-    ("r,z,value\n0.875,-0.5,1\n", "csv has 1 rows, grid wants 4"),
+    (None, os.strerror(errno.ENOENT)),
+    ("r,z,value\n", "no data rows"),
+    ("r,z,value\n0.875,-0.5,1\n", "1 rows, grid wants 4"),
     ("r,z,value\n0.875,-0.5\n0.875,0.5\n1.625,-0.5\n1.625,0.5\n",
-     "csv has 2 columns, wants 3"),
-    ("r,z,value\n0.875,-0.5,1\n0.875,0.5\n", "csv is malformed: "),
-], ids=["header only", "one row", "two columns", "ragged"])
+     "2 columns, wants 3"),
+    ("r,z,value\n0.875,-0.5,1,0\n0.875,0.5,1,0\n1.625,-0.5,1,0\n"
+     "1.625,0.5,1,0\n", "4 columns, wants 3"),
+    ("r,z,value\n0.875,-0.5,1\n0.875,0.5\n", "the number of columns"),
+], ids=["missing", "header only", "one row", "two columns", "four columns",
+        "ragged"])
 def test_malformed_field_csv_is_one_grid_mismatch(text, message, tmp_path,
                                                   recwarn):
-    # a malformed file is named by one GridMismatchError, with no warning
-    # of numpy's beside it
+    # a missing or malformed file is named, once, by one GridMismatchError,
+    # with no warning of numpy's beside it
     path = tmp_path / "field.csv"
-    path.write_text(text)
-    with pytest.raises(GridMismatchError, match=message):
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(GridMismatchError, match="^csv %s: %s"
+                       % (re.escape(str(path)), message)) as info:
         load_field_csv(build_grid(0.5, 2.0, -1.0, 1.0, 2, 2), str(path))
+    assert str(info.value).count(str(path)) == 1
     assert not recwarn.list
 
 

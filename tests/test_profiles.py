@@ -298,9 +298,10 @@ def test_make_generator_validation(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0\n1,1\n2,0,2\n",
-    "t,f,g\n0,0,0\n1,x,1\n", "t,f,g\n",
-], ids=["missing", "two columns", "ragged", "not a number", "header only"])
+    None, "t,f,g\n0,0\n1,1\n2,2\n", "t,f,g\n0,0,0,0\n1,0,1,0\n2,0,2,0\n",
+    "t,f,g\n0,0,0\n1,1\n2,0,2\n", "t,f,g\n0,0,0\n1,x,1\n", "t,f,g\n",
+], ids=["missing", "two columns", "four columns", "ragged", "not a number",
+        "header only"])
 def test_table_path_errors_name_the_file(text, tmp_path, recwarn):
     path = tmp_path / "tab.csv"
     if text is not None:
@@ -308,10 +309,22 @@ def test_table_path_errors_name_the_file(text, tmp_path, recwarn):
     with pytest.raises(ConfigurationError, match="^table_path %s: "
                        % re.escape(str(path))) as info:
         make_generator("table", table_path=str(path))
+    assert str(info.value).count(str(path)) == 1
     # numpy's warning of a file without rows is the error, not an extra line
     assert not recwarn.list
     if text == "t,f,g\n":
         assert str(info.value).endswith(": no data rows")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["t", "f", "g"])
+def test_table_values_must_be_finite(k):
+    # a NaN or an infinity anywhere in the table is refused when it is
+    # built, not by eval_i's warnings or check_problem's structural report
+    table = [np.linspace(0.0, 2.0, 5), np.zeros(5), np.linspace(0.0, 2.0, 5)]
+    for bad in (np.nan, np.inf, -np.inf):
+        table[k][2] = bad
+        with pytest.raises(ConfigurationError, match="finite t,f,g"):
+            make_generator("table", table=table)
 
 
 def test_each_family_takes_its_own_parameter_only():
